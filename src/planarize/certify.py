@@ -3,6 +3,13 @@
 Everything here is deliberately separate from the reducers: these
 predicates are run against the induced subgraph of the *original* input,
 so a reducer bug cannot vouch for itself.
+
+The residue certificates share one worklist rewriting engine,
+``_reduce``.  With all four rules (delete degree <= 1, smooth degree 2,
+drop loops, merge parallels) it decides treewidth <= 2 and the planar
+residue shapes; without the last two it gives the contraction residue
+``classify_component`` matches.  Every check here runs in near-linear
+time.
 """
 
 from __future__ import annotations
@@ -18,15 +25,22 @@ from .multigraph import MultiGraph
 
 
 def induced_subgraph(g: MultiGraph, s: set[int]) -> MultiGraph:
-    """Exact induced subgraph G[S]."""
+    """Exact induced subgraph G[S].
+
+    Vertices and edges are added in sorted order, the order a full
+    ``g.iter_edges()`` scan would give, but only S's own incidences are
+    read.
+    """
     out = MultiGraph()
-    for v in sorted(s):
+    order = sorted(s)
+    for v in order:
         if not g.has_vertex(v):
             raise UnknownVertex(f"vertex {v} not in graph")
         out.add_vertex(v)
-    for u, v, c in g.iter_edges():
-        if u in s and v in s:
-            out.add_edge(u, v, c)
+    for u in order:
+        for v, c in g.incidences(u):
+            if u <= v and v in s:
+                out.add_edge(u, v, c)
     return out
 
 
@@ -35,66 +49,70 @@ def is_pseudoforest(g: MultiGraph) -> bool:
 
     Multigraph aware: a component has at most one cycle exactly when its
     edge units do not exceed its vertex count (loops and parallel pairs
-    count as cycles).
+    count as cycles), that is when its degrees sum to at most twice its
+    vertex count, a loop adding 2 to its vertex's degree.
     """
-    for comp in g.components():
-        cset = set(comp)
-        units = sum(c for u, v, c in g.iter_edges() if u in cset)
-        if units > len(comp):
-            return False
-    return True
+    return all(sum(g.degree(v) for v in comp) <= 2 * len(comp) for comp in g.components())
 
 
-def _sp_reduce(g: MultiGraph, order_seed: int | None = None) -> MultiGraph:
-    """Exhaustively apply loop deletion, parallel merging, degree-<=1
-    deletion, and degree-2 smoothing; returns the irreducible residue.
+def _reduce(g: MultiGraph, simplify: bool = True, order_seed: int | None = None) -> MultiGraph:
+    """The rewriting engine behind every residue certificate.
 
-    The rewriting is confluent; ``order_seed`` shuffles rule application
-    order so tests can check that the verdict does not depend on it.
+    Works on a copy of g and returns the irreducible residue.  The rules:
+
+    - delete a vertex of degree <= 1;
+    - smooth a loop-free vertex of degree 2 (its two edge ends join into
+      one edge, a parallel copy or a loop when they coincide);
+    - with ``simplify``, also drop loops and merge parallel bundles down
+      to one edge.  The copy is simplified once up front and every
+      smoothing merges the edge it creates at once, so the graph stays
+      simple and the other two rules see only degrees.
+
+    A worklist holds the vertices whose degree may have changed; a rewrite
+    re-queues only its endpoints, so the engine runs in linear time (the
+    series-parallel reduction of Valdes, Tarjan and Lawler).  The residue
+    is unique up to isomorphism, so the verdicts built on it do not depend
+    on the order; ``order_seed`` shuffles which queued vertex is taken
+    next so tests can check that.
     """
     h = g.copy()
+    if simplify:
+        h.simplify()
     rng = random.Random(order_seed) if order_seed is not None else None
-    changed = True
-    while changed:
-        changed = False
-        moves: list[tuple[str, int]] = []
-        for v in h.sorted_vertices():
-            if h.loops(v):
-                moves.append(("loop", v))
-        for u, v, c in h.iter_edges():
-            if u != v and c > 1:
-                moves.append(("par", u))
-        for v in h.sorted_vertices():
-            deg = h.degree(v)
-            if deg <= 1:
-                moves.append(("del", v))
-            elif deg == 2 and not h.loops(v):
-                moves.append(("smooth", v))
-        if not moves:
-            break
+    work = list(h.vertices())
+    queued = set(work)
+    while work:
         if rng is not None:
-            move = moves[rng.randrange(len(moves))]
-        else:
-            move = moves[0]
-        kind, v = move
-        if kind == "loop":
-            h.remove_edge(v, v, h.loops(v))
-        elif kind == "par":
-            for u, c in list(h.incidences(v)):
-                if u != v and c > 1:
-                    h.remove_edge(v, u, c - 1)
-                    break
-        elif kind == "del":
+            i = rng.randrange(len(work))
+            work[i], work[-1] = work[-1], work[i]
+        v = work.pop()
+        queued.discard(v)
+        if not h.has_vertex(v):
+            continue
+        deg = h.degree(v)
+        if deg <= 1:
+            touched = h.neighbors(v)
             h.delete_vertex(v)
+        elif deg == 2 and not h.loops(v):
+            # With simplify the graph is simple, so a != b and the new
+            # edge can only be a parallel copy.
+            a, b = _smooth(h, v)
+            if simplify and h.multiplicity(a, b) > 1:
+                h.remove_edge(a, b)
+            touched = (a, b)
         else:
-            _smooth(h, v)
-        changed = True
+            continue
+        for u in touched:
+            if u not in queued:
+                queued.add(u)
+                work.append(u)
     return h
 
 
-def _smooth(h: MultiGraph, v: int) -> None:
+def _smooth(h: MultiGraph, v: int) -> tuple[int, int]:
     """Replace a degree-2, loop-free vertex by an edge between its
-    neighbors (a parallel edge or a loop when they coincide)."""
+    neighbors (a parallel edge or a loop when they coincide); return the
+    new edge's ends."""
     inc = [(u, c) for u, c in h.incidences(v) if u != v]
     ends: list[int] = []
     for u, c in inc:
@@ -103,16 +121,20 @@ def _smooth(h: MultiGraph, v: int) -> None:
     a, b = ends
     h.delete_vertex(v)
     h.add_edge(a, b)
+    return a, b
 
 
 def is_partial_2_tree(g: MultiGraph) -> bool:
     """True iff g has treewidth at most 2.
 
-    Characterized by the series-parallel rewriting emptying the graph:
-    delete loops, merge parallel edges, delete degree-<=1 vertices, and
-    smooth degree-2 vertices.
+    Characterized by the simplifying rewriting (``_reduce`` with all four
+    rules) emptying the graph.
     """
-    return _sp_reduce(g).n == 0
+    return _reduce(g).n == 0
+
+
+# The name the confluence test imports.
+_sp_reduce = _reduce
 
 
 class ComponentKind(Enum):
@@ -137,31 +159,19 @@ class ComponentClass:
 def classify_component(g: MultiGraph) -> ComponentClass:
     """Classify a connected graph by its contraction residue.
 
-    Degree-<=1 vertices are deleted and degree-2 vertices smoothed
-    (multigraph smoothing: the two incident edges become one edge,
-    possibly parallel or a loop) until neither rule applies; the residue
-    is then matched against the accepted shapes.  Accepted residues are
-    exactly those a well-formed planar-reducer output can leave behind:
-    nothing, a single vertex, a single cycle (loop vertex), the
-    three-edge dipole, or a K4.
+    ``_reduce`` without simplification deletes degree-<=1 vertices and
+    smooths degree-2 vertices (multigraph smoothing: the two incident
+    edges become one edge, possibly parallel or a loop) until neither
+    rule applies; the residue is then matched against the accepted
+    shapes.  Accepted residues are exactly those a well-formed
+    planar-reducer output can leave behind: nothing, a single vertex, a
+    single cycle (loop vertex), the three-edge dipole, or a K4.
     """
     if g.n == 0:
         return ComponentClass(ComponentKind.EMPTY)
     if len(g.components()) != 1:
         return ComponentClass(ComponentKind.REJECT, "input not connected")
-    h = g.copy()
-    changed = True
-    while changed:
-        changed = False
-        for v in h.sorted_vertices():
-            if h.degree(v) <= 1:
-                h.delete_vertex(v)
-                changed = True
-                break
-            if h.degree(v) == 2 and not h.loops(v):
-                _smooth(h, v)
-                changed = True
-                break
+    h = _reduce(g, simplify=False)
     if h.n == 0:
         return ComponentClass(ComponentKind.EMPTY)
     if h.n == 1:
@@ -190,49 +200,23 @@ def classify_all(g: MultiGraph) -> list[ComponentClass]:
 def accepts_planar_residue(g: MultiGraph) -> bool:
     """Structural certificate for planar-reducer outputs.
 
-    Reduces each component by deleting degree-<=1 vertices, smoothing
-    loop-free degree-2 vertices, removing loop edges (a completed cycle
-    glued at a cut vertex), and merging parallel bundles down to a
+    Runs ``_reduce`` with all four rules: delete degree-<=1 vertices,
+    smooth loop-free degree-2 vertices, drop loop edges (a completed
+    cycle glued at a cut vertex), and merge parallel bundles down to a
     single edge (cycles glued along a pair of attachment points, the
     dipole included).  Accepts iff every component empties or ends as K4.
+    The residue is simple with minimum degree 3, so a residue component
+    is K4 exactly when it has 4 vertices, each of degree 3.
 
     Every accepted graph is planar with treewidth at most 3: undoing the
     rules only subdivides edges, duplicates edges, or attaches pendant
     vertices and cycles, all of which preserve planarity and never push
     treewidth past the K4 core's 3.
     """
-    h = g.copy()
-    changed = True
-    while changed:
-        changed = False
-        for v in h.sorted_vertices():
-            if h.degree(v) <= 1:
-                h.delete_vertex(v)
-                changed = True
-                break
-            if h.loops(v):
-                h.remove_edge(v, v, 1)
-                changed = True
-                break
-            if h.degree(v) == 2:
-                _smooth(h, v)
-                changed = True
-                break
-        if changed:
-            continue
-        for u, v, c in h.iter_edges():
-            if u != v and c >= 2:
-                h.remove_edge(u, v, c - 1)
-                changed = True
-                break
-    if h.n == 0:
-        return True
-    for comp in h.components():
-        sub = induced_subgraph(h, set(comp))
-        if sub.n == 4 and sub.m == 6 and sub.is_simple():
-            continue
-        return False
-    return True
+    h = _reduce(g)
+    return all(
+        len(comp) == 4 and all(h.degree(v) == 3 for v in comp) for comp in h.components()
+    )
 
 
 def is_planar(g: MultiGraph) -> bool:

@@ -63,12 +63,18 @@ def _parse_dimacs(lines: list[str]) -> MultiGraph:
         if tag == "p":
             if len(parts) < 4:
                 raise ParseError(f"bad DIMACS header: {line!r}")
-            n_hint = int(parts[2])
+            try:
+                n_hint = int(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"bad DIMACS header: {line!r}") from exc
             continue
         if tag == "e":
             if len(parts) != 3:
                 raise ParseError(f"bad DIMACS edge line: {line!r}")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            except ValueError as exc:
+                raise ParseError(f"non-integer labels in {line!r}") from exc
             if u < 0 or v < 0:
                 raise ParseError(f"DIMACS labels are 1-based: {line!r}")
             edges.append((u, v))

@@ -4,7 +4,7 @@ Maximum induced subgraphs by subset enumeration, exact treewidth by a
 subset dynamic program over elimination orders, and an exhaustive
 subdivision search that doubles as an independent planarity check.
 Size caps keep runtimes sane; the PLANARIZE_ORACLE_CAP environment
-variable overrides them.
+variable overrides them, and a value that is not an integer is an error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from enum import Enum
 from itertools import combinations
 
 from . import certify
-from .errors import TooLarge
+from .errors import GraphError, TooLarge
 from .multigraph import MultiGraph
 
 MAX_INDUCED_CAP = 16
@@ -28,8 +28,8 @@ def _cap(default: int) -> int:
     if env:
         try:
             return int(env)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            raise GraphError(f"PLANARIZE_ORACLE_CAP must be an integer, got {env!r}") from exc
     return default
 
 

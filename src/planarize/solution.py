@@ -96,11 +96,16 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> ChargeReport:
     if the rebuilt output set differs from the recorded one.
     """
     work = g.copy()
+    # Vertices that may carry a loop or a parallel copy.  Only contraction
+    # creates multiplicity, and only at its survivor, so simplifying at
+    # these vertices equals a whole-graph simplify.
+    dirty = {u for u, v, c in work.iter_edges() if u == v or c > 1}
     s: set[int] = set()
     total_units = 0
     deletions = 0
     for idx, step in enumerate(sol.trace):
         units = 0
+        s_added = set(step.s_added)
         try:
             for v in step.deleted:
                 units += work.delete_vertex(v)
@@ -108,7 +113,8 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> ChargeReport:
             for u, v, survivor in step.contracted:
                 orig = work.origin(u if survivor == v else v)
                 work.contract_edge(u, v, survivor)
-                if orig not in step.s_added:
+                dirty.add(survivor)
+                if orig not in s_added:
                     raise TraceMismatch(
                         f"step {idx}: contracted-away original {orig} missing from s_added"
                     )
@@ -117,7 +123,7 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> ChargeReport:
             for v in step.accepted:
                 orig = work.origin(v)
                 units += work.delete_vertex(v)
-                if orig not in step.s_added:
+                if orig not in s_added:
                     raise TraceMismatch(
                         f"step {idx}: accepted original {orig} missing from s_added"
                     )
@@ -125,7 +131,8 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> ChargeReport:
         except (UnknownVertex, NoSuchEdge) as exc:
             raise TraceMismatch(f"step {idx} ({step.label}): {exc}") from exc
         if step.simplified:
-            units += work.simplify()
+            units += sum(work.simplify_at(v) for v in dirty if work.has_vertex(v))
+            dirty.clear()
         if units != step.removed_edges:
             raise TraceMismatch(
                 f"step {idx} ({step.label}): recorded {step.removed_edges} edge units, "

@@ -15,7 +15,6 @@ vertex); ``replay_trace_tw2`` recomputes it from the trace.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .errors import BoundViolation, CaseAnalysisIncomplete, GraphError
 from .multigraph import MultiGraph
@@ -188,23 +187,11 @@ def reduce_treewidth2(g_in: MultiGraph) -> ReductionSolution:
     return sol
 
 
-@dataclass(frozen=True)
-class Tw2ChargeReport:
-    edge_events: int
-    deletions: int
-    total_charge: int  # edge_events - 5 * deletions
-
-    @property
-    def nonnegative(self) -> bool:
-        return self.total_charge >= 0
-
-
-def replay_trace_tw2(g_in: MultiGraph, sol: ReductionSolution) -> Tw2ChargeReport:
+def replay_trace_tw2(g_in: MultiGraph, sol: ReductionSolution) -> ChargeReport:
     """Re-run a tw2 trace against the input and recompute the charges.
 
-    Raises TraceMismatch on any divergence (missing vertices, wrong edge
-    counts, tampered steps).
+    With the tw2 ratio (num 1, den 5) the report's ``scaled_charge`` is
+    edge_events - 5 * deletions.  Raises TraceMismatch on any divergence
+    (missing vertices, wrong edge counts, tampered steps).
     """
-    base: ChargeReport = replay(g_in, sol)
-    return Tw2ChargeReport(base.edge_events, base.deletions,
-                           base.edge_events - 5 * base.deletions)
+    return replay(g_in, sol)

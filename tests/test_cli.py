@@ -76,6 +76,15 @@ def test_malformed_file_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_malformed_dimacs_exit_one_without_traceback(tmp_path, capsys):
+    for text in ("p edge x 3\ne 1 2\n", "p edge 3 1\ne 1 b\n"):
+        path = tmp_path / "bad.dimacs"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "reduce", "--alg", "tw2", "-i", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_lp_solve(capsys):
     code, out, _ = run_cli(capsys, "lp", "solve")
     assert code == 0
@@ -124,6 +133,15 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["max_size"] == 4
+
+
+def test_oracle_bad_cap_env_exit_one(tmp_path, capsys, monkeypatch):
+    gpath = tmp_path / "k33.txt"
+    gpath.write_text(write_graph_text(gen.complete_bipartite(3, 3)))
+    monkeypatch.setenv("PLANARIZE_ORACLE_CAP", "lots")
+    code, _, err = run_cli(capsys, "oracle", "-i", str(gpath))
+    assert code == 1
+    assert "PLANARIZE_ORACLE_CAP" in err
 
 
 def test_minor_subcommand(tmp_path, capsys):

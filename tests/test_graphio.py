@@ -24,6 +24,16 @@ def test_parse_dimacs():
     assert g.multiplicity(0, 1) == 1 and g.multiplicity(2, 3) == 1
 
 
+def test_parse_dimacs_bad_header_number():
+    with pytest.raises(ParseError, match="p edge x 3"):
+        parse_graph("p edge x 3\ne 1 2\n")
+
+
+def test_parse_dimacs_bad_edge_label():
+    with pytest.raises(ParseError, match="e 1 b"):
+        parse_graph("p edge 3 1\ne 1 b\n")
+
+
 def test_parse_rejects_loop():
     with pytest.raises(LoopInInput):
         parse_graph("3 3\n")

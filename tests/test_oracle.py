@@ -3,7 +3,7 @@ import random
 import pytest
 
 from planarize import generators as gen, oracle
-from planarize.errors import TooLarge
+from planarize.errors import GraphError, TooLarge
 from planarize.multigraph import from_edge_list
 from planarize.oracle import PropertyId
 
@@ -136,3 +136,9 @@ def test_oracle_cap_env_override(monkeypatch):
         oracle.max_induced(gen.complete(5), PropertyId.PLANAR)
     monkeypatch.setenv("PLANARIZE_ORACLE_CAP", "12")
     assert oracle.exact_treewidth(gen.complete_bipartite(3, 3)) == 3
+
+
+def test_oracle_cap_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("PLANARIZE_ORACLE_CAP", "lots")
+    with pytest.raises(GraphError, match="PLANARIZE_ORACLE_CAP"):
+        oracle.max_induced(gen.complete(4), PropertyId.PLANAR)

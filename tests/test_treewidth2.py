@@ -41,7 +41,7 @@ def test_k5_charge_is_exactly_zero():
     report = tw2.replay_trace_tw2(g, sol)
     assert report.deletions == 2
     assert report.edge_events == 10
-    assert report.total_charge == 0
+    assert report.scaled_charge == 0
 
 
 def test_c4_keeps_all():
@@ -49,7 +49,7 @@ def test_c4_keeps_all():
     sol = tw2.reduce_treewidth2(g)
     assert sol.s == {0, 1, 2, 3}
     report = tw2.replay_trace_tw2(g, sol)
-    assert report.total_charge == 4 and report.deletions == 0
+    assert report.scaled_charge == 4 and report.deletions == 0
 
 
 def test_empty_input():
