@@ -3,7 +3,7 @@ planar subgraphs with machine-checked size bounds and charge ledgers."""
 
 from .multigraph import MultiGraph, from_edge_list
 from .pseudoforest import reduce_pseudoforest
-from .treewidth2 import reduce_treewidth2, replay_trace_tw2
+from .treewidth2 import reduce_treewidth2
 from .planar import ChargeParams, LedgerState, reduce_planar
 
 __version__ = "0.1.0"
@@ -13,7 +13,6 @@ __all__ = [
     "from_edge_list",
     "reduce_pseudoforest",
     "reduce_treewidth2",
-    "replay_trace_tw2",
     "reduce_planar",
     "ChargeParams",
     "LedgerState",

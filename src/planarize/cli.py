@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: reduce, certify, oracle, lp, minor, gen, bench.  Reports
+Subcommands: reduce, certify, oracle, lp, minor, gen.  Reports
 are JSON on stdout with rationals serialized as "p/q" strings and
 vertex sets as sorted arrays.  Exit codes: 0 success, 1 input or usage
 error, 2 failed internal assertion (bound violation, negative ledger
@@ -42,19 +42,6 @@ def _load(path: str) -> MultiGraph:
     return graphio.read_graph(path)
 
 
-def _certificates(algorithm: str, g: MultiGraph, s: set[int]) -> dict:
-    sub = certify.induced_subgraph(g, s)
-    verdicts: dict[str, bool] = {}
-    if algorithm == "pseudoforest":
-        verdicts["pseudoforest"] = certify.is_pseudoforest(sub)
-    elif algorithm == "tw2":
-        verdicts["partial_2_tree"] = certify.is_partial_2_tree(sub)
-    else:
-        verdicts["planar"] = certify.is_planar(sub)
-        verdicts["structure"] = certify.accepts_planar_residue(sub)
-    return verdicts
-
-
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load(args.input)
     t0 = time.perf_counter()
@@ -71,7 +58,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     # The report recomputes the bound from n, m, |S| rather than trusting
     # the reducer's own verdict.
     satisfied = sol.bound_den * len(sol.s) >= sol.bound_den * sol.n - sol.bound_num * sol.m
-    verdicts = _certificates(args.alg, g, sol.s)
+    verdicts = certify.certificates(args.alg, g, sol.s)
     report = {
         "algorithm": args.alg,
         "n": sol.n,
@@ -228,39 +215,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(x) for x in args.ladder.split(",") if x.strip()]
-    rows = []
-    prev_time = None
-    reducer = reduce_pseudoforest if args.alg == "pseudoforest" else reduce_treewidth2
-    for size in sizes:
-        if args.family == "k33":
-            g = generators.disjoint_copies(generators.complete_bipartite(3, 3), size)
-        elif args.family == "k5":
-            g = generators.disjoint_copies(generators.complete(5), size)
-        elif args.family == "random-regular":
-            g = generators.random_regular(size, args.d, args.seed or 0)
-        else:
-            raise GraphError(f"unknown bench family {args.family!r}")
-        t0 = time.perf_counter()
-        sol = reducer(g)
-        wall = time.perf_counter() - t0
-        ratio = (wall / prev_time) if prev_time else None
-        rows.append(
-            {
-                "size": size,
-                "n": g.n,
-                "m": g.m,
-                "s_size": len(sol.s),
-                "wall_time_s": round(wall, 6),
-                "ratio_vs_prev": round(ratio, 3) if ratio else None,
-            }
-        )
-        prev_time = wall
-    _emit({"algorithm": args.alg, "family": args.family, "rows": rows}, args.output)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="planarize", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -270,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--alg", choices=["pseudoforest", "tw2", "planar"], required=True)
     p.add_argument("--params", help="planar charge params as 'e,c3,c4,tau' rationals")
-    p.add_argument("--json", action="store_true", help="JSON output (always on)")
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("certify", help="check properties of G[S] for a given S file")
@@ -315,15 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_gen)
-
-    p = sub.add_parser("bench", help="timing ladder for the linear-time reducers")
-    p.add_argument("--alg", choices=["pseudoforest", "tw2"], required=True)
-    p.add_argument("--family", choices=["k33", "k5", "random-regular"], required=True)
-    p.add_argument("--ladder", required=True, help="comma-separated sizes")
-    p.add_argument("--d", type=int, default=4)
-    p.add_argument("--seed", type=int)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_bench)
 
     return ap
 

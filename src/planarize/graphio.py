@@ -3,9 +3,11 @@
 Native format: optional header ``p <n> <m>``, then one ``u v`` pair per
 line (0-based labels), ``#`` comments ignored.  DIMACS-style files
 (``c`` comments, ``p edge <n> <m>``, ``e u v`` with 1-based labels) are
-detected automatically.  The writer always emits the native format with
-a header and sorted pairs so output is deterministic and round-trips
-bit for bit.
+detected automatically.  A header must agree with the body: the number
+of edge lines must equal its m (a duplicated line counts, then collapses)
+and the vertex count may not exceed its n.  The writer always emits the
+native format with a header and sorted pairs so output is deterministic
+and round-trips bit for bit.
 """
 
 from __future__ import annotations
@@ -30,17 +32,12 @@ def parse_graph(text: str) -> MultiGraph:
 
 
 def _parse_native(lines: list[str]) -> MultiGraph:
-    n_hint = 0
+    header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     for line in lines:
         parts = line.split()
         if parts[0] == "p":
-            if len(parts) < 3:
-                raise ParseError(f"bad header: {line!r}")
-            try:
-                n_hint = int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"bad header: {line!r}") from exc
+            header = _header_counts(parts[1:], f"bad header: {line!r}")
             continue
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}")
@@ -49,11 +46,11 @@ def _parse_native(lines: list[str]) -> MultiGraph:
         except ValueError as exc:
             raise ParseError(f"non-integer labels in {line!r}") from exc
         edges.append((u, v))
-    return from_edge_list(edges, n_hint=n_hint)
+    return _build(edges, header)
 
 
 def _parse_dimacs(lines: list[str]) -> MultiGraph:
-    n_hint = 0
+    header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     for line in lines:
         parts = line.split()
@@ -61,12 +58,7 @@ def _parse_dimacs(lines: list[str]) -> MultiGraph:
         if tag == "c":
             continue
         if tag == "p":
-            if len(parts) < 4:
-                raise ParseError(f"bad DIMACS header: {line!r}")
-            try:
-                n_hint = int(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"bad DIMACS header: {line!r}") from exc
+            header = _header_counts(parts[2:], f"bad DIMACS header: {line!r}")
             continue
         if tag == "e":
             if len(parts) != 3:
@@ -80,7 +72,28 @@ def _parse_dimacs(lines: list[str]) -> MultiGraph:
             edges.append((u, v))
             continue
         raise ParseError(f"unrecognized DIMACS line: {line!r}")
-    return from_edge_list(edges, n_hint=n_hint)
+    return _build(edges, header)
+
+
+def _header_counts(fields: list[str], error: str) -> tuple[int, int]:
+    """The header's n and m, the first two of ``fields``."""
+    try:
+        return int(fields[0]), int(fields[1])
+    except (IndexError, ValueError) as exc:
+        raise ParseError(error) from exc
+
+
+def _build(edges: list[tuple[int, int]], header: tuple[int, int] | None) -> MultiGraph:
+    """The graph on the edge lines, checked against the header if any."""
+    if header is None:
+        return from_edge_list(edges)
+    n, m = header
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges, file has {len(edges)} edge lines")
+    g = from_edge_list(edges, n_hint=n)
+    if g.n > n:
+        raise ParseError(f"header declares {n} vertices, file has {g.n}")
+    return g
 
 
 def read_graph(path: str) -> MultiGraph:
@@ -96,11 +109,6 @@ def write_graph_text(g: MultiGraph) -> str:
     for u, v in pairs:
         buf.write(f"{u} {v}\n")
     return buf.getvalue()
-
-
-def write_graph(g: MultiGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_graph_text(g))
 
 
 def read_vertex_set(path: str) -> set[int]:

@@ -28,16 +28,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import certify, lp as lpmod
-from .errors import (
-    BoundViolation,
-    CaseAnalysisIncomplete,
-    DebtCapExceeded,
-    GraphError,
-    InfeasibleParams,
-    NegativeCharge,
-)
+from .errors import CaseAnalysisIncomplete, DebtCapExceeded, InfeasibleParams, NegativeCharge
 from .multigraph import MultiGraph
-from .solution import ReductionSolution, TraceStep
+from .solution import ReductionSolution, TraceStep, check_result, require_simple
 
 PREPROCESS = "Preprocess"
 HARVEST = "HarvestIsolated"
@@ -146,25 +139,6 @@ class LedgerState:
             if f & comp:
                 return i
         return None
-
-
-def _require_simple(g: MultiGraph) -> None:
-    if not g.is_simple():
-        raise GraphError("reducer inputs must be simple graphs")
-
-
-def preprocess_high_degree(g: MultiGraph) -> int:
-    """Delete vertices of degree >= 6 (smallest id first) until none remain.
-
-    Mutates the given graph; returns the number of deletions.
-    """
-    count = 0
-    while True:
-        high = [v for v in g.sorted_vertices() if g.degree(v) >= 6]
-        if not high:
-            return count
-        g.delete_vertex(high[0])
-        count += 1
 
 
 def _acceptable_component(g: MultiGraph, comp: list[int]) -> bool:
@@ -434,20 +408,11 @@ def reduce_planar(
     NegativeCharge immediately; otherwise violations are collected in
     the ledger's ``negative_steps`` for diagnosis.
     """
-    _require_simple(g_in)
+    require_simple(g_in)
     if params is None:
         params = ChargeParams.paper()
     params.validate()
     run = _Run(g_in.copy(), params, strict)
     while run.dispatch():
         pass
-    sol = run.sol
-    if not sol.bound_holds():
-        raise BoundViolation(
-            f"planar bound failed: 120*{len(sol.s)} < 120*{sol.n} - 23*{sol.m}"
-        )
-    if sol.edge_events != sol.m:
-        raise CaseAnalysisIncomplete(
-            f"consumed {sol.edge_events} edge units, input had {sol.m}"
-        )
-    return sol, run.ledger
+    return check_result(run.sol), run.ledger

@@ -17,9 +17,9 @@ import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BoundViolation, CaseAnalysisIncomplete, GraphError, StaleDescriptor
+from .errors import CaseAnalysisIncomplete, GraphError, StaleDescriptor
 from .multigraph import MultiGraph
-from .solution import ReductionSolution, TraceStep, aggregate_charge_ok
+from .solution import ReductionSolution, TraceStep, check_result, require_simple
 
 PREPROCESS = "Preprocess"
 HARVEST = "HarvestIsolated"
@@ -559,11 +559,6 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
 # -- driver ------------------------------------------------------------
 
 
-def _require_simple(g: MultiGraph) -> None:
-    if not g.is_simple():
-        raise GraphError("reducer inputs must be simple graphs")
-
-
 def _dirty_ball(g: MultiGraph, seeds: set[int]) -> set[int]:
     out = set(seeds)
     for _ in range(2):
@@ -576,7 +571,7 @@ def _dirty_ball(g: MultiGraph, seeds: set[int]) -> set[int]:
 
 def reduce_pseudoforest(g_in: MultiGraph) -> ReductionSolution:
     """Compute S with 9 |S| >= 9 n - 2 m and G_in[S] a pseudoforest."""
-    _require_simple(g_in)
+    require_simple(g_in)
     g = g_in.copy()
     sol = ReductionSolution("pseudoforest", g_in.n, g_in.m, set(), bound_num=2, bound_den=9)
 
@@ -610,14 +605,4 @@ def reduce_pseudoforest(g_in: MultiGraph) -> ReductionSolution:
 
     if g.n != 0 or g.m != 0:
         raise CaseAnalysisIncomplete(f"reducer stalled with n={g.n}, m={g.m}")
-    if not sol.bound_holds():
-        raise BoundViolation(
-            f"pseudoforest bound failed: 9*{len(sol.s)} < 9*{sol.n} - 2*{sol.m}"
-        )
-    if sol.edge_events != sol.m:
-        raise CaseAnalysisIncomplete(
-            f"consumed {sol.edge_events} edge units, input had {sol.m}"
-        )
-    if not aggregate_charge_ok(sol):
-        raise BoundViolation("aggregate charge went negative")
-    return sol
+    return check_result(sol)

@@ -1,4 +1,9 @@
-"""Shared result types for the three reducers, plus trace replay.
+"""Shared result types and the reducer contract, plus trace replay.
+
+Every reducer takes a simple graph (``require_simple``) and returns a
+``ReductionSolution`` whose set S satisfies den * |S| >= den * n - num * m;
+``check_result`` asserts that bound and the edge accounting before the
+solution leaves the reducer.
 
 A trace records every mutation a reducer performed.  Replaying a trace
 against a fresh copy of the input both validates the recording (any
@@ -12,7 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NoSuchEdge, TraceMismatch, UnknownVertex
+from .errors import (
+    BoundViolation,
+    CaseAnalysisIncomplete,
+    GraphError,
+    NoSuchEdge,
+    TraceMismatch,
+    UnknownVertex,
+)
 from .multigraph import MultiGraph
 
 
@@ -155,3 +167,31 @@ def aggregate_charge_ok(sol: ReductionSolution) -> bool:
     """num * edge_events >= den * deletions: the whole-run form of the
     +1 per edge / -(den/num) per deletion charging scheme."""
     return sol.bound_num * sol.edge_events >= sol.bound_den * sol.deletions
+
+
+def require_simple(g: MultiGraph) -> None:
+    """The input check every reducer makes before copying its input."""
+    if not g.is_simple():
+        raise GraphError("reducer inputs must be simple graphs")
+
+
+def check_result(sol: ReductionSolution) -> ReductionSolution:
+    """The post-conditions every reducer asserts on its finished run.
+
+    The integer bound, every input edge unit consumed exactly once, and
+    the aggregate charge.  Each working vertex leaves either deleted or
+    with its original in S, so n = |S| + deletions; once edge_events == m
+    the aggregate charge is the bound itself, restated over the trace.
+    """
+    num, den = sol.bound_num, sol.bound_den
+    if not sol.bound_holds():
+        raise BoundViolation(
+            f"{sol.algorithm} bound failed: {den}*{len(sol.s)} < {den}*{sol.n} - {num}*{sol.m}"
+        )
+    if sol.edge_events != sol.m:
+        raise CaseAnalysisIncomplete(
+            f"consumed {sol.edge_events} edge units, input had {sol.m}"
+        )
+    if not aggregate_charge_ok(sol):
+        raise BoundViolation(f"{sol.algorithm}: aggregate charge went negative")
+    return sol

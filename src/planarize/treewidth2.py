@@ -9,27 +9,22 @@ vertices are harvested into S immediately.  The output satisfies
 
 The amortized accounting charges -5 per deleted vertex and +1 per edge
 unit consumed (contracted, removed by simplification, or deleted with a
-vertex); ``replay_trace_tw2`` recomputes it from the trace.
+vertex); ``solution.replay`` recomputes it from the trace.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .errors import BoundViolation, CaseAnalysisIncomplete, GraphError
+from .errors import CaseAnalysisIncomplete
 from .multigraph import MultiGraph
-from .solution import ChargeReport, ReductionSolution, TraceStep, replay
+from .solution import ReductionSolution, TraceStep, check_result, require_simple
 
 PREPROCESS = "Preprocess"
 CONTRACT_DEG12 = "ContractDeg12"
 DELETE_ADJ_DEG3 = "DeleteAdjDeg3"
 DELETE_MAX_DEG = "DeleteMaxDeg"
 HARVEST = "HarvestIsolated"
-
-
-def _require_simple(g: MultiGraph) -> None:
-    if not g.is_simple():
-        raise GraphError("reducer inputs must be simple graphs")
 
 
 class _Buckets:
@@ -76,7 +71,7 @@ class _Buckets:
 
 def reduce_treewidth2(g_in: MultiGraph) -> ReductionSolution:
     """Compute S with 5 |S| >= 5 n - m and G_in[S] of treewidth <= 2."""
-    _require_simple(g_in)
+    require_simple(g_in)
     g = g_in.copy()
     sol = ReductionSolution("tw2", g_in.n, g_in.m, set(), bound_num=1, bound_den=5)
     bk = _Buckets(g)
@@ -85,18 +80,21 @@ def reduce_treewidth2(g_in: MultiGraph) -> ReductionSolution:
         for v in vs:
             bk.push(v)
 
+    def delete(label: str, v: int) -> None:
+        nbrs = g.neighbors(v)
+        units = g.delete_vertex(v)
+        sol.trace.append(TraceStep(label, deleted=(v,), removed_edges=units))
+        repush(nbrs)
+        # Second ring: a neighbor dropping from 5 to 4 can turn its
+        # own degree-3 neighbors into deletion anchors.
+        for x in nbrs:
+            if g.has_vertex(x):
+                repush(g.neighbors(x))
+
     while g.n > 0:
         v = bk.pop_valid(bk.hpre, lambda x: g.degree(x) >= 5)
         if v is not None:
-            nbrs = g.neighbors(v)
-            units = g.delete_vertex(v)
-            sol.trace.append(TraceStep(PREPROCESS, deleted=(v,), removed_edges=units))
-            repush(nbrs)
-            # Second ring: a neighbor dropping from 5 to 4 can turn its
-            # own degree-3 neighbors into deletion anchors.
-            for x in nbrs:
-                if g.has_vertex(x):
-                    repush(g.neighbors(x))
+            delete(PREPROCESS, v)
             continue
 
         v = bk.pop_valid(bk.h0, lambda x: g.degree(x) == 0)
@@ -136,62 +134,27 @@ def reduce_treewidth2(g_in: MultiGraph) -> ReductionSolution:
                          and any(g.degree(u) == 4 for u in g.neighbors(x)))
         if a is not None:
             heapq.heappush(bk.h3_with4, a)  # not consumed, only located
-            b = min(u for u in g.neighbors(a) if g.degree(u) == 4)
-            nbrs = g.neighbors(b)
-            units = g.delete_vertex(b)
-            sol.trace.append(TraceStep(DELETE_ADJ_DEG3, deleted=(b,), removed_edges=units))
-            repush(nbrs)
-            for x in nbrs:
-                if g.has_vertex(x):
-                    repush(g.neighbors(x))
+            delete(DELETE_ADJ_DEG3, min(u for u in g.neighbors(a) if g.degree(u) == 4))
             continue
 
         a = bk.pop_valid(bk.h3, lambda x: g.degree(x) == 3)
         if a is not None:
             heapq.heappush(bk.h3, a)
+            # Degrees never rise once no vertex has degree 5 or more, so a
+            # new 3-next-to-4 pair can only appear at a re-pushed vertex.
             if any(g.degree(u) == 4 for u in g.neighbors(a)):
-                # Bucket bookkeeping missed a 3-next-to-4 pair; restore it
-                # rather than deleting a degree-3 vertex out of turn.
-                heapq.heappush(bk.h3_with4, a)
-                continue
-            b = min(g.neighbors(a))
-            nbrs = g.neighbors(b)
-            units = g.delete_vertex(b)
-            sol.trace.append(TraceStep(DELETE_ADJ_DEG3, deleted=(b,), removed_edges=units))
-            repush(nbrs)
-            for x in nbrs:
-                if g.has_vertex(x):
-                    repush(g.neighbors(x))
+                raise CaseAnalysisIncomplete(
+                    f"degree-3 vertex {a} has a degree-4 neighbour the buckets missed"
+                )
+            delete(DELETE_ADJ_DEG3, min(g.neighbors(a)))
             continue
 
         # Only degree-4 vertices remain once the earlier branches pass.
         v = bk.pop_valid(bk.hmax, lambda x: g.degree(x) == 4)
         if v is not None:
-            nbrs = g.neighbors(v)
-            units = g.delete_vertex(v)
-            sol.trace.append(TraceStep(DELETE_MAX_DEG, deleted=(v,), removed_edges=units))
-            repush(nbrs)
-            for x in nbrs:
-                if g.has_vertex(x):
-                    repush(g.neighbors(x))
+            delete(DELETE_MAX_DEG, v)
             continue
 
         raise CaseAnalysisIncomplete(f"no case matched with n={g.n}, m={g.m}")
 
-    if not sol.bound_holds():
-        raise BoundViolation(f"tw2 bound failed: 5*{len(sol.s)} < 5*{sol.n} - {sol.m}")
-    if sol.edge_events != sol.m:
-        raise CaseAnalysisIncomplete(
-            f"consumed {sol.edge_events} edge units, input had {sol.m}"
-        )
-    return sol
-
-
-def replay_trace_tw2(g_in: MultiGraph, sol: ReductionSolution) -> ChargeReport:
-    """Re-run a tw2 trace against the input and recompute the charges.
-
-    With the tw2 ratio (num 1, den 5) the report's ``scaled_charge`` is
-    edge_events - 5 * deletions.  Raises TraceMismatch on any divergence
-    (missing vertices, wrong edge counts, tampered steps).
-    """
-    return replay(g_in, sol)
+    return check_result(sol)

@@ -13,7 +13,7 @@ from planarize.minors import level_contract
 from planarize.multigraph import from_edge_list
 from planarize.planar import reduce_planar
 from planarize.pseudoforest import reduce_pseudoforest
-from planarize.treewidth2 import reduce_treewidth2, replay_trace_tw2
+from planarize.treewidth2 import reduce_treewidth2
 from planarize.solution import aggregate_charge_ok, replay
 
 
@@ -235,7 +235,7 @@ def test_trace_replays_for_all_three():
     pf = reduce_pseudoforest(g)
     assert replay(g, pf).nonnegative and aggregate_charge_ok(pf)
     tw = reduce_treewidth2(g)
-    assert replay_trace_tw2(g, tw).nonnegative
+    assert replay(g, tw).nonnegative
     pl, _ = reduce_planar(g)
     replay(g, pl)
 
@@ -265,3 +265,20 @@ def test_exhaustive_all_graphs_up_to_five_vertices():
             count += 1
     assert count == 1 + 1 + 2 + 8 + 64 + 1024
     print(f"exhaustive n<=5 sweep: {count} graphs clean")
+
+
+def test_graph_atlas_all_three_reducers():
+    # Every graph on up to 7 vertices, one per isomorphism class: exact
+    # bounds recomputed from n and m, certificates, and trace replay.
+    import networkx as nx
+
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    for i, gx in enumerate(atlas):
+        g = from_edge_list(list(gx.edges()), gx.number_of_nodes())
+        sols = [reduce_pseudoforest(g), reduce_treewidth2(g), reduce_planar(g)[0]]
+        for sol, (num, den) in zip(sols, ((2, 9), (1, 5), (23, 120))):
+            assert den * len(sol.s) >= den * g.n - num * g.m, (i, sol.algorithm)
+            assert all(certify.certificates(sol.algorithm, g, sol.s).values()), (i, sol.algorithm)
+            replay(g, sol)
+    print(f"graph atlas: {len(atlas)} graphs clean for all three reducers")

@@ -184,20 +184,13 @@ def test_gen_k33xt(tmp_path, capsys):
     assert (g.n, g.m) == (18, 27)
 
 
-def test_bench_table(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "--alg", "tw2", "--family", "k5", "--ladder", "20,40"
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert len(report["rows"]) == 2
-    assert report["rows"][1]["ratio_vs_prev"] is not None
-
-
-def test_bench_empty_ladder(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--alg", "tw2", "--family", "k5", "--ladder", "")
-    assert code == 0
-    assert json.loads(out)["rows"] == []
+def test_reduce_header_mismatch_exit_one(tmp_path, capsys):
+    path = tmp_path / "short.txt"
+    path.write_text("p 4 99\n0 1\n")
+    code, out, err = run_cli(capsys, "reduce", "--alg", "tw2", "-i", str(path))
+    assert code == 1
+    assert out == ""
+    assert "header declares 99 edges" in err and "Traceback" not in err
 
 
 def test_usage_error(capsys):

@@ -34,6 +34,34 @@ def test_parse_dimacs_bad_edge_label():
         parse_graph("p edge 3 1\ne 1 b\n")
 
 
+@pytest.mark.parametrize(
+    "text, why",
+    [
+        ("p 4 99\n0 1\n", "declares 99 edges"),
+        ("p 4 0\n0 1\n", "declares 0 edges"),
+        ("p 2 1\n0 5\n", "declares 2 vertices"),
+        ("p 2 x\n0 1\n", "bad header"),
+        ("p edge 2 1\ne 1 7\n", "declares 2 vertices"),
+        ("p edge 3 2\ne 1 2\n", "declares 2 edges"),
+    ],
+)
+def test_parse_rejects_header_mismatch(text, why):
+    with pytest.raises(ParseError, match=why):
+        parse_graph(text)
+
+
+def test_header_counts_duplicate_lines_which_then_collapse():
+    g = parse_graph("p 3 2\n0 1\n0 1\n")
+    assert (g.n, g.m) == (3, 1)
+    g = parse_graph("p edge 3 2\ne 1 2\ne 2 1\n")
+    assert (g.n, g.m) == (3, 1)
+
+
+def test_header_may_declare_isolated_vertices():
+    g = parse_graph("p 6 1\n0 1\n")
+    assert (g.n, g.m) == (6, 1)
+
+
 def test_parse_rejects_loop():
     with pytest.raises(LoopInInput):
         parse_graph("3 3\n")

@@ -1,0 +1,86 @@
+"""Pinned traces: refactors must leave every reducer run byte for byte.
+
+Each digest covers one reducer over a fixed input list: per input its
+tag, the algorithm, the sorted output set, every ``TraceStep`` field,
+and for the planar reducer every ledger charge.  The digests were
+recorded before the reducers shared ``solution.require_simple`` and
+``solution.check_result``; a change that moves any trace, set or charge
+changes the digest.
+"""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from planarize import generators as gen
+from planarize.planar import reduce_planar
+from planarize.pseudoforest import reduce_pseudoforest
+from planarize.treewidth2 import reduce_treewidth2
+
+PINNED = {
+    "pseudoforest": "5bf93a5c553366210384f958bb5713487e0bc80f58e89fa9b9d31204fa24869f",
+    "tw2": "2fe4f51941a8f1a04058f641461abcc10e182e55dc12f1fc9abe4410bb09ccd4",
+    "planar": "29de560a41d1ab4ecae72bd8b4520f7e268b5032493cbfb8979b6372fcf9efae",
+}
+
+
+def _corpus_recipe():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
+    spec = importlib.util.spec_from_file_location("run_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.corpus(0, 400)
+
+
+def pinned_inputs():
+    """The ``scripts/run_corpus.py`` recipe (seed 0), the cage fixtures,
+    and disjoint copies of K33 and K5."""
+    out = list(_corpus_recipe())
+    for name in ("petersen", "heawood", "mcgee", "tuttecoxeter"):
+        out.append((name, gen.FIXTURES[name]()))
+    for t in (1, 2, 5, 20):
+        out.append((f"k33x{t}", gen.disjoint_copies(gen.complete_bipartite(3, 3), t)))
+        out.append((f"k5x{t}", gen.disjoint_copies(gen.complete(5), t)))
+    return out
+
+
+def _run(algorithm, g):
+    if algorithm == "pseudoforest":
+        return reduce_pseudoforest(g), None
+    if algorithm == "tw2":
+        return reduce_treewidth2(g), None
+    return reduce_planar(g)
+
+
+def trace_digest(algorithm: str, inputs) -> str:
+    h = hashlib.sha256()
+    for tag, g in inputs:
+        sol, ledger = _run(algorithm, g)
+        h.update(f"{tag} {sol.algorithm} {sorted(sol.s)}\n".encode())
+        for st in sol.trace:
+            h.update(
+                f"{st.label} {st.deleted} {st.contracted} {st.accepted} "
+                f"{st.removed_edges} {st.s_added} {st.simplified}\n".encode()
+            )
+        if ledger is not None:
+            charges = " ".join(f"{e.index}:{e.label}:{e.charge}" for e in ledger.entries)
+            h.update(f"{charges}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    return pinned_inputs()
+
+
+@pytest.mark.parametrize("algorithm", sorted(PINNED))
+def test_trace_digest_is_pinned(algorithm, inputs):
+    assert trace_digest(algorithm, inputs) == PINNED[algorithm]
+
+
+if __name__ == "__main__":
+    graphs = pinned_inputs()
+    for alg in PINNED:
+        print(f'    "{alg}": "{trace_digest(alg, graphs)}",')

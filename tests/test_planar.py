@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from planarize import certify, generators as gen, oracle
 from planarize.errors import InfeasibleParams
 from planarize.multigraph import from_edge_list
-from planarize.planar import ChargeParams, preprocess_high_degree, reduce_planar
+from planarize.planar import ChargeParams, reduce_planar
 from planarize.solution import replay
 
 
@@ -105,19 +105,6 @@ def test_forced_raise_to_cap_yields_paper_charge():
     p = ChargeParams.paper()
     charge = Fraction(3) - (5 + p.epsilon) + 3 * (p.c2 - 0)
     assert charge == Fraction(18, 23)
-
-
-def test_preprocess_high_degree():
-    g = gen.complete(7)
-    assert preprocess_high_degree(g) == 1  # K6 left: max degree 5
-    assert g.max_degree() <= 5
-
-    star = from_edge_list([(0, i) for i in range(1, 11)], 11)
-    assert preprocess_high_degree(star) == 1
-    assert star.m == 0 and star.n == 10
-
-    low = gen.complete(6)
-    assert preprocess_high_degree(low) == 0
 
 
 def test_k7_flow():

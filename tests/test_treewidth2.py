@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from planarize import certify, generators as gen, oracle
 from planarize.errors import TraceMismatch
 from planarize.multigraph import from_edge_list
-from planarize.solution import TraceStep
+from planarize.solution import TraceStep, replay
 import planarize.treewidth2 as tw2
 
 
@@ -14,7 +14,7 @@ def _check_run(g, sol):
     assert sol.bound_holds(), "5|S| >= 5n - m must hold"
     assert certify.is_partial_2_tree(certify.induced_subgraph(g, sol.s))
     assert sol.edge_events == sol.m
-    report = tw2.replay_trace_tw2(g, sol)
+    report = replay(g, sol)
     assert report.nonnegative
 
 
@@ -38,7 +38,7 @@ def test_k5_keeps_three():
 def test_k5_charge_is_exactly_zero():
     g = gen.complete(5)
     sol = tw2.reduce_treewidth2(g)
-    report = tw2.replay_trace_tw2(g, sol)
+    report = replay(g, sol)
     assert report.deletions == 2
     assert report.edge_events == 10
     assert report.scaled_charge == 0
@@ -48,7 +48,7 @@ def test_c4_keeps_all():
     g = gen.cycle(4)
     sol = tw2.reduce_treewidth2(g)
     assert sol.s == {0, 1, 2, 3}
-    report = tw2.replay_trace_tw2(g, sol)
+    report = replay(g, sol)
     assert report.scaled_charge == 4 and report.deletions == 0
 
 
@@ -102,7 +102,7 @@ def test_tampered_trace_raises():
     sol = tw2.reduce_treewidth2(g)
     sol.trace.append(TraceStep("DeleteMaxDeg", deleted=(0,), removed_edges=1))
     with pytest.raises(TraceMismatch):
-        tw2.replay_trace_tw2(g, sol)
+        replay(g, sol)
 
 
 def test_wrong_edge_count_raises():
@@ -119,13 +119,13 @@ def test_wrong_edge_count_raises():
         simplified=step.simplified,
     )
     with pytest.raises(TraceMismatch):
-        tw2.replay_trace_tw2(g, sol)
+        replay(g, sol)
 
 
 def test_trace_replays_against_wrong_graph():
     sol = tw2.reduce_treewidth2(gen.complete(5))
     with pytest.raises(TraceMismatch):
-        tw2.replay_trace_tw2(gen.complete(4), sol)
+        replay(gen.complete(4), sol)
 
 
 @settings(max_examples=120, deadline=None)
