@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 import networkx as nx
 
@@ -55,7 +56,12 @@ def is_pseudoforest(g: MultiGraph) -> bool:
     return all(sum(g.degree(v) for v in comp) <= 2 * len(comp) for comp in g.components())
 
 
-def _reduce(g: MultiGraph, simplify: bool = True, order_seed: int | None = None) -> MultiGraph:
+def _reduce(
+    g: MultiGraph,
+    simplify: bool = True,
+    order_seed: int | None = None,
+    seeds: Iterable[int] | None = None,
+) -> MultiGraph:
     """The rewriting engine behind every residue certificate.
 
     Works on a copy of g and returns the irreducible residue.  The rules:
@@ -74,12 +80,21 @@ def _reduce(g: MultiGraph, simplify: bool = True, order_seed: int | None = None)
     is unique up to isomorphism, so the verdicts built on it do not depend
     on the order; ``order_seed`` shuffles which queued vertex is taken
     next so tests can check that.
+
+    With ``seeds`` the caller vouches that no other vertex of g is
+    reducible (with ``simplify``, that g is simple as well): the worklist
+    starts from the seeds only and the rules write to ``g.overlay()``, so
+    the run costs what it rewrites, however large g is.
     """
-    h = g.copy()
-    if simplify:
-        h.simplify()
+    if seeds is None:
+        h = g.copy()
+        if simplify:
+            h.simplify()
+        work = list(h.vertices())
+    else:
+        h = g.overlay()
+        work = list(seeds)
     rng = random.Random(order_seed) if order_seed is not None else None
-    work = list(h.vertices())
     queued = set(work)
     while work:
         if rng is not None:

@@ -211,7 +211,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     if args.json:
-        _emit({"n": g.n, "m": g.m, "components": len(g.components())}, None)
+        # With the graph on stdout the summary goes to stderr, so that
+        # stdout stays a graph file.
+        summary = json.dumps({"n": g.n, "m": g.m, "components": len(g.components())}, indent=2)
+        print(summary, file=sys.stdout if args.output else sys.stderr)
     return 0
 
 

@@ -15,9 +15,64 @@ move between threads or to share read-only.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Iterable, Iterator
+from collections.abc import MutableMapping
+from typing import Callable, Iterable, Iterator
 
 from .errors import GraphError, LoopInInput, NoSuchEdge, UnknownVertex
+
+
+class _CopyOnWrite(MutableMapping):
+    """A mapping layered over ``base`` that never writes to it.
+
+    A value is copied (with ``copy``) the first time it is read, a
+    deletion is recorded, and the length is kept as a count, so the cost
+    is that of the keys used, not the size of ``base``.
+    """
+
+    __slots__ = ("_base", "_own", "_gone", "_copy", "_len")
+
+    def __init__(self, base: dict, copy: Callable = lambda value: value) -> None:
+        self._base = base
+        self._own: dict = {}
+        self._gone: set = set()
+        self._copy = copy
+        self._len = len(base)
+
+    def __contains__(self, key) -> bool:
+        return key in self._own or (key in self._base and key not in self._gone)
+
+    def __getitem__(self, key):
+        own = self._own
+        if key in own:
+            return own[key]
+        if key in self._gone:
+            raise KeyError(key)
+        value = own[key] = self._copy(self._base[key])
+        return value
+
+    def __setitem__(self, key, value) -> None:
+        if key not in self:
+            self._len += 1
+        self._own[key] = value
+        self._gone.discard(key)
+
+    def __delitem__(self, key) -> None:
+        if key not in self:
+            raise KeyError(key)
+        self._own.pop(key, None)
+        self._gone.add(key)
+        self._len -= 1
+
+    def __iter__(self) -> Iterator:
+        for key in self._base:
+            if key not in self._gone:
+                yield key
+        for key in self._own:
+            if key not in self._base:
+                yield key
+
+    def __len__(self) -> int:
+        return self._len
 
 
 class MultiGraph:
@@ -283,6 +338,56 @@ class MultiGraph:
                     queue.append(y)
         return sorted(seen)
 
+    def split_off(self, starts: list[int]) -> list[list[int]]:
+        """The components cut off from the rest, found from distinct starts.
+
+        Breadth-first searches from the starts run side by side, one
+        vertex each per round, and two searches that meet go on as one.
+        A search that runs dry while another still runs has found a whole
+        component, and its vertex list is returned; the last search left
+        running, or the largest if the last ones run dry together, is
+        not.  The rounds end when the last returned search does, so the
+        cost is at most len(starts) times the size of the largest
+        returned component: the side that is cut off pays for the cut
+        (Even and Shiloach).
+        """
+        adj = self._adj
+        owner = {s: i for i, s in enumerate(starts)}
+        root = list(range(len(starts)))
+        queues = [deque([s]) for s in starts]
+        found = [[s] for s in starts]
+        live = list(root)
+        dry: list[int] = []
+        owned = owner.get
+        while len(live) > 1:
+            for i in live:
+                if root[i] != i:
+                    continue
+                queue, mine = queues[i], found[i]
+                for y in adj[queue.popleft()]:
+                    j = owned(y)
+                    if j is None:
+                        owner[y] = i
+                        queue.append(y)
+                        mine.append(y)
+                        continue
+                    while root[j] != j:
+                        j = root[j]
+                    if j != i:
+                        # The searches met: the smaller one joins the larger.
+                        if len(mine) < len(found[j]):
+                            i, j = j, i
+                        root[j] = i
+                        queues[i].extend(queues[j])
+                        found[i].extend(found[j])
+                        queue, mine = queues[i], found[i]
+            running = [i for i in live if root[i] == i]
+            live = [i for i in running if queues[i]]
+            dry.extend(i for i in running if not queues[i])
+        if not live and dry:
+            dry.remove(max(dry, key=lambda i: len(found[i])))
+        return [found[i] for i in dry]
+
     def is_d_regular(self, d: int) -> bool:
         return all(deg == d for deg in self._deg.values())
 
@@ -331,6 +436,18 @@ class MultiGraph:
         g._deg = dict(self._deg)
         g._m = self._m
         g._origin = dict(self._origin)
+        return g
+
+    def overlay(self) -> "MultiGraph":
+        """A copy-on-write working copy: a vertex's adjacency is copied the
+        first time the overlay reads it, so rewriting k vertices costs
+        O(k) and not a copy of the whole graph.  This graph must not
+        change while the overlay is in use."""
+        g = MultiGraph()
+        g._adj = _CopyOnWrite(self._adj, Counter)
+        g._deg = _CopyOnWrite(self._deg)
+        g._m = self._m
+        g._origin = _CopyOnWrite(self._origin)
         return g
 
     def check_invariants(self) -> None:

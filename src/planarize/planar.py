@@ -20,12 +20,28 @@ cleared when their vertex leaves the working graph, and tau when a
 component loses its last degree-3 vertex or is accepted.  Every
 recorded step charge must be non-negative; a violation raises
 NegativeCharge.
+
+Dispatch is incremental rather than a rescan of the graph.  A component
+table keeps, per component, its members, degree counts, vertices of
+degree <= 2, debt total, tau flag and residue verdict, and lazy heaps
+hold the candidates of each case; a step updates only the vertices it
+touched.  A deletion splits its component by breadth-first searches run
+side by side from the surviving neighbours (``MultiGraph.split_off``).
+A component's verdict is inherited across a contraction, read off its
+degree counts when it has no vertex of degree <= 2, and otherwise
+recomputed by ``certify._reduce`` seeded at those vertices.
+``tests/test_planar_dispatch.py`` keeps the whole-graph scan this
+replaced and checks that the two agree step by step.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from . import certify, lp as lpmod
 from .errors import CaseAnalysisIncomplete, DebtCapExceeded, InfeasibleParams, NegativeCharge
@@ -113,11 +129,11 @@ class LedgerEntry:
 
 @dataclass
 class LedgerState:
-    """Per-vertex debts, per-component tau flags, and recorded charges."""
+    """Per-vertex debts and recorded charges; the tau flags live on the
+    dispatcher's components."""
 
     params: ChargeParams
     debt: dict[int, Fraction] = field(default_factory=dict)
-    flagged: list[set[int]] = field(default_factory=list)
     entries: list[LedgerEntry] = field(default_factory=list)
     negative_steps: list[LedgerEntry] = field(default_factory=list)
 
@@ -126,41 +142,249 @@ class LedgerState:
             return None
         return min(e.charge for e in self.entries)
 
-    def audit_caps(self, g: MultiGraph) -> None:
-        for v, d in self.debt.items():
+    def audit_caps(self, g: MultiGraph, vertices: Iterable[int] | None = None) -> None:
+        """Every debt lies in [0, cap of its vertex's degree]; with
+        ``vertices``, only theirs are checked."""
+        debt = self.debt
+        for v in debt if vertices is None else [v for v in vertices if v in debt]:
+            d = debt[v]
             cap = self.params.cap(g.degree(v))
             if d < 0 or d > cap:
                 raise DebtCapExceeded(
                     f"debt {d} on vertex {v} outside [0, {cap}] at degree {g.degree(v)}"
                 )
 
-    def flag_index(self, comp: set[int]) -> int | None:
-        for i, f in enumerate(self.flagged):
-            if f & comp:
-                return i
-        return None
+
+@dataclass(eq=False)
+class _Comp:
+    """One component of the working graph.
+
+    ``heap`` holds its members as a lazy min-heap (an entry counts while
+    the table maps the vertex to this id); ``degrees`` counts its members
+    by degree, ``low`` is its members of degree <= 2, ``debt`` the sum of
+    their debts, ``tau`` its tau flag, and ``acceptable`` whether its
+    residue is a legal output core.
+    """
+
+    id: int
+    heap: list[int]
+    size: int = 0
+    degrees: Counter = field(default_factory=Counter)
+    low: set[int] = field(default_factory=set)
+    debt: Fraction = _ZERO
+    tau: bool = False
+    acceptable: bool = False
 
 
-def _acceptable_component(g: MultiGraph, comp: list[int]) -> bool:
-    """True when the whole component may enter S: its residue is one of
-    the legal output cores (K4, dipole, cycles, trees, and their glued
-    subdivisions).  Covers the K4 and dipole acceptance cases and every
-    degenerate residue a contraction sequence can leave behind."""
-    return certify.accepts_planar_residue(certify.induced_subgraph(g, set(comp)))
+class _Table:
+    """The component table: the component of each working vertex and the
+    records above, updated only at the vertices a step touched."""
+
+    def __init__(self, g: MultiGraph, debt: dict[int, Fraction]) -> None:
+        self.g = g
+        self.debt = debt
+        self.comps: dict[int, _Comp] = {}
+        self.comp_of: dict[int, int] = {}
+        self.deg: dict[int, int] = {}  # each vertex's degree as counted in its record
+        self._ids = itertools.count()  # never reused, so stale heap entries stay stale
+        for members in g.components():
+            self._new(members)
+
+    def _new(self, members: list[int], source: _Comp | None = None) -> _Comp:
+        """A record for members, moved out of ``source`` when given."""
+        c = _Comp(next(self._ids), sorted(members))  # a sorted list is a heap
+        self.comps[c.id] = c
+        for v in members:
+            self._join(c, v, self.g.degree(v) if source is None else self._leave(source, v))
+        return c
+
+    def _join(self, c: _Comp, v: int, d: int) -> None:
+        self.comp_of[v] = c.id
+        self.deg[v] = d
+        c.size += 1
+        c.degrees[d] += 1
+        if d <= 2:
+            c.low.add(v)
+        debt = self.debt.get(v)
+        if debt:
+            c.debt += debt
+
+    def _leave(self, c: _Comp, v: int) -> int:
+        d = self.deg.pop(v)
+        del self.comp_of[v]
+        c.size -= 1
+        c.degrees[d] -= 1
+        if not c.degrees[d]:
+            del c.degrees[d]
+        c.low.discard(v)
+        debt = self.debt.get(v)
+        if debt:
+            c.debt -= debt
+        return d
+
+    def of(self, v: int) -> _Comp:
+        return self.comps[self.comp_of[v]]
+
+    def remove(self, v: int) -> None:
+        """Drop v, which has left the graph (its debt already cleared)."""
+        c = self.of(v)
+        self._leave(c, v)
+        if not c.size:
+            del self.comps[c.id]
+
+    def refresh(self, v: int) -> None:
+        """Recount v under its current degree."""
+        d = self.g.degree(v)
+        if d != self.deg[v]:
+            c = self.of(v)
+            self._leave(c, v)
+            self._join(c, v, d)
+
+    def min_member(self, c: _Comp) -> int:
+        heap = c.heap
+        while self.comp_of.get(heap[0]) != c.id:
+            heapq.heappop(heap)
+        return heap[0]
+
+    def members(self, c: _Comp) -> list[int]:
+        return sorted(v for v in c.heap if self.comp_of.get(v) == c.id)
+
+    def split(self, c: _Comp, starts: list[int]) -> list[_Comp]:
+        """The components left of c after a deletion, given the deleted
+        vertex's surviving neighbours: c keeps the part that
+        ``MultiGraph.split_off`` does not return, and each part it returns
+        moves to a new record."""
+        if not c.size:
+            return []
+        return [c] + [self._new(part, c) for part in self.g.split_off(starts)]
 
 
 class _Run:
+    """One reduction: the working graph, the ledger, the component table
+    and lazy heaps, one per dispatch case.
+
+    Vertex heaps hold candidates for the high-degree, isolated,
+    contractible, degree-5 and mixed cases; component heaps hold
+    (smallest member, id) for components that are ready to accept,
+    3-regular or 4-regular.  Entries go stale freely and are checked when
+    they reach the top; every vertex whose degree or neighbourhood a step
+    changed is pushed again, and every component it left behind is
+    assessed again, so each heap holds every current candidate.
+    """
+
     def __init__(self, g: MultiGraph, params: ChargeParams, strict: bool) -> None:
         self.g = g
         self.params = params
         self.strict = strict
         self.ledger = LedgerState(params)
         self.sol = ReductionSolution("planar", g.n, g.m, set(), bound_num=23, bound_den=120)
+        self.table = _Table(g, self.ledger.debt)
+        self.high: list[int] = []
+        self.isolated: list[int] = []
+        self.contractible: list[int] = []
+        self.deg5: list[int] = []
+        self.mixed: list[int] = []
+        self.ready: list[tuple[int, int]] = []
+        self.cubic: list[tuple[int, int]] = []
+        self.quartic: list[tuple[int, int]] = []
+        for v in g.vertices():
+            self._push(v)
+        for c in list(self.table.comps.values()):
+            self._assess(c)
+
+    # -- the table and the heaps -----------------------------------------
+
+    def _push(self, v: int) -> None:
+        """Queue v, and for a degree-3 v its degree-4 neighbours, under
+        the cases they may now meet."""
+        g = self.g
+        d = g.degree(v)
+        if d >= 6:
+            heapq.heappush(self.high, v)
+        elif d == 0:
+            heapq.heappush(self.isolated, v)
+        elif d <= 2:
+            heapq.heappush(self.contractible, v)
+        elif d == 5:
+            heapq.heappush(self.deg5, v)
+        elif d == 4:
+            if any(g.degree(u) == 3 for u in g.neighbors(v)):
+                heapq.heappush(self.mixed, v)
+        else:
+            for u in g.neighbors(v):
+                if g.degree(u) == 4:
+                    heapq.heappush(self.mixed, u)
+
+    def _touched(self, vs) -> list[int]:
+        """Recount and re-queue the surviving vertices of vs."""
+        alive = [v for v in vs if self.g.has_vertex(v)]
+        for v in alive:
+            self.table.refresh(v)
+            self._push(v)
+        return alive
+
+    def _residue_ok(self, c: _Comp) -> bool:
+        """accepts_planar_residue on the component alone.  Only its
+        degree-<=2 vertices are reducible, and the rules keep it connected,
+        so its residue is what is left of it; that residue is simple with
+        minimum degree 3, so four vertices make a K4."""
+        left = c.size
+        if c.low:
+            left -= self.g.n - certify._reduce(self.g, seeds=c.low).n
+        return left in (0, 4)
+
+    def _assess(self, c: _Comp, inherit: bool = False) -> None:
+        """Renew c's verdict (kept with ``inherit``) and queue it under
+        the component cases it meets."""
+        if not inherit:
+            c.acceptable = self._residue_ok(c)
+        key = None
+        for heap, ok in (
+            (self.ready, self._ready),
+            (self.cubic, self._cubic),
+            (self.quartic, self._quartic),
+        ):
+            if ok(c):
+                key = key or (self.table.min_member(c), c.id)
+                heapq.heappush(heap, key)
+
+    def _ready(self, c: _Comp) -> bool:
+        return c.acceptable and self._acceptance_charge(c) >= 0
+
+    @staticmethod
+    def _cubic(c: _Comp) -> bool:
+        return c.degrees[3] == c.size
+
+    @staticmethod
+    def _quartic(c: _Comp) -> bool:
+        return c.degrees[4] == c.size
+
+    def _top_vertex(self, heap: list[int], ok) -> int | None:
+        g = self.g
+        while heap:
+            v = heap[0]
+            if g.has_vertex(v) and ok(g.degree(v), v):
+                return v
+            heapq.heappop(heap)
+        return None
+
+    def _top_comp(self, heap: list[tuple[int, int]], ok) -> _Comp | None:
+        table = self.table
+        while heap:
+            least, cid = heap[0]
+            c = table.comps.get(cid)
+            if c is not None and ok(c) and table.min_member(c) == least:
+                return c
+            heapq.heappop(heap)
+        return None
 
     # -- ledger plumbing ---------------------------------------------
 
     def _clear_debt(self, v: int) -> Fraction:
-        return self.ledger.debt.pop(v, _ZERO)
+        d = self.ledger.debt.pop(v, _ZERO)
+        if d:
+            self.table.of(v).debt -= d
+        return d
 
     def _greedy_raise(self, base: Fraction, dropped: dict[int, int]) -> Fraction:
         """Issue just enough debt to make the step solvent.
@@ -184,32 +408,28 @@ class _Run:
                     raise_by = min(cap - cur, -charge)
                     charge += raise_by
                     self.ledger.debt[v] = cur + raise_by
+                    self.table.of(v).debt += raise_by
         return charge
 
-    def _update_tau(self, comp_before: list[int]) -> tuple[int, list[set[int]]]:
-        """Re-attach the affected component's tau flag to its children;
-        returns (cleared, children_with_degree_3)."""
-        g = self.g
-        survivors = [x for x in comp_before if g.has_vertex(x)]
-        children: list[set[int]] = []
-        seen: set[int] = set()
-        for x in survivors:
-            if x not in seen:
-                comp = set(g.component_of(x))
-                seen |= comp
-                children.append(comp)
-        kids3 = [c for c in children if any(g.degree(x) == 3 for x in c)]
-        cleared = 0
-        idx = self.ledger.flag_index(set(comp_before))
-        if idx is not None:
-            del self.ledger.flagged[idx]
-            if kids3:
-                self.ledger.flagged.extend(kids3)
-            else:
-                cleared = 1
-        return cleared, kids3
+    @staticmethod
+    def _update_tau(flagged: bool, children: list[_Comp]) -> tuple[int, list[_Comp]]:
+        """Re-attach a flagged component's tau to its children that keep a
+        degree-3 vertex; returns (cleared, children_with_degree_3)."""
+        kids3 = [c for c in children if c.degrees[3]]
+        if not flagged:
+            return 0, kids3
+        for c in children:
+            c.tau = c.degrees[3] > 0
+        return (0 if kids3 else 1), kids3
 
-    def _harvest_isolated(self, among: list[int]) -> tuple[list[int], list[int], Fraction]:
+    def _remove(self, v: int) -> tuple[Fraction, int]:
+        """Take v out of the graph; returns (its cleared debt, edge units)."""
+        cleared = self._clear_debt(v)
+        units = self.g.delete_vertex(v)
+        self.table.remove(v)
+        return cleared, units
+
+    def _harvest_isolated(self, among) -> tuple[list[int], list[int], Fraction]:
         g = self.g
         accepted: list[int] = []
         origins: list[int] = []
@@ -217,12 +437,11 @@ class _Run:
         for y in sorted(set(among)):
             if g.has_vertex(y) and g.degree(y) == 0:
                 origins.append(g.origin(y))
-                cleared += self._clear_debt(y)
-                g.delete_vertex(y)
+                cleared += self._remove(y)[0]
                 accepted.append(y)
         return accepted, origins, cleared
 
-    def _record(self, label: str, charge: Fraction, step: TraceStep) -> None:
+    def _record(self, label: str, charge: Fraction, step: TraceStep, changed=()) -> None:
         entry = LedgerEntry(len(self.sol.trace), label, charge)
         self.ledger.entries.append(entry)
         if charge < 0:
@@ -232,19 +451,22 @@ class _Run:
         self.sol.trace.append(step)
         for orig in step.s_added:
             self.sol.s.add(orig)
-        self.ledger.audit_caps(self.g)
+        # Only the vertices whose degree or debt changed can break a cap.
+        self.ledger.audit_caps(self.g, changed)
 
     # -- step kinds ----------------------------------------------------
 
     def delete_step(self, label: str, target: int, may_issue_tau: bool = False) -> None:
         g = self.g
         p = self.params
-        comp_before = g.component_of(target)
+        comp = self.table.of(target)
+        flagged = comp.tau
         pre_deg = {y: g.degree(y) for y in g.neighbors(target)}
-        cleared = self._clear_debt(target)
-        units = g.delete_vertex(target)
-        accepted, origins, cleared_harvest = self._harvest_isolated(list(pre_deg))
-        tau_cleared, kids3 = self._update_tau(comp_before)
+        cleared, units = self._remove(target)
+        accepted, origins, cleared_harvest = self._harvest_isolated(pre_deg)
+        survivors = self._touched(pre_deg)
+        children = self.table.split(comp, survivors)
+        tau_cleared, kids3 = self._update_tau(flagged, children)
         base = (
             Fraction(units)
             - (5 + p.epsilon)
@@ -256,8 +478,7 @@ class _Run:
         if charge < 0 and may_issue_tau and kids3:
             charge += p.tau
             for c in kids3:
-                if self.ledger.flag_index(c) is None:
-                    self.ledger.flagged.append(c)
+                c.tau = True
         step = TraceStep(
             label,
             deleted=(target,),
@@ -265,12 +486,15 @@ class _Run:
             removed_edges=units,
             s_added=tuple(origins),
         )
-        self._record(label, charge, step)
+        self._record(label, charge, step, survivors)
+        for c in children:
+            self._assess(c)
 
     def contract_step(self, v: int) -> None:
         g = self.g
         p = self.params
-        comp_before = g.component_of(v)
+        comp = self.table.of(v)
+        flagged = comp.tau
         u = g.neighbors(v)[0]
         watch = {u} | set(g.neighbors(u)) | set(g.neighbors(v))
         watch.discard(v)
@@ -278,10 +502,13 @@ class _Run:
         orig = g.origin(v)
         cleared = self._clear_debt(v)
         g.contract_edge(v, u, u)
+        self.table.remove(v)
         cleaned = g.simplify_at(u)
         units = 1 + cleaned
-        accepted, origins, cleared_harvest = self._harvest_isolated(list(watch))
-        tau_cleared, _ = self._update_tau(comp_before)
+        accepted, origins, cleared_harvest = self._harvest_isolated(watch)
+        survivors = self._touched(watch)
+        children = [comp] if comp.size else []  # a contraction never splits
+        tau_cleared, _ = self._update_tau(flagged, children)
         base = Fraction(units) - cleared - cleared_harvest - p.tau * tau_cleared
         charge = self._greedy_raise(base, pre_deg)
         step = TraceStep(
@@ -292,22 +519,27 @@ class _Run:
             s_added=(orig,) + tuple(origins),
             simplified=True,
         )
-        self._record(DEG2_CONTRACT, charge, step)
+        self._record(DEG2_CONTRACT, charge, step, survivors)
+        # Contracting at a degree-<=2 vertex and merging the parallel copy
+        # is one of the residue rules, so the verdict stands.
+        for c in children:
+            self._assess(c, inherit=True)
 
-    def accept_step(self, comp: list[int]) -> None:
+    def accept_step(self, comp: _Comp) -> None:
         g = self.g
         p = self.params
-        origins = [g.origin(v) for v in comp]
+        members = self.table.members(comp)
+        origins = [g.origin(v) for v in members]
         cleared = _ZERO
         units = 0
-        for v in comp:
-            cleared += self._clear_debt(v)
-            units += g.delete_vertex(v)
-        tau_cleared, _ = self._update_tau(comp)
-        charge = Fraction(units) - cleared - p.tau * tau_cleared
+        for v in members:
+            d, k = self._remove(v)
+            cleared += d
+            units += k
+        charge = Fraction(units) - cleared - (p.tau if comp.tau else _ZERO)
         step = TraceStep(
             PLANAR_ACCEPT,
-            accepted=tuple(comp),
+            accepted=tuple(members),
             removed_edges=units,
             s_added=tuple(origins),
         )
@@ -316,79 +548,76 @@ class _Run:
     def harvest_step(self, v: int) -> None:
         g = self.g
         orig = g.origin(v)
-        cleared = self._clear_debt(v)
-        g.delete_vertex(v)
+        cleared = self._remove(v)[0]
         step = TraceStep(HARVEST, accepted=(v,), s_added=(orig,))
         self._record(HARVEST, -cleared, step)
 
     # -- dispatch -------------------------------------------------------
 
-    def _acceptance_charge(self, comp: list[int]) -> Fraction:
-        g = self.g
-        cset = set(comp)
-        units = sum(c for u, v, c in g.iter_edges() if u in cset)
-        debts = sum((self.ledger.debt.get(v, _ZERO) for v in comp), _ZERO)
-        flagged = self.ledger.flag_index(cset) is not None
-        return Fraction(units) - debts - (self.params.tau if flagged else _ZERO)
+    def _acceptance_charge(self, c: _Comp) -> Fraction:
+        units = sum(d * k for d, k in c.degrees.items()) // 2
+        return Fraction(units) - c.debt - (self.params.tau if c.tau else _ZERO)
 
     def dispatch(self) -> bool:
-        """Perform one step; False when the graph is empty."""
+        """Perform one step; False when the graph is empty.
+
+        The cases in priority order, each taking its smallest candidate:
+        accept a whole component whose residue is a legal output core and
+        whose own edge units cover the debts being settled (keeping a
+        whole component is always at least as large as reducing it
+        further); delete a vertex of degree >= 6; harvest an isolated
+        vertex; contract at a degree-<=2 vertex; delete the smallest
+        vertex of a 3-regular component; delete a degree-5 vertex; delete
+        a degree-4 vertex next to a degree-3 vertex; delete the smallest
+        vertex of a 4-regular component.
+        """
         g = self.g
         if g.n == 0:
             return False
 
-        # Whole-component acceptance first: any component whose residue
-        # is already a legal output core joins S outright, provided its
-        # own edge units cover the debts being settled.  Keeping a whole
-        # component is always at least as large as reducing it further.
-        comps = g.components()
-        for comp in comps:
-            if _acceptable_component(g, comp) and self._acceptance_charge(comp) >= 0:
-                self.accept_step(comp)
-                return True
-
-        high = [v for v in g.sorted_vertices() if g.degree(v) >= 6]
-        if high:
-            self.delete_step(PREPROCESS, high[0])
+        c = self._top_comp(self.ready, self._ready)
+        if c is not None:
+            self.accept_step(c)
             return True
 
-        isolated = [v for v in g.sorted_vertices() if g.degree(v) == 0]
-        if isolated:
-            self.harvest_step(isolated[0])
+        v = self._top_vertex(self.high, lambda d, v: d >= 6)
+        if v is not None:
+            self.delete_step(PREPROCESS, v)
             return True
 
-        contractible = [
-            v
-            for v in g.sorted_vertices()
-            if g.degree(v) == 1 or (g.degree(v) == 2 and g.loops(v) == 0)
-        ]
-        if contractible:
-            self.contract_step(contractible[0])
+        v = self._top_vertex(self.isolated, lambda d, v: d == 0)
+        if v is not None:
+            self.harvest_step(v)
             return True
 
-        for comp in comps:
-            if all(g.degree(v) == 3 for v in comp):
-                self.delete_step(THREE_REG_DELETE, comp[0])
-                return True
-
-        deg5 = [v for v in g.sorted_vertices() if g.degree(v) == 5]
-        if deg5:
-            self.delete_step(DEG5_DELETE, deg5[0])
+        v = self._top_vertex(
+            self.contractible, lambda d, v: d == 1 or (d == 2 and g.loops(v) == 0)
+        )
+        if v is not None:
+            self.contract_step(v)
             return True
 
-        mixed = [
-            v
-            for v in g.sorted_vertices()
-            if g.degree(v) == 4 and any(g.degree(u) == 3 for u in g.neighbors(v))
-        ]
-        if mixed:
-            self.delete_step(MIXED_DELETE, mixed[0])
+        c = self._top_comp(self.cubic, self._cubic)
+        if c is not None:
+            self.delete_step(THREE_REG_DELETE, self.table.min_member(c))
             return True
 
-        for comp in comps:
-            if all(g.degree(v) == 4 for v in comp):
-                self.delete_step(FOUR_REG_DELETE, comp[0], may_issue_tau=True)
-                return True
+        v = self._top_vertex(self.deg5, lambda d, v: d == 5)
+        if v is not None:
+            self.delete_step(DEG5_DELETE, v)
+            return True
+
+        v = self._top_vertex(
+            self.mixed, lambda d, v: d == 4 and any(g.degree(u) == 3 for u in g.neighbors(v))
+        )
+        if v is not None:
+            self.delete_step(MIXED_DELETE, v)
+            return True
+
+        c = self._top_comp(self.quartic, self._quartic)
+        if c is not None:
+            self.delete_step(FOUR_REG_DELETE, self.table.min_member(c), may_issue_tau=True)
+            return True
 
         raise CaseAnalysisIncomplete(
             f"planar reducer stalled with n={g.n}, m={g.m}, "

@@ -184,6 +184,21 @@ def test_gen_k33xt(tmp_path, capsys):
     assert (g.n, g.m) == (18, 27)
 
 
+def test_gen_json_keeps_stdout_a_graph_file(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "gen", "cycle", "--n", "4", "--json")
+    assert code == 0
+    assert json.loads(err) == {"n": 4, "m": 4, "components": 1}
+    path = tmp_path / "g.txt"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "reduce", "--alg", "tw2", "-i", str(path))
+    assert code == 0
+    assert json.loads(out)["s_size"] == 4
+    # Written to a file, the graph leaves stdout to the summary.
+    code, out, _ = run_cli(capsys, "gen", "cycle", "--n", "4", "--json", "-o", str(path))
+    assert code == 0 and json.loads(out)["m"] == 4
+    assert parse_graph(path.read_text()).m == 4
+
+
 def test_reduce_header_mismatch_exit_one(tmp_path, capsys):
     path = tmp_path / "short.txt"
     path.write_text("p 4 99\n0 1\n")

@@ -1,0 +1,474 @@
+"""The incremental planar dispatcher against the whole-graph scan it replaced.
+
+``ReferenceRun`` is the earlier ``planar._Run``, kept verbatim except that
+its tau flags sit on the run itself: every dispatch rebuilds the
+components, checks each one with ``accepts_planar_residue`` on its induced
+subgraph, sums the acceptance charge over the edge list, and audits every
+debt after every step.  The tests drive it in lockstep with the
+incremental ``planar._Run`` and compare each trace step, ledger entry,
+debt and tau flag, and check the facts the incremental dispatcher relies
+on: a contraction at a degree-<=2 vertex keeps the residue verdict, and
+the seeded, copy-on-write ``certify._reduce`` gives the full verdict.
+"""
+
+import importlib.util
+import random
+import re
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import networkx as nx
+import pytest
+
+from planarize import certify, generators as gen, planar
+from planarize.errors import CaseAnalysisIncomplete, NegativeCharge
+from planarize.multigraph import MultiGraph, from_edge_list
+from planarize.planar import (
+    DEG2_CONTRACT,
+    DEG5_DELETE,
+    FOUR_REG_DELETE,
+    HARVEST,
+    MIXED_DELETE,
+    PLANAR_ACCEPT,
+    PREPROCESS,
+    THREE_REG_DELETE,
+    ChargeParams,
+    LedgerEntry,
+    LedgerState,
+)
+from planarize.solution import ReductionSolution, TraceStep
+
+_ZERO = Fraction(0)
+
+
+def _acceptable_component(g: MultiGraph, comp: list[int]) -> bool:
+    """True when the whole component may enter S: its residue is one of
+    the legal output cores (K4, dipole, cycles, trees, and their glued
+    subdivisions).  Covers the K4 and dipole acceptance cases and every
+    degenerate residue a contraction sequence can leave behind."""
+    return certify.accepts_planar_residue(certify.induced_subgraph(g, set(comp)))
+
+
+class ReferenceRun:
+    def __init__(self, g: MultiGraph, params: ChargeParams, strict: bool) -> None:
+        self.g = g
+        self.params = params
+        self.strict = strict
+        self.ledger = LedgerState(params)
+        self.sol = ReductionSolution("planar", g.n, g.m, set(), bound_num=23, bound_den=120)
+        self.flagged: list[set[int]] = []
+
+    def _flag_index(self, comp: set[int]) -> int | None:
+        for i, f in enumerate(self.flagged):
+            if f & comp:
+                return i
+        return None
+
+    # -- ledger plumbing ---------------------------------------------
+
+    def _clear_debt(self, v: int) -> Fraction:
+        return self.ledger.debt.pop(v, _ZERO)
+
+    def _greedy_raise(self, base: Fraction, dropped: dict[int, int]) -> Fraction:
+        """Issue just enough debt to make the step solvent.
+
+        Survivors whose degree dropped this step are raised toward the
+        cap of their new degree in id order; the last raise is partial,
+        so no more debt is borrowed than the step needs.
+        """
+        g = self.g
+        charge = base
+        for v in sorted(dropped):
+            if charge >= 0:
+                break
+            if not g.has_vertex(v):
+                continue
+            post = g.degree(v)
+            if post < dropped[v] and post >= 1:
+                cap = self.params.cap(post)
+                cur = self.ledger.debt.get(v, _ZERO)
+                if cur < cap:
+                    raise_by = min(cap - cur, -charge)
+                    charge += raise_by
+                    self.ledger.debt[v] = cur + raise_by
+        return charge
+
+    def _update_tau(self, comp_before: list[int]) -> tuple[int, list[set[int]]]:
+        """Re-attach the affected component's tau flag to its children;
+        returns (cleared, children_with_degree_3)."""
+        g = self.g
+        survivors = [x for x in comp_before if g.has_vertex(x)]
+        children: list[set[int]] = []
+        seen: set[int] = set()
+        for x in survivors:
+            if x not in seen:
+                comp = set(g.component_of(x))
+                seen |= comp
+                children.append(comp)
+        kids3 = [c for c in children if any(g.degree(x) == 3 for x in c)]
+        cleared = 0
+        idx = self._flag_index(set(comp_before))
+        if idx is not None:
+            del self.flagged[idx]
+            if kids3:
+                self.flagged.extend(kids3)
+            else:
+                cleared = 1
+        return cleared, kids3
+
+    def _harvest_isolated(self, among: list[int]) -> tuple[list[int], list[int], Fraction]:
+        g = self.g
+        accepted: list[int] = []
+        origins: list[int] = []
+        cleared = _ZERO
+        for y in sorted(set(among)):
+            if g.has_vertex(y) and g.degree(y) == 0:
+                origins.append(g.origin(y))
+                cleared += self._clear_debt(y)
+                g.delete_vertex(y)
+                accepted.append(y)
+        return accepted, origins, cleared
+
+    def _record(self, label: str, charge: Fraction, step: TraceStep) -> None:
+        entry = LedgerEntry(len(self.sol.trace), label, charge)
+        self.ledger.entries.append(entry)
+        if charge < 0:
+            self.ledger.negative_steps.append(entry)
+            if self.strict:
+                raise NegativeCharge(f"step {entry.index} ({label}) charged {charge}")
+        self.sol.trace.append(step)
+        for orig in step.s_added:
+            self.sol.s.add(orig)
+        self.ledger.audit_caps(self.g)
+
+    # -- step kinds ----------------------------------------------------
+
+    def delete_step(self, label: str, target: int, may_issue_tau: bool = False) -> None:
+        g = self.g
+        p = self.params
+        comp_before = g.component_of(target)
+        pre_deg = {y: g.degree(y) for y in g.neighbors(target)}
+        cleared = self._clear_debt(target)
+        units = g.delete_vertex(target)
+        accepted, origins, cleared_harvest = self._harvest_isolated(list(pre_deg))
+        tau_cleared, kids3 = self._update_tau(comp_before)
+        base = (
+            Fraction(units)
+            - (5 + p.epsilon)
+            - cleared
+            - cleared_harvest
+            - p.tau * tau_cleared
+        )
+        charge = self._greedy_raise(base, pre_deg)
+        if charge < 0 and may_issue_tau and kids3:
+            charge += p.tau
+            for c in kids3:
+                if self._flag_index(c) is None:
+                    self.flagged.append(c)
+        step = TraceStep(
+            label,
+            deleted=(target,),
+            accepted=tuple(accepted),
+            removed_edges=units,
+            s_added=tuple(origins),
+        )
+        self._record(label, charge, step)
+
+    def contract_step(self, v: int) -> None:
+        g = self.g
+        p = self.params
+        comp_before = g.component_of(v)
+        u = g.neighbors(v)[0]
+        watch = {u} | set(g.neighbors(u)) | set(g.neighbors(v))
+        watch.discard(v)
+        pre_deg = {y: g.degree(y) for y in watch}
+        orig = g.origin(v)
+        cleared = self._clear_debt(v)
+        g.contract_edge(v, u, u)
+        cleaned = g.simplify_at(u)
+        units = 1 + cleaned
+        accepted, origins, cleared_harvest = self._harvest_isolated(list(watch))
+        tau_cleared, _ = self._update_tau(comp_before)
+        base = Fraction(units) - cleared - cleared_harvest - p.tau * tau_cleared
+        charge = self._greedy_raise(base, pre_deg)
+        step = TraceStep(
+            DEG2_CONTRACT,
+            contracted=((v, u, u),),
+            accepted=tuple(accepted),
+            removed_edges=units,
+            s_added=(orig,) + tuple(origins),
+            simplified=True,
+        )
+        self._record(DEG2_CONTRACT, charge, step)
+
+    def accept_step(self, comp: list[int]) -> None:
+        g = self.g
+        p = self.params
+        origins = [g.origin(v) for v in comp]
+        cleared = _ZERO
+        units = 0
+        for v in comp:
+            cleared += self._clear_debt(v)
+            units += g.delete_vertex(v)
+        tau_cleared, _ = self._update_tau(comp)
+        charge = Fraction(units) - cleared - p.tau * tau_cleared
+        step = TraceStep(
+            PLANAR_ACCEPT,
+            accepted=tuple(comp),
+            removed_edges=units,
+            s_added=tuple(origins),
+        )
+        self._record(PLANAR_ACCEPT, charge, step)
+
+    def harvest_step(self, v: int) -> None:
+        g = self.g
+        orig = g.origin(v)
+        cleared = self._clear_debt(v)
+        g.delete_vertex(v)
+        step = TraceStep(HARVEST, accepted=(v,), s_added=(orig,))
+        self._record(HARVEST, -cleared, step)
+
+    # -- dispatch -------------------------------------------------------
+
+    def _acceptance_charge(self, comp: list[int]) -> Fraction:
+        g = self.g
+        cset = set(comp)
+        units = sum(c for u, v, c in g.iter_edges() if u in cset)
+        debts = sum((self.ledger.debt.get(v, _ZERO) for v in comp), _ZERO)
+        flagged = self._flag_index(cset) is not None
+        return Fraction(units) - debts - (self.params.tau if flagged else _ZERO)
+
+    def dispatch(self) -> bool:
+        """Perform one step; False when the graph is empty."""
+        g = self.g
+        if g.n == 0:
+            return False
+
+        # Whole-component acceptance first: any component whose residue
+        # is already a legal output core joins S outright, provided its
+        # own edge units cover the debts being settled.  Keeping a whole
+        # component is always at least as large as reducing it further.
+        comps = g.components()
+        for comp in comps:
+            if _acceptable_component(g, comp) and self._acceptance_charge(comp) >= 0:
+                self.accept_step(comp)
+                return True
+
+        high = [v for v in g.sorted_vertices() if g.degree(v) >= 6]
+        if high:
+            self.delete_step(PREPROCESS, high[0])
+            return True
+
+        isolated = [v for v in g.sorted_vertices() if g.degree(v) == 0]
+        if isolated:
+            self.harvest_step(isolated[0])
+            return True
+
+        contractible = [
+            v
+            for v in g.sorted_vertices()
+            if g.degree(v) == 1 or (g.degree(v) == 2 and g.loops(v) == 0)
+        ]
+        if contractible:
+            self.contract_step(contractible[0])
+            return True
+
+        for comp in comps:
+            if all(g.degree(v) == 3 for v in comp):
+                self.delete_step(THREE_REG_DELETE, comp[0])
+                return True
+
+        deg5 = [v for v in g.sorted_vertices() if g.degree(v) == 5]
+        if deg5:
+            self.delete_step(DEG5_DELETE, deg5[0])
+            return True
+
+        mixed = [
+            v
+            for v in g.sorted_vertices()
+            if g.degree(v) == 4 and any(g.degree(u) == 3 for u in g.neighbors(v))
+        ]
+        if mixed:
+            self.delete_step(MIXED_DELETE, mixed[0])
+            return True
+
+        for comp in comps:
+            if all(g.degree(v) == 4 for v in comp):
+                self.delete_step(FOUR_REG_DELETE, comp[0], may_issue_tau=True)
+                return True
+
+        raise CaseAnalysisIncomplete(
+            f"planar reducer stalled with n={g.n}, m={g.m}, "
+            f"degrees={sorted(g.degree(v) for v in g.vertices())}"
+        )
+
+
+
+def _lockstep(g: MultiGraph, params: ChargeParams | None = None, strict: bool = True,
+              check_table: bool = False) -> planar._Run:
+    """Run both dispatchers step by step on copies of g and compare them."""
+    params = params or ChargeParams.paper()
+    ref = ReferenceRun(g.copy(), params, strict)
+    new = planar._Run(g.copy(), params, strict)
+    if check_table:
+        _check_table(new)
+    while True:
+        try:
+            more = ref.dispatch()
+        except NegativeCharge as exc:
+            with pytest.raises(NegativeCharge, match=re.escape(str(exc))):
+                new.dispatch()
+            return new
+        assert new.dispatch() == more
+        if not more:
+            break
+        assert new.sol.trace == ref.sol.trace
+        assert new.ledger.entries == ref.ledger.entries
+        assert new.ledger.debt == ref.ledger.debt
+        flags = {frozenset(new.table.members(c)) for c in new.table.comps.values() if c.tau}
+        assert flags == {frozenset(f) for f in ref.flagged}
+        new.ledger.audit_caps(new.g)
+        if check_table:
+            _check_table(new)
+    assert new.sol.s == ref.sol.s
+    assert new.ledger.negative_steps == ref.ledger.negative_steps
+    return new
+
+
+def _check_table(run: planar._Run) -> None:
+    """The component table agrees with a from-scratch look at the graph."""
+    g, table = run.g, run.table
+    assert sorted(table.members(c) for c in table.comps.values()) == g.components()
+    for c in table.comps.values():
+        members = table.members(c)
+        assert table.min_member(c) == members[0]
+        assert c.size == len(members)
+        assert c.degrees == Counter(g.degree(v) for v in members)
+        assert c.low == {v for v in members if g.degree(v) <= 2}
+        assert c.debt == sum((run.ledger.debt.get(v, _ZERO) for v in members), _ZERO)
+        sub = certify.induced_subgraph(g, set(members))
+        assert c.acceptable == certify.accepts_planar_residue(sub)
+
+
+def _corpus_recipe():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
+    spec = importlib.util.spec_from_file_location("run_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.corpus(0, 400)
+
+
+def _from_nx(gx) -> MultiGraph:
+    return from_edge_list(list(gx.edges()), gx.number_of_nodes())
+
+
+def test_matches_reference_on_graph_atlas():
+    atlas = nx.graph_atlas_g()
+    for gx in atlas:
+        _lockstep(_from_nx(gx), check_table=True)
+
+
+def test_matches_reference_on_corpus_recipe():
+    labels = Counter()
+    for i, (_, g) in enumerate(_corpus_recipe()):
+        run = _lockstep(g, check_table=i % 10 == 0)
+        labels.update(step.label for step in run.sol.trace)
+    # The corpus reaches the cases whose bookkeeping is the subtlest.
+    assert labels[PREPROCESS] and labels[THREE_REG_DELETE] and labels[FOUR_REG_DELETE]
+    assert labels[DEG2_CONTRACT] and labels[PLANAR_ACCEPT]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_matches_reference_on_random_regular(d):
+    for n in (12, 40, 150):
+        for seed in range(3):
+            _lockstep(_from_nx(nx.random_regular_graph(d, n, seed=seed)), check_table=n < 150)
+
+
+def test_matches_reference_on_disjoint_copies():
+    for t in (1, 3):
+        for inner in (gen.complete(5), gen.complete(6), gen.complete_bipartite(3, 3),
+                      gen.FIXTURES["petersen"]()):
+            _lockstep(gen.disjoint_copies(inner, t), check_table=True)
+
+
+def test_negative_steps_collected_alike():
+    # Parameters outside the feasible region drive charges negative; the
+    # two dispatchers must record the same negative steps when not
+    # strict, and fail at the same step when strict.
+    harsh = ChargeParams(Fraction(2), Fraction(1, 4), Fraction(0), Fraction(1))
+    seen = 0
+    for seed in range(30):
+        g = _from_nx(nx.gnp_random_graph(12, 0.4, seed=seed))
+        run = _lockstep(g, harsh, strict=False)
+        seen += len(run.ledger.negative_steps)
+        _lockstep(g, harsh, strict=True)
+    assert seen > 0
+
+
+def _random_connected(rng: random.Random) -> MultiGraph:
+    n = rng.randrange(2, 13)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}  # a random spanning tree
+    p = rng.choice([0.1, 0.25, 0.4])
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return from_edge_list(edges, n)
+
+
+def test_contraction_at_low_degree_keeps_the_residue_verdict():
+    rng = random.Random(20260418)
+    checked = 0
+    for _ in range(400):
+        g = _random_connected(rng)
+        verdict = certify.accepts_planar_residue(g)
+        for v in g.sorted_vertices():
+            if g.degree(v) > 2:
+                continue
+            for u in g.neighbors(v):
+                h = g.copy()
+                h.contract_edge(v, u, u)
+                h.simplify_at(u)
+                assert certify.accepts_planar_residue(h) == verdict
+                checked += 1
+    assert checked > 1000
+
+
+def test_seeded_overlay_reduce_matches_full_verdict_on_graph_atlas():
+    atlas = nx.graph_atlas_g()
+    for gx in atlas:
+        g = _from_nx(gx)
+        edges = list(g.iter_edges())
+        for comp in g.components():
+            low = [v for v in comp if g.degree(v) <= 2]
+            removed = g.n - certify._reduce(g, seeds=low).n
+            full = certify.accepts_planar_residue(certify.induced_subgraph(g, set(comp)))
+            assert (len(comp) - removed in (0, 4)) == full
+            assert list(g.iter_edges()) == edges  # the overlay left g alone
+        run = planar._Run(g.copy(), ChargeParams.paper(), True)
+        _check_table(run)
+
+
+def test_overlay_reads_through_and_writes_aside():
+    g = gen.complete(5)
+    h = g.overlay()
+    h.delete_vertex(0)
+    h.add_edge(1, 2)
+    h.remove_edge(3, 4)
+    assert (h.n, h.m) == (4, 6)
+    assert h.multiplicity(1, 2) == 2 and not h.has_vertex(0)
+    assert sorted(h.vertices()) == [1, 2, 3, 4]
+    assert (g.n, g.m) == (5, 10) and g.multiplicity(1, 2) == 1 and g.multiplicity(3, 4) == 1
+    g.check_invariants()
+
+
+def test_split_off_returns_the_cut_off_sides():
+    # A path of 6 and a triangle hang off vertex 0; deleting 0 cuts them apart.
+    g = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9), (9, 7)])
+    g.delete_vertex(0)
+    assert g.split_off([1, 7]) == [[7, 8, 9]]
+    assert g.split_off([7, 1]) == [[7, 8, 9]]
+    assert g.split_off([1, 4]) == []  # one component: nothing is cut off
+    assert g.split_off([8]) == []
+    # Two equal sides running dry together: the larger is kept, ties by order.
+    h = from_edge_list([(0, 1), (2, 3)])
+    assert h.split_off([0, 2]) in ([[0, 1]], [[2, 3]])
