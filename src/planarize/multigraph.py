@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import MutableMapping
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, KeysView
 
 from .errors import GraphError, LoopInInput, NoSuchEdge, UnknownVertex
 
@@ -156,6 +156,11 @@ class MultiGraph:
         """Distinct neighbors of v in increasing id order, excluding v itself."""
         self._require(v)
         return sorted(u for u in self._adj[v] if u != v)
+
+    def neighbor_view(self, v: int) -> KeysView[int]:
+        """Live, unordered view of v's neighbors; v itself is in it when v has a loop."""
+        self._require(v)
+        return self._adj[v].keys()
 
     def incidences(self, v: int) -> list[tuple[int, int]]:
         """(neighbor, multiplicity) pairs for v, loops included, sorted by id."""

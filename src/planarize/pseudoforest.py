@@ -6,9 +6,17 @@ has maximum degree 4.  Vertices moved to the output set S leave the
 working graph by contraction or acceptance; the result satisfies
 9 |S| >= 9 n - 2 m and the input induced on S is a pseudoforest.
 
-Two dispatchers produce identical runs: a reference scan
-(``first_applicable_case``) and an incremental priority queue over
-dirty vertices used by ``reduce_pseudoforest`` for near-linear time.
+Two dispatchers produce identical runs.  The reference scan
+``first_applicable_case`` matches every vertex and takes the minimum
+(rank, anchor).  ``reduce_pseudoforest`` keeps a lazy heap instead: each
+vertex is keyed by a lower bound on its rank that depends on its degree
+alone, and is matched only when it reaches the top, where it either
+fires (its rank equals its key) or goes back at its exact rank.  After a
+step, the vertices within distance 2 of the change go back at their
+degree bound when that is below their live key.  Every vertex with a
+case so holds a key at most its rank, and the popped minimum is the
+scan's minimum.  The one non-local case, FourRegC4, searches only the
+anchor's component for a cycle of tetrahedra.
 """
 
 from __future__ import annotations
@@ -178,7 +186,7 @@ def _match_at(g: MultiGraph, v: int) -> CaseDescriptor | None:
     """Best-priority case anchored at v, from vertex-local structure only.
 
     Rank 15 is only a marker (v lies in a tetrahedron); its payload is
-    computed globally when it actually fires.
+    computed on v's component when it actually fires.
     """
     deg = g.degree(v)
     if deg >= 5:
@@ -246,13 +254,19 @@ def _match_at(g: MultiGraph, v: int) -> CaseDescriptor | None:
     return None
 
 
-def _c4_payload(g: MultiGraph) -> CaseDescriptor:
-    """Global step for the all-tetrahedra state: contract each K4 to a
-    node, find any cycle, and delete the two off-cycle vertices of the
-    smallest tetrahedron on it."""
+def _c4_payload(g: MultiGraph, anchor: int) -> CaseDescriptor:
+    """The step for an all-tetrahedra component: contract each K4 of the
+    anchor's component to a node, find a cycle, and delete the two
+    off-cycle vertices of the smallest tetrahedron on it.
+
+    The case is the step only when every vertex lies in a tetrahedron and
+    no case outranks it, so the anchor is the smallest vertex of the
+    graph, and its component is where a search over the whole graph
+    would have found its cycle first."""
+    comp = g.component_of(anchor)
     tetra: dict[int, tuple[int, ...]] = {}
     rep: dict[int, int] = {}
-    for v in g.sorted_vertices():
+    for v in comp:
         t = _tetra_of(g, v)
         if t is None:
             raise CaseAnalysisIncomplete(f"vertex {v} lost its tetrahedron")
@@ -260,12 +274,13 @@ def _c4_payload(g: MultiGraph) -> CaseDescriptor:
         rep[v] = min(t)
     adj: dict[int, set[int]] = {t: set() for t in tetra}
     link: dict[tuple[int, int], tuple[int, int]] = {}
-    for u, v, _ in g.iter_edges():
-        tu, tv = rep[u], rep[v]
-        if tu != tv:
-            adj[tu].add(tv)
-            adj[tv].add(tu)
-            link.setdefault((min(tu, tv), max(tu, tv)), (u, v) if tu < tv else (v, u))
+    for u in comp:
+        for v in g.neighbors(u):
+            tu, tv = rep[u], rep[v]
+            if u < v and tu != tv:
+                adj[tu].add(tv)
+                adj[tv].add(tu)
+                link.setdefault((min(tu, tv), max(tu, tv)), (u, v) if tu < tv else (v, u))
     cycle = _find_cycle(adj)
     if cycle is None:
         raise CaseAnalysisIncomplete("tetrahedron graph is acyclic; case analysis bug")
@@ -329,7 +344,7 @@ def first_applicable_case(g: MultiGraph) -> CaseDescriptor | None:
             raise CaseAnalysisIncomplete(f"{g.m} edges left but no case matches")
         return None
     if best.label == FOUR_REG_C4:
-        return _c4_payload(g)
+        return _c4_payload(g, best.vertices[0])
     return best
 
 
@@ -564,45 +579,91 @@ def _dirty_ball(g: MultiGraph, seeds: set[int]) -> set[int]:
     for _ in range(2):
         frontier = set()
         for x in out:
-            frontier.update(g.neighbors(x))
+            frontier.update(g.neighbor_view(x))
         out |= frontier
     return out
+
+
+# A lower bound on the rank of any case anchored at a vertex of the given
+# degree: degree 2 matches DeltaA-D or Deg2NoTriangle (ranks 3-7), degree
+# 3 Deg3AdjDeg4 or ThreeRegular (8-9), degree 4 one of the FourReg cases
+# (10-15) or none; degrees 0, 1 and >= 5 have exactly one case each.
+_DEGREE_BOUND = (_RANKS[HARVEST], _RANKS[LEAF], _RANKS[DEG2_NO_TRIANGLE],
+                 _RANKS[DEG3_ADJ_DEG4], _RANKS[FOUR_REG_A])
+
+
+def _degree_bound(g: MultiGraph, v: int) -> int:
+    deg = g.degree(v)
+    return _DEGREE_BOUND[deg] if deg < 5 else _RANKS[PREPROCESS]
+
+
+class _Run:
+    """One reduction: the working graph, the solution and a lazy heap.
+
+    The heap holds (key, v), and ``queued[v]`` is the key of v's one live
+    entry; any other entry for v is stale.  Invariant: every vertex that
+    has a case holds a live entry whose key is at most the rank of its
+    case.  A vertex is queued at its degree bound and matched only when
+    it reaches the top: if its case has rank ``key``, then (key, v) is the
+    minimum (rank, v) over the graph, the step ``first_applicable_case``
+    takes; otherwise v goes back at its exact rank.
+    """
+
+    def __init__(self, g: MultiGraph, sol: ReductionSolution) -> None:
+        self.g = g
+        self.sol = sol
+        self.queued = {v: _degree_bound(g, v) for v in g.vertices()}
+        self.heap = [(key, v) for v, key in self.queued.items()]
+        heapq.heapify(self.heap)
+
+    def step(self) -> bool:
+        """Apply the next case; False once the heap is empty."""
+        g, heap, queued = self.g, self.heap, self.queued
+        while heap:
+            key, v = heapq.heappop(heap)
+            if queued.get(v) != key:
+                continue
+            del queued[v]
+            if not g.has_vertex(v):
+                continue
+            desc = _match_at(g, v)
+            if desc is None:
+                continue
+            if desc.rank != key:
+                if desc.rank < key:
+                    raise CaseAnalysisIncomplete(
+                        f"{desc.label} at {v} has rank {desc.rank} below its key {key}"
+                    )
+                queued[v] = desc.rank
+                heapq.heappush(heap, (desc.rank, v))
+                continue
+            if desc.label == FOUR_REG_C4:
+                desc = _c4_payload(g, v)
+            _, touched = apply_case(g, desc, self.sol)
+            # A step changes cases only within distance 2 of what it
+            # touched, and the anchor, whose entry was just popped, may
+            # lie outside that ball (FourRegC4 deletes from the smallest
+            # tetrahedron on a cycle, which need not be the anchor's).
+            # A lower key keeps the invariant; a live key at or below the
+            # degree bound already keeps it.
+            if g.has_vertex(v):
+                touched.add(v)
+            for x in _dirty_ball(g, touched):
+                bound = _degree_bound(g, x)
+                if bound < queued.get(x, len(_RANKS)):
+                    queued[x] = bound
+                    heapq.heappush(heap, (bound, x))
+            return True
+        return False
 
 
 def reduce_pseudoforest(g_in: MultiGraph) -> ReductionSolution:
     """Compute S with 9 |S| >= 9 n - 2 m and G_in[S] a pseudoforest."""
     require_simple(g_in)
-    g = g_in.copy()
     sol = ReductionSolution("pseudoforest", g_in.n, g_in.m, set(), bound_num=2, bound_den=9)
-
-    token: dict[int, int] = {v: 0 for v in g.vertices()}
-    heap: list[tuple[int, int, int]] = []
-
-    def push(v: int) -> None:
-        d = _match_at(g, v)
-        if d is not None:
-            heapq.heappush(heap, (d.rank, v, token[v]))
-
-    for v in g.vertices():
-        push(v)
-
-    while heap:
-        rank, v, tok = heapq.heappop(heap)
-        if not g.has_vertex(v) or tok != token[v]:
-            continue
-        desc = _match_at(g, v)
-        if desc is None:
-            continue
-        if desc.rank != rank:
-            heapq.heappush(heap, (desc.rank, v, token[v]))
-            continue
-        if desc.label == FOUR_REG_C4:
-            desc = _c4_payload(g)
-        _, touched = apply_case(g, desc, sol)
-        for x in _dirty_ball(g, touched):
-            token[x] = token.get(x, 0) + 1
-            push(x)
-
-    if g.n != 0 or g.m != 0:
-        raise CaseAnalysisIncomplete(f"reducer stalled with n={g.n}, m={g.m}")
+    run = _Run(g_in.copy(), sol)
+    while run.step():
+        pass
+    if run.g.n != 0 or run.g.m != 0:
+        raise CaseAnalysisIncomplete(f"reducer stalled with n={run.g.n}, m={run.g.m}")
     return check_result(sol)

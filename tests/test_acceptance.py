@@ -15,6 +15,7 @@ from planarize.planar import reduce_planar
 from planarize.pseudoforest import reduce_pseudoforest
 from planarize.treewidth2 import reduce_treewidth2
 from planarize.solution import aggregate_charge_ok, replay
+from test_pseudoforest import _tetra_ring
 
 
 def _ok(num, msg):
@@ -193,18 +194,17 @@ def test_criterion_8_minor_identities():
 
 
 def test_criterion_9_scaling_smoke():
-    def ladder(reducer, sizes, make, repeat=1):
-        # Each rung's time is the best of ``repeat`` runs.
-        times = []
-        for size in sizes:
-            g = make(size)
-            best = None
-            for _ in range(repeat):
+    def ladder(reducer, sizes, make):
+        # Each rung's time is the best of three runs.  The runs go round
+        # the rungs in turn, so a change in the host's speed reaches every
+        # rung alike instead of inflating one ratio.
+        graphs = [make(size) for size in sizes]
+        times = [float("inf")] * len(graphs)
+        for _ in range(3):
+            for i, g in enumerate(graphs):
                 t0 = time.perf_counter()
                 reducer(g)
-                wall = time.perf_counter() - t0
-                best = wall if best is None else min(best, wall)
-            times.append(best)
+                times[i] = min(times[i], time.perf_counter() - t0)
         return [b / a for a, b in zip(times, times[1:])], times
 
     ratios_pf, times_pf = ladder(
@@ -213,6 +213,21 @@ def test_criterion_9_scaling_smoke():
         lambda t: gen.disjoint_copies(gen.complete_bipartite(3, 3), t),
     )
     assert all(r <= 3.0 for r in ratios_pf), (ratios_pf, times_pf)
+
+    ratios_pf_rr4, times_pf_rr4 = ladder(
+        reduce_pseudoforest,
+        (2000, 4000),
+        lambda n: gen.random_regular(n, 4, 11),
+    )
+    assert all(r <= 3.0 for r in ratios_pf_rr4), (ratios_pf_rr4, times_pf_rr4)
+
+    # All-tetrahedra components: FourRegC4 fires once per component.
+    ratios_pf_tetra, times_pf_tetra = ladder(
+        reduce_pseudoforest,
+        (100, 200),
+        lambda t: gen.disjoint_copies(_tetra_ring(), t),
+    )
+    assert all(r <= 3.0 for r in ratios_pf_tetra), (ratios_pf_tetra, times_pf_tetra)
 
     ratios_tw, times_tw = ladder(
         reduce_treewidth2,
@@ -225,7 +240,6 @@ def test_criterion_9_scaling_smoke():
         reduce_planar,
         (2000, 4000),
         lambda n: gen.random_regular(n, 4, 11),
-        repeat=3,
     )
     assert all(r <= 3.0 for r in ratios_rr4), (ratios_rr4, times_rr4)
 
@@ -233,10 +247,11 @@ def test_criterion_9_scaling_smoke():
         reduce_planar,
         (1000, 2000),
         lambda t: gen.disjoint_copies(gen.complete(5), t),
-        repeat=3,
     )
     assert all(r <= 3.0 for r in ratios_k5), (ratios_k5, times_k5)
     _ok(9, f"doubling ratios pseudoforest {['%.2f' % r for r in ratios_pf]}, "
+           f"pseudoforest rr4 {['%.2f' % r for r in ratios_pf_rr4]}, pseudoforest "
+           f"tetra ring xt {['%.2f' % r for r in ratios_pf_tetra]}, "
            f"tw2 {['%.2f' % r for r in ratios_tw]}, planar rr4 "
            f"{['%.2f' % r for r in ratios_rr4]}, planar K5xt "
            f"{['%.2f' % r for r in ratios_k5]} (threshold 3.0)")

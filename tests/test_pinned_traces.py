@@ -18,12 +18,18 @@ from planarize import generators as gen
 from planarize.planar import reduce_planar
 from planarize.pseudoforest import reduce_pseudoforest
 from planarize.treewidth2 import reduce_treewidth2
+from test_pseudoforest import _shared_triangle_pair, _tetra_ring, _two_k4s_matched
 
 PINNED = {
     "pseudoforest": "5bf93a5c553366210384f958bb5713487e0bc80f58e89fa9b9d31204fa24869f",
     "tw2": "2fe4f51941a8f1a04058f641461abcc10e182e55dc12f1fc9abe4410bb09ccd4",
     "planar": "29de560a41d1ab4ecae72bd8b4520f7e268b5032493cbfb8979b6372fcf9efae",
 }
+
+# The pseudoforest reducer on all-tetrahedra inputs, where the C2, C3 and
+# C4 subcases of the 4-regular case fire; none of them occurs on the
+# inputs above.  Recorded before the lazy pseudoforest dispatcher.
+PINNED_TETRA = "1a260a66016d99165a69ef0f2bcb511c756f81a588c9a097e4ebd795bdd6fd5e"
 
 
 def _corpus_recipe():
@@ -43,6 +49,15 @@ def pinned_inputs():
     for t in (1, 2, 5, 20):
         out.append((f"k33x{t}", gen.disjoint_copies(gen.complete_bipartite(3, 3), t)))
         out.append((f"k5x{t}", gen.disjoint_copies(gen.complete(5), t)))
+    return out
+
+
+def tetra_inputs():
+    """Disjoint copies of the five-tetrahedra ring (C4), two matched K4s
+    (C3) and two tetrahedra sharing a triangle (C2)."""
+    out = [(f"tetra_ring x{t}", gen.disjoint_copies(_tetra_ring(), t)) for t in (1, 3, 10)]
+    out.append(("two_k4s_matched", _two_k4s_matched()))
+    out.append(("shared_triangle_pair", _shared_triangle_pair()))
     return out
 
 
@@ -80,7 +95,12 @@ def test_trace_digest_is_pinned(algorithm, inputs):
     assert trace_digest(algorithm, inputs) == PINNED[algorithm]
 
 
+def test_tetra_digest_is_pinned():
+    assert trace_digest("pseudoforest", tetra_inputs()) == PINNED_TETRA
+
+
 if __name__ == "__main__":
     graphs = pinned_inputs()
     for alg in PINNED:
         print(f'    "{alg}": "{trace_digest(alg, graphs)}",')
+    print(f'PINNED_TETRA = "{trace_digest("pseudoforest", tetra_inputs())}"')

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from planarize import certify, generators as gen, oracle
 from planarize.multigraph import from_edge_list
 from planarize.solution import ReductionSolution, aggregate_charge_ok, replay
 import planarize.pseudoforest as pf
+from test_planar_dispatch import _corpus_recipe, _from_nx
 
 
 def _check_run(g, sol):
@@ -126,14 +129,18 @@ def test_star_neighborhood_is_subsumed_by_case_a():
     _check_run(g, sol)
 
 
-def test_shared_triangle_tetrahedra_hit_c2():
+def _shared_triangle_pair():
     # Tetrahedra 0,2,3,4 and 1,2,3,4 share triangle 2,3,4 without
     # forming a K5; pendant links to a second gadget keep the graph
     # 4-regular so the shared-triangle subcase is first.
     edges = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     edges += [(5, 7), (5, 8), (5, 9), (6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9)]
     edges += [(0, 5), (1, 6)]
-    g = from_edge_list(edges)
+    return from_edge_list(edges)
+
+
+def test_shared_triangle_tetrahedra_hit_c2():
+    g = _shared_triangle_pair()
     assert g.is_d_regular(4)
     desc = pf.first_applicable_case(g)
     assert desc.label == pf.FOUR_REG_C2
@@ -159,19 +166,134 @@ def test_trace_is_deterministic():
     assert a.trace == b.trace and a.s == b.s
 
 
+def _c4_payload_whole_graph(g):
+    """The FourRegC4 payload as first written, over the whole graph:
+    the reference for the search on the anchor's component only."""
+    tetra, rep = {}, {}
+    for v in g.sorted_vertices():
+        t = pf._tetra_of(g, v)
+        assert t is not None, f"vertex {v} lost its tetrahedron"
+        tetra[min(t)] = t
+        rep[v] = min(t)
+    adj = {t: set() for t in tetra}
+    link = {}
+    for u, v, _ in g.iter_edges():
+        tu, tv = rep[u], rep[v]
+        if tu != tv:
+            adj[tu].add(tv)
+            adj[tv].add(tu)
+            link.setdefault((min(tu, tv), max(tu, tv)), (u, v) if tu < tv else (v, u))
+    cycle = pf._find_cycle(adj)
+    t0 = min(cycle)
+    i = cycle.index(t0)
+    on_cycle = set()
+    for other in (cycle[i - 1], cycle[(i + 1) % len(cycle)]):
+        x, y = link[(min(t0, other), max(t0, other))]
+        on_cycle.add(x if rep[x] == t0 else y)
+    off = tuple(sorted(set(tetra[t0]) - on_cycle))
+    return pf.CaseDescriptor(pf.FOUR_REG_C4, tetra[t0], (tuple(sorted(on_cycle)), off))
+
+
+def _check_keys(run):
+    """From scratch: every vertex with a case has a live heap entry whose
+    key is at most the case's rank."""
+    live = set(run.heap)
+    for v in run.g.vertices():
+        desc = pf._match_at(run.g, v)
+        if desc is not None:
+            key = run.queued.get(v)
+            assert key is not None and key <= desc.rank, (v, key, desc)
+            assert (key, v) in live
+
+
+def _lockstep(g):
+    """Step the lazy dispatcher and the reference scan on copies of g and
+    compare every step; return the lazy run's solution."""
+    run = pf._Run(g.copy(), ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9))
+    work = g.copy()
+    ref = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
+    _check_keys(run)
+    while True:
+        desc = pf.first_applicable_case(work)
+        if desc is not None and desc.label == pf.FOUR_REG_C4:
+            assert desc == _c4_payload_whole_graph(work)
+        assert run.step() == (desc is not None)
+        if desc is None:
+            break
+        pf.apply_case(work, desc, ref)
+        assert len(run.sol.trace) == len(ref.trace)
+        assert run.sol.trace[-1] == ref.trace[-1]
+        _check_keys(run)
+    assert run.g.n == 0 and run.g.m == 0
+    assert run.sol.s == ref.s
+    return run.sol
+
+
+def _shuffled_union(parts, rng):
+    """Disjoint union of the parts with the vertex ids shuffled, so that
+    the components interleave in id order."""
+    edges, offset = [], 0
+    for h in parts:
+        index = {v: offset + i for i, v in enumerate(h.sorted_vertices())}
+        edges += [(index[u], index[v]) for u, v, _ in h.iter_edges()]
+        offset += h.n
+    perm = list(range(offset))
+    rng.shuffle(perm)
+    return from_edge_list([(perm[u], perm[v]) for u, v in edges], offset)
+
+
+def _k4_blowup(h):
+    """Each vertex of the 4-regular graph h becomes a K4 whose four
+    vertices take its four edges, one each."""
+    edges = [(4 * x + a, 4 * x + b) for x in h.vertices() for a in range(4) for b in range(a + 1, 4)]
+    port = Counter()
+    for x, y, _ in h.iter_edges():
+        edges.append((4 * x + port[x], 4 * y + port[y]))
+        port[x] += 1
+        port[y] += 1
+    return from_edge_list(edges)
+
+
 def test_incremental_matches_reference_dispatcher():
     for seed in range(40):
-        g = _random_graph(seed, n_max=11)
-        fast = pf.reduce_pseudoforest(g)
-        work = g.copy()
-        ref = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
-        while True:
-            desc = pf.first_applicable_case(work)
-            if desc is None:
-                break
-            pf.apply_case(work, desc, ref)
-        assert fast.trace == ref.trace
-        assert fast.s == ref.s
+        _lockstep(_random_graph(seed, n_max=11))
+
+
+def test_lockstep_on_graph_atlas():
+    for gx in nx.graph_atlas_g():
+        _lockstep(_from_nx(gx))
+
+
+def test_lockstep_on_corpus_recipe():
+    labels = Counter()
+    for _, g in _corpus_recipe():
+        labels.update(step.label for step in _lockstep(g).trace)
+    assert labels[pf.PREPROCESS] and labels[pf.DEG3_ADJ_DEG4] and labels[pf.FOUR_REG_A]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_lockstep_on_random_regular(d):
+    for n in (12, 40, 150):
+        for seed in range(3):
+            _lockstep(_from_nx(nx.random_regular_graph(d, n, seed=seed)))
+
+
+def test_lockstep_on_tetrahedra():
+    labels = Counter()
+    for g in (_two_k4s_matched(), _shared_triangle_pair()):
+        labels.update(step.label for step in _lockstep(g).trace)
+    rng = random.Random(5)
+    parts = [_tetra_ring(), gen.complete_bipartite(3, 3), gen.complete(5)]
+    for _ in range(12):
+        mix = [rng.choice(parts) for _ in range(rng.randrange(2, 7))]
+        labels.update(step.label for step in _lockstep(_shuffled_union(mix, rng)).trace)
+    for n, seed in ((6, 0), (10, 1), (20, 2)):
+        h = _from_nx(nx.random_regular_graph(4, n, seed=seed))
+        blowup = _k4_blowup(h)
+        assert blowup.is_d_regular(4)
+        labels.update(step.label for step in _lockstep(_shuffled_union([blowup], rng)).trace)
+    for case in (pf.FOUR_REG_C1, pf.FOUR_REG_C2, pf.FOUR_REG_C3, pf.FOUR_REG_C4):
+        assert labels[case], case
 
 
 def test_stale_descriptor_rejected():
