@@ -10,11 +10,9 @@ import argparse
 import random
 from fractions import Fraction
 
-from planarize import certify, generators as gen
+from planarize import generators as gen
 from planarize.multigraph import from_edge_list
-from planarize.planar import reduce_planar
-from planarize.pseudoforest import reduce_pseudoforest
-from planarize.treewidth2 import reduce_treewidth2
+from planarize.reducers import REDUCERS, certificates
 
 
 def corpus(seed: int, count: int):
@@ -41,26 +39,20 @@ def main() -> int:
     args = ap.parse_args()
 
     graphs = corpus(args.seed, args.count)
-    worst_slack = {"pseudoforest": None, "tw2": None, "planar": None}
+    worst_slack = dict.fromkeys(REDUCERS)
     min_charge = None
     failures = []
 
     for tag, g in graphs:
-        runs = {
-            "pseudoforest": reduce_pseudoforest(g),
-            "tw2": reduce_treewidth2(g),
-        }
-        planar_sol, ledger = reduce_planar(g)
-        runs["planar"] = planar_sol
-        low = ledger.min_charge()
-        if low is not None and (min_charge is None or low < min_charge):
-            min_charge = low
-
-        for alg, sol in runs.items():
+        for alg, (run, _) in REDUCERS.items():
+            sol, ledger = run(g)
             slack = Fraction(len(sol.s)) - sol.bound_value()
             if worst_slack[alg] is None or slack < worst_slack[alg]:
                 worst_slack[alg] = slack
-            if not all(certify.certificates(alg, g, sol.s).values()):
+            low = ledger.min_charge() if ledger is not None else None
+            if low is not None and (min_charge is None or low < min_charge):
+                min_charge = low
+            if not all(certificates(alg, g, sol.s).values()):
                 failures.append((tag, alg))
 
     print(f"graphs checked: {len(graphs)}")

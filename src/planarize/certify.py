@@ -148,10 +148,6 @@ def is_partial_2_tree(g: MultiGraph) -> bool:
     return _reduce(g).n == 0
 
 
-# The name the confluence test imports.
-_sp_reduce = _reduce
-
-
 class ComponentKind(Enum):
     EMPTY = "empty"
     SINGLE_VERTEX = "single-vertex"
@@ -251,17 +247,3 @@ def is_planar(g: MultiGraph) -> bool:
     gx.add_edges_from((u, v) for u, v, _ in h.iter_edges())
     ok, _ = nx.check_planarity(gx, counterexample=False)
     return bool(ok)
-
-
-def certificates(algorithm: str, g: MultiGraph, s: set[int]) -> dict[str, bool]:
-    """The certificate verdicts for a reducer's output set S, on G[S].
-
-    pseudoforest and tw2 get one verdict each; planar gets ``planar``
-    and ``structure`` (the residue is a legal output core).
-    """
-    sub = induced_subgraph(g, s)
-    if algorithm == "pseudoforest":
-        return {"pseudoforest": is_pseudoforest(sub)}
-    if algorithm == "tw2":
-        return {"partial_2_tree": is_partial_2_tree(sub)}
-    return {"planar": is_planar(sub), "structure": accepts_planar_residue(sub)}

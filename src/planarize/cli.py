@@ -18,9 +18,8 @@ from fractions import Fraction
 from . import certify, generators, graphio, lp as lpmod, minors, oracle
 from .errors import GraphError, LedgerError, BoundViolation, CaseAnalysisIncomplete, CertificateFailure
 from .multigraph import MultiGraph
-from .planar import ChargeParams, reduce_planar
-from .pseudoforest import reduce_pseudoforest
-from .treewidth2 import reduce_treewidth2
+from .planar import ChargeParams
+from .reducers import REDUCERS, certificates
 
 _ASSERTION_ERRORS = (LedgerError, BoundViolation, CaseAnalysisIncomplete, CertificateFailure)
 
@@ -44,21 +43,15 @@ def _load(path: str) -> MultiGraph:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load(args.input)
+    run, _ = REDUCERS[args.alg]
     t0 = time.perf_counter()
-    ledger = None
-    if args.alg == "pseudoforest":
-        sol = reduce_pseudoforest(g)
-    elif args.alg == "tw2":
-        sol = reduce_treewidth2(g)
-    else:
-        params = ChargeParams.parse(args.params) if args.params else None
-        sol, ledger = reduce_planar(g, params)
+    sol, ledger = run(g, args.params)
     wall = time.perf_counter() - t0
 
     # The report recomputes the bound from n, m, |S| rather than trusting
     # the reducer's own verdict.
     satisfied = sol.bound_den * len(sol.s) >= sol.bound_den * sol.n - sol.bound_num * sol.m
-    verdicts = certify.certificates(args.alg, g, sol.s)
+    verdicts = certificates(args.alg, g, sol.s)
     report = {
         "algorithm": args.alg,
         "n": sol.n,
@@ -225,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run a reducer and report S, bound, certificates")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output")
-    p.add_argument("--alg", choices=["pseudoforest", "tw2", "planar"], required=True)
-    p.add_argument("--params", help="planar charge params as 'e,c3,c4,tau' rationals")
+    p.add_argument("--alg", choices=list(REDUCERS), required=True)
+    p.add_argument("--params", help="charge params 'e,c3,c4,tau' as rationals; planar only")
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("certify", help="check properties of G[S] for a given S file")

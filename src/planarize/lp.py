@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import Infeasible, MissingVariable, Unbounded
+from .errors import Infeasible, MissingVariable, ParseError, Unbounded
 
 VARIABLES = ("epsilon", "c3", "c4", "tau")
 
@@ -23,16 +23,16 @@ GE = ">="
 
 
 def rational(text: str | int | Fraction) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact rational."""
+    """Parse 'p/q' or 'p' into an exact rational; anything else,
+    a zero denominator included, is a ParseError."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
-    s = text.strip()
-    if "/" in s:
-        p, q = s.split("/", 1)
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+    try:
+        return Fraction(*map(int, text.strip().split("/", 1)))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"not a rational 'p/q' or 'p': {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

@@ -138,11 +138,6 @@ class MultiGraph:
         self._require(v)
         return self._deg[v]
 
-    def unit_degree(self, v: int) -> int:
-        """Number of edge units incident to v; a loop counts once."""
-        self._require(v)
-        return self._deg[v] - self._adj[v].get(v, 0)
-
     def multiplicity(self, u: int, v: int) -> int:
         self._require(u)
         self._require(v)

@@ -72,18 +72,6 @@ class ChargeParams:
 
     c2: Fraction = _ONE
 
-    @property
-    def delta2(self) -> Fraction:
-        return self.c2 - self.c3
-
-    @property
-    def delta3(self) -> Fraction:
-        return self.c3 - self.c4
-
-    @property
-    def delta4(self) -> Fraction:
-        return self.c4
-
     def cap(self, degree: int) -> Fraction:
         """Credit limit by current degree; degrees below 2 share c2."""
         if degree <= 2:

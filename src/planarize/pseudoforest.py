@@ -87,7 +87,7 @@ class CaseDescriptor:
 
 
 def _adjacent(g: MultiGraph, u: int, v: int) -> bool:
-    return g.multiplicity(u, v) > 0
+    return v in g.neighbor_view(u)
 
 
 def _disjoint_nonadj_pairs(g: MultiGraph, a: int) -> tuple[tuple[int, int], tuple[int, int]] | None:

@@ -36,7 +36,7 @@ class _Buckets:
         self.h12: list[int] = []
         self.h3_with4: list[int] = []
         self.h3: list[int] = []
-        self.hmax: list[tuple[int, int]] = []  # (-degree, v)
+        self.h4: list[int] = []
         self.hpre: list[int] = []
         for v in g.vertices():
             self.push(v)
@@ -57,15 +57,19 @@ class _Buckets:
                 heapq.heappush(self.h3_with4, v)
             heapq.heappush(self.h3, v)
         else:
-            heapq.heappush(self.hmax, (-d, v))
+            heapq.heappush(self.h4, v)
 
-    def pop_valid(self, heap: list, want) -> int | None:
+    def peek(self, heap: list[int], want) -> int | None:
+        """The smallest live vertex of heap that passes want, left in
+        place; stale entries in front of it are dropped.  A vertex taken
+        from hpre, h0, h12 or h4 leaves the graph in that step, so its
+        entry goes stale."""
         g = self.g
         while heap:
-            item = heapq.heappop(heap)
-            v = item if isinstance(item, int) else item[1]
+            v = heap[0]
             if g.has_vertex(v) and want(v):
                 return v
+            heapq.heappop(heap)
         return None
 
 
@@ -92,12 +96,12 @@ def reduce_treewidth2(g_in: MultiGraph) -> ReductionSolution:
                 repush(g.neighbors(x))
 
     while g.n > 0:
-        v = bk.pop_valid(bk.hpre, lambda x: g.degree(x) >= 5)
+        v = bk.peek(bk.hpre, lambda x: g.degree(x) >= 5)
         if v is not None:
             delete(PREPROCESS, v)
             continue
 
-        v = bk.pop_valid(bk.h0, lambda x: g.degree(x) == 0)
+        v = bk.peek(bk.h0, lambda x: g.degree(x) == 0)
         if v is not None:
             orig = g.origin(v)
             g.delete_vertex(v)
@@ -105,7 +109,7 @@ def reduce_treewidth2(g_in: MultiGraph) -> ReductionSolution:
             sol.trace.append(TraceStep(HARVEST, accepted=(v,), s_added=(orig,)))
             continue
 
-        v = bk.pop_valid(bk.h12, lambda x: 1 <= g.degree(x) <= 2)
+        v = bk.peek(bk.h12, lambda x: 1 <= g.degree(x) <= 2)
         if v is not None:
             u = g.neighbors(v)[0]
             affected = set(g.neighbors(v)) | set(g.neighbors(u)) | {u}
@@ -130,16 +134,14 @@ def reduce_treewidth2(g_in: MultiGraph) -> ReductionSolution:
 
         # No low-degree vertices left: delete next to a degree-3 vertex if
         # one exists, preferring the globally largest adjacent degree.
-        a = bk.pop_valid(bk.h3_with4, lambda x: g.degree(x) == 3
-                         and any(g.degree(u) == 4 for u in g.neighbors(x)))
+        a = bk.peek(bk.h3_with4, lambda x: g.degree(x) == 3
+                    and any(g.degree(u) == 4 for u in g.neighbors(x)))
         if a is not None:
-            heapq.heappush(bk.h3_with4, a)  # not consumed, only located
             delete(DELETE_ADJ_DEG3, min(u for u in g.neighbors(a) if g.degree(u) == 4))
             continue
 
-        a = bk.pop_valid(bk.h3, lambda x: g.degree(x) == 3)
+        a = bk.peek(bk.h3, lambda x: g.degree(x) == 3)
         if a is not None:
-            heapq.heappush(bk.h3, a)
             # Degrees never rise once no vertex has degree 5 or more, so a
             # new 3-next-to-4 pair can only appear at a re-pushed vertex.
             if any(g.degree(u) == 4 for u in g.neighbors(a)):
@@ -150,7 +152,7 @@ def reduce_treewidth2(g_in: MultiGraph) -> ReductionSolution:
             continue
 
         # Only degree-4 vertices remain once the earlier branches pass.
-        v = bk.pop_valid(bk.hmax, lambda x: g.degree(x) == 4)
+        v = bk.peek(bk.h4, lambda x: g.degree(x) == 4)
         if v is not None:
             delete(DELETE_MAX_DEG, v)
             continue

@@ -13,6 +13,7 @@ from planarize.minors import level_contract
 from planarize.multigraph import from_edge_list
 from planarize.planar import reduce_planar
 from planarize.pseudoforest import reduce_pseudoforest
+from planarize.reducers import REDUCERS, certificates
 from planarize.treewidth2 import reduce_treewidth2
 from planarize.solution import aggregate_charge_ok, replay
 from test_pseudoforest import _tetra_ring
@@ -82,29 +83,44 @@ def test_criterion_3_planar_walkthroughs():
     _ok(3, "K4 -> 4, K33 -> 5 with G[S] = K23, K6 -> 4")
 
 
+# Per reducer: the paper's bound ratio num/den in |S| >= n - (num/den) m,
+# its certificate keys, and the oracle property of its output class,
+# written out here so that they are checked independently of the
+# reducers and of ``reducers.REDUCERS``.
+PAPER_SPEC = {
+    "pseudoforest": ((2, 9), ("pseudoforest",), oracle.PropertyId.PSEUDOFOREST),
+    "tw2": ((1, 5), ("partial_2_tree",), oracle.PropertyId.TREEWIDTH2),
+    "planar": ((23, 120), ("planar", "structure"), oracle.PropertyId.PLANAR),
+}
+
+
+def _checked_runs(g, tag):
+    """Every reducer on g, yielding (solution, ledger or None) once the
+    paper's bound and every certificate on G[S] hold; the planar ledger
+    is strict, so a negative charge raises."""
+    assert set(REDUCERS) == set(PAPER_SPEC)
+    for alg, (run, _) in REDUCERS.items():
+        sol, ledger = run(g)
+        (num, den), keys, _ = PAPER_SPEC[alg]
+        assert (sol.algorithm, sol.bound_num, sol.bound_den) == (alg, num, den), tag
+        assert den * len(sol.s) >= den * g.n - num * g.m, (tag, alg)
+        assert certificates(alg, g, sol.s) == dict.fromkeys(keys, True), (tag, alg)
+        yield sol, ledger
+
+
 def test_criterion_4_and_7_bounds_certificates_ledger():
     graphs = _corpus_rule4()
     assert len(graphs) >= 500
     t0 = time.perf_counter()
     min_charge = None
     for tag, g in graphs:
-        pf = reduce_pseudoforest(g)
-        assert 9 * len(pf.s) >= 9 * g.n - 2 * g.m, tag
-        assert certify.is_pseudoforest(certify.induced_subgraph(g, pf.s)), tag
-
-        tw = reduce_treewidth2(g)
-        assert 5 * len(tw.s) >= 5 * g.n - g.m, tag
-        assert certify.is_partial_2_tree(certify.induced_subgraph(g, tw.s)), tag
-
-        pl, ledger = reduce_planar(g)  # strict: any negative charge raises
-        assert 120 * len(pl.s) >= 120 * g.n - 23 * g.m, tag
-        sub = certify.induced_subgraph(g, pl.s)
-        assert certify.is_planar(sub), tag
-        assert certify.accepts_planar_residue(sub), tag
-        assert not ledger.negative_steps, tag
-        low = ledger.min_charge()
-        if low is not None and (min_charge is None or low < min_charge):
-            min_charge = low
+        for _, ledger in _checked_runs(g, tag):
+            if ledger is None:
+                continue
+            assert not ledger.negative_steps, tag
+            low = ledger.min_charge()
+            if low is not None and (min_charge is None or low < min_charge):
+                min_charge = low
     wall = time.perf_counter() - t0
     assert wall < 120, f"corpus took {wall:.1f}s"
     _ok(4, f"{len(graphs)} graphs: all exact bounds and certificates hold ({wall:.1f}s)")
@@ -120,24 +136,13 @@ def test_criterion_5_oracle_cross_check():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         g = from_edge_list(edges, n)
         checked += 1
-
-        pf = reduce_pseudoforest(g)
-        best_pf, _ = oracle.max_induced(g, oracle.PropertyId.PSEUDOFOREST)
-        assert pf.bound_value() <= len(pf.s) <= best_pf
-        sub = certify.induced_subgraph(g, pf.s)
-        assert certify.is_pseudoforest(sub) == oracle.PREDICATES[oracle.PropertyId.PSEUDOFOREST](sub)
-
-        tw = reduce_treewidth2(g)
-        best_tw, _ = oracle.max_induced(g, oracle.PropertyId.TREEWIDTH2)
-        assert tw.bound_value() <= len(tw.s) <= best_tw
-        sub = certify.induced_subgraph(g, tw.s)
-        assert certify.is_partial_2_tree(sub) == oracle.PREDICATES[oracle.PropertyId.TREEWIDTH2](sub)
-
-        pl, _ = reduce_planar(g)
-        best_pl, _ = oracle.max_induced(g, oracle.PropertyId.PLANAR)
-        assert pl.bound_value() <= len(pl.s) <= best_pl
-        sub = certify.induced_subgraph(g, pl.s)
-        assert certify.is_planar(sub) == oracle.PREDICATES[oracle.PropertyId.PLANAR](sub)
+        # The certificates hold, so the certifiers agree when the oracle's
+        # predicate holds as well.
+        for sol, _ in _checked_runs(g, edges):
+            prop = PAPER_SPEC[sol.algorithm][2]
+            best, _ = oracle.max_induced(g, prop)
+            assert sol.bound_value() <= len(sol.s) <= best
+            assert oracle.PREDICATES[prop](certify.induced_subgraph(g, sol.s)), (edges, prop)
     _ok(5, f"{checked} graphs with n <= 9: bound <= |S| <= oracle optimum, certifiers agree")
 
 
@@ -270,12 +275,8 @@ def test_criterion_10_out_of_scope_statement():
 
 def test_trace_replays_for_all_three():
     g = gen.random_regular(16, 4, 3)
-    pf = reduce_pseudoforest(g)
-    assert replay(g, pf).nonnegative and aggregate_charge_ok(pf)
-    tw = reduce_treewidth2(g)
-    assert replay(g, tw).nonnegative
-    pl, _ = reduce_planar(g)
-    replay(g, pl)
+    for sol, _ in _checked_runs(g, "rr(16,4,3)"):
+        assert replay(g, sol).nonnegative and aggregate_charge_ok(sol), sol.algorithm
 
 
 def test_exhaustive_all_graphs_up_to_five_vertices():
@@ -289,17 +290,7 @@ def test_exhaustive_all_graphs_up_to_five_vertices():
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            g = from_edge_list(edges, n)
-            pf = reduce_pseudoforest(g)
-            assert 9 * len(pf.s) >= 9 * n - 2 * g.m
-            assert certify.is_pseudoforest(certify.induced_subgraph(g, pf.s))
-            tw = reduce_treewidth2(g)
-            assert 5 * len(tw.s) >= 5 * n - g.m
-            assert certify.is_partial_2_tree(certify.induced_subgraph(g, tw.s))
-            pl, _ = reduce_planar(g)
-            assert 120 * len(pl.s) >= 120 * n - 23 * g.m
-            sub = certify.induced_subgraph(g, pl.s)
-            assert certify.is_planar(sub) and certify.accepts_planar_residue(sub)
+            list(_checked_runs(from_edge_list(edges, n), edges))
             count += 1
     assert count == 1 + 1 + 2 + 8 + 64 + 1024
     print(f"exhaustive n<=5 sweep: {count} graphs clean")
@@ -314,9 +305,6 @@ def test_graph_atlas_all_three_reducers():
     assert len(atlas) == 1253
     for i, gx in enumerate(atlas):
         g = from_edge_list(list(gx.edges()), gx.number_of_nodes())
-        sols = [reduce_pseudoforest(g), reduce_treewidth2(g), reduce_planar(g)[0]]
-        for sol, (num, den) in zip(sols, ((2, 9), (1, 5), (23, 120))):
-            assert den * len(sol.s) >= den * g.n - num * g.m, (i, sol.algorithm)
-            assert all(certify.certificates(sol.algorithm, g, sol.s).values()), (i, sol.algorithm)
+        for sol, _ in _checked_runs(g, i):
             replay(g, sol)
     print(f"graph atlas: {len(atlas)} graphs clean for all three reducers")

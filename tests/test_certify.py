@@ -152,11 +152,11 @@ def test_partial_2_tree_agrees_with_exact_treewidth():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_sp_reduction_is_confluent(seed, order_seed):
-    from planarize.certify import _sp_reduce
+    from planarize.certify import _reduce
 
     g = _random_graph(seed, n_max=8)
-    canonical = _sp_reduce(g).n == 0
-    shuffled = _sp_reduce(g, order_seed=order_seed).n == 0
+    canonical = _reduce(g).n == 0
+    shuffled = _reduce(g, order_seed=order_seed).n == 0
     assert canonical == shuffled
 
 

@@ -55,13 +55,21 @@ def test_reduce_with_custom_params(tmp_path, capsys):
 
 
 def test_bad_params_exit_one(tmp_path, capsys):
+    # Infeasible or malformed rationals, in reduce and in lp check, and
+    # any params at all for a reducer that takes none.
     path = tmp_path / "k4.txt"
     path.write_text(write_graph_text(gen.complete(4)))
-    code, _, err = run_cli(
-        capsys, "reduce", "--alg", "planar", "-i", str(path), "--params", "1,0,0,0"
-    )
-    assert code == 1
-    assert "error" in err
+    reduce = ("reduce", "-i", str(path), "--alg")
+    cases = [(reduce + ("planar", "--params", "1,0,0,0"), "violate")]
+    for bad in ("1/0", "a/b", "1/2/3"):
+        cases += [(reduce + ("planar", "--params", f"{bad},1,1,1"), repr(bad)),
+                  (("lp", "check", "--params", f"{bad},1,1,1"), repr(bad))]
+    for alg in ("pseudoforest", "tw2"):
+        cases += [(reduce + (alg, "--params", p), "planar only") for p in ("garbage", "0,1/4,0,1")]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and message in err and "Traceback" not in err, argv
 
 
 def test_missing_file_exit_one(capsys):

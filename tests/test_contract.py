@@ -12,16 +12,8 @@ import pytest
 from planarize import generators as gen
 from planarize.errors import BoundViolation, CaseAnalysisIncomplete, GraphError
 from planarize.multigraph import MultiGraph
-from planarize.planar import reduce_planar
-from planarize.pseudoforest import reduce_pseudoforest
+from planarize.reducers import REDUCERS
 from planarize.solution import TraceStep, check_result
-from planarize.treewidth2 import reduce_treewidth2
-
-REDUCERS = {
-    "pseudoforest": reduce_pseudoforest,
-    "tw2": reduce_treewidth2,
-    "planar": lambda g: reduce_planar(g)[0],
-}
 
 
 def _empty_output(sol):
@@ -49,13 +41,13 @@ def test_require_simple_rejects_multigraphs(algorithm):
     g = MultiGraph()
     g.add_edge(0, 1, 2)
     with pytest.raises(GraphError, match="must be simple"):
-        REDUCERS[algorithm](g)
+        REDUCERS[algorithm][0](g)
 
 
 @pytest.mark.parametrize("tamper, error, message", TAMPERS)
 @pytest.mark.parametrize("algorithm", sorted(REDUCERS))
 def test_check_result_rejects_tampered_solution(algorithm, tamper, error, message):
-    sol = REDUCERS[algorithm](gen.complete_bipartite(3, 3))
+    sol, _ = REDUCERS[algorithm][0](gen.complete_bipartite(3, 3))
     assert check_result(sol) is sol
     tamper(sol)
     with pytest.raises(error, match=message):

@@ -5,19 +5,21 @@ tag, the algorithm, the sorted output set, every ``TraceStep`` field,
 and for the planar reducer every ledger charge.  The digests were
 recorded before the reducers shared ``solution.require_simple`` and
 ``solution.check_result``; a change that moves any trace, set or charge
-changes the digest.
+changes the digest.  The summary ``scripts/run_corpus.py`` prints with
+its defaults is pinned as well, by running the script end to end.
 """
 
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from planarize import generators as gen
-from planarize.planar import reduce_planar
-from planarize.pseudoforest import reduce_pseudoforest
-from planarize.treewidth2 import reduce_treewidth2
+from planarize.reducers import REDUCERS
 from test_pseudoforest import _shared_triangle_pair, _tetra_ring, _two_k4s_matched
 
 PINNED = {
@@ -32,9 +34,12 @@ PINNED = {
 PINNED_TETRA = "1a260a66016d99165a69ef0f2bcb511c756f81a588c9a097e4ebd795bdd6fd5e"
 
 
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS_SCRIPT = ROOT / "scripts" / "run_corpus.py"
+
+
 def _corpus_recipe():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
-    spec = importlib.util.spec_from_file_location("run_corpus", path)
+    spec = importlib.util.spec_from_file_location("run_corpus", CORPUS_SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.corpus(0, 400)
@@ -61,18 +66,11 @@ def tetra_inputs():
     return out
 
 
-def _run(algorithm, g):
-    if algorithm == "pseudoforest":
-        return reduce_pseudoforest(g), None
-    if algorithm == "tw2":
-        return reduce_treewidth2(g), None
-    return reduce_planar(g)
-
-
 def trace_digest(algorithm: str, inputs) -> str:
+    run, _ = REDUCERS[algorithm]
     h = hashlib.sha256()
     for tag, g in inputs:
-        sol, ledger = _run(algorithm, g)
+        sol, ledger = run(g)
         h.update(f"{tag} {sol.algorithm} {sorted(sol.s)}\n".encode())
         for st in sol.trace:
             h.update(
@@ -90,7 +88,7 @@ def inputs():
     return pinned_inputs()
 
 
-@pytest.mark.parametrize("algorithm", sorted(PINNED))
+@pytest.mark.parametrize("algorithm", sorted(REDUCERS))
 def test_trace_digest_is_pinned(algorithm, inputs):
     assert trace_digest(algorithm, inputs) == PINNED[algorithm]
 
@@ -99,8 +97,25 @@ def test_tetra_digest_is_pinned():
     assert trace_digest("pseudoforest", tetra_inputs()) == PINNED_TETRA
 
 
+CORPUS_SUMMARY = """\
+graphs checked: 400
+pseudoforest  worst bound slack: 0
+tw2           worst bound slack: 0
+planar        worst bound slack: 0
+planar min ledger charge: 0
+certificate failures: none
+"""
+
+
+def test_run_corpus_script_summary_is_pinned():
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, str(CORPUS_SCRIPT)], cwd=ROOT, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, text=True, timeout=600)
+    assert (proc.returncode, proc.stdout) == (0, CORPUS_SUMMARY), proc.stderr[-2000:]
+
+
 if __name__ == "__main__":
     graphs = pinned_inputs()
-    for alg in PINNED:
+    for alg in REDUCERS:
         print(f'    "{alg}": "{trace_digest(alg, graphs)}",')
     print(f'PINNED_TETRA = "{trace_digest("pseudoforest", tetra_inputs())}"')

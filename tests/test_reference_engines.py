@@ -8,9 +8,7 @@ simplifying step.  ``certify._reduce`` and ``solution.replay`` must give
 the same verdicts and the same charge reports.
 """
 
-import importlib.util
 import random
-from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -19,10 +17,9 @@ from planarize import certify
 from planarize.certify import ComponentClass, ComponentKind
 from planarize.errors import NoSuchEdge, TraceMismatch, UnknownVertex
 from planarize.multigraph import MultiGraph
-from planarize.planar import reduce_planar
-from planarize.pseudoforest import reduce_pseudoforest
+from planarize.reducers import REDUCERS
 from planarize.solution import ChargeReport, ReductionSolution, TraceStep, replay
-from planarize.treewidth2 import reduce_treewidth2
+from test_pinned_traces import _corpus_recipe
 
 
 def ref_induced_subgraph(g: MultiGraph, s: set[int]) -> MultiGraph:
@@ -316,18 +313,10 @@ def test_induced_subgraph_matches_reference():
         assert list(new.iter_edges()) == list(ref.iter_edges())
 
 
-def _run_corpus_recipe():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
-    spec = importlib.util.spec_from_file_location("run_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.corpus(0, 400)
-
-
 def test_replay_matches_reference_on_corpus():
-    for tag, g in _run_corpus_recipe():
-        sols = [reduce_pseudoforest(g), reduce_treewidth2(g), reduce_planar(g)[0]]
-        for sol in sols:
+    for tag, g in _corpus_recipe():
+        for run, _ in REDUCERS.values():
+            sol, _ = run(g)
             assert replay(g, sol) == ref_replay(g, sol), (tag, sol.algorithm)
 
 
