@@ -1,0 +1,74 @@
+"""The case queue every reducer dispatches from.
+
+Each reducer applies, step after step, the case of least rank that fits
+anywhere in the working graph, and among those the one at the least
+anchor.  A reducer names its anchors (vertices, or components) and
+writes one matcher, ``match(anchor) -> (rank, case) or None``, the only
+place its case conditions appear.  The queue finds the least (rank,
+anchor) without rescanning the graph: an anchor is queued under a key
+that is a lower bound on its rank, and matched only when it reaches the
+top.
+"""
+
+from __future__ import annotations
+
+import heapq
+from math import inf
+
+from .errors import CaseAnalysisIncomplete
+
+
+class CaseQueue:
+    """A lazy min-heap of (key, anchor) entries.
+
+    ``queued[a]`` is the key of a's one live entry; any other entry for a
+    is stale and skipped.  The reducer keeps the invariant that every
+    anchor with a case holds a live entry whose key is at most the rank
+    of its case, by pushing again, after each step, every anchor whose
+    rank the step may have lowered.  Then an anchor that pops with a case
+    of rank equal to its key holds the least (rank, anchor) of all.
+    """
+
+    def __init__(self) -> None:
+        self.heap: list = []
+        self.queued: dict = {}
+
+    def push(self, anchor, key) -> None:
+        """Queue anchor at key, unless its live entry is at or below it."""
+        if key < self.queued.get(anchor, inf):
+            self.queued[anchor] = key
+            heapq.heappush(self.heap, (key, anchor))
+
+    def push_all(self, anchors, key_fn) -> None:
+        """``push(a, key_fn(a))`` for each anchor, in one call."""
+        heap, queued = self.heap, self.queued
+        for a in anchors:
+            key = key_fn(a)
+            if key < queued.get(a, inf):
+                queued[a] = key
+                heapq.heappush(heap, (key, a))
+
+    def pop(self, match):
+        """The least (rank, anchor, case), taken off the queue; None when
+        no queued anchor has a case.  An anchor whose case ranks above its
+        key goes back at its rank; one ranked below its key means the
+        invariant broke, and raises."""
+        heap, queued = self.heap, self.queued
+        while heap:
+            key, anchor = heapq.heappop(heap)
+            if queued.get(anchor) != key:
+                continue
+            del queued[anchor]
+            found = match(anchor)
+            if found is None:
+                continue
+            rank, case = found
+            if rank == key:
+                return rank, anchor, case
+            if rank < key:
+                raise CaseAnalysisIncomplete(
+                    f"case at {anchor} has rank {rank} below its key {key}"
+                )
+            queued[anchor] = rank
+            heapq.heappush(heap, (rank, anchor))
+        return None

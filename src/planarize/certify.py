@@ -5,18 +5,13 @@ predicates are run against the induced subgraph of the *original* input,
 so a reducer bug cannot vouch for itself.
 
 The residue certificates share one worklist rewriting engine,
-``_reduce``.  With all four rules (delete degree <= 1, smooth degree 2,
-drop loops, merge parallels) it decides treewidth <= 2 and the planar
-residue shapes; without the last two it gives the contraction residue
-``classify_component`` matches.  Every check here runs in near-linear
-time.
+``_reduce`` (delete degree <= 1, smooth degree 2, drop loops, merge
+parallels), which decides treewidth <= 2 and the planar residue shapes.
+Every check here runs in near-linear time.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 import networkx as nx
@@ -56,50 +51,39 @@ def is_pseudoforest(g: MultiGraph) -> bool:
     return all(sum(g.degree(v) for v in comp) <= 2 * len(comp) for comp in g.components())
 
 
-def _reduce(
-    g: MultiGraph,
-    simplify: bool = True,
-    order_seed: int | None = None,
-    seeds: Iterable[int] | None = None,
-) -> MultiGraph:
+def _reduce(g: MultiGraph, seeds: Iterable[int] | None = None) -> MultiGraph:
     """The rewriting engine behind every residue certificate.
 
     Works on a copy of g and returns the irreducible residue.  The rules:
 
     - delete a vertex of degree <= 1;
-    - smooth a loop-free vertex of degree 2 (its two edge ends join into
-      one edge, a parallel copy or a loop when they coincide);
-    - with ``simplify``, also drop loops and merge parallel bundles down
-      to one edge.  The copy is simplified once up front and every
-      smoothing merges the edge it creates at once, so the graph stays
-      simple and the other two rules see only degrees.
+    - smooth a vertex of degree 2 (its two edge ends join into one
+      edge);
+    - drop loops and merge parallel bundles down to one edge.  The copy
+      is simplified once up front and every smoothing merges the edge it
+      creates at once, so the graph stays simple and the other two rules
+      see only degrees.
 
     A worklist holds the vertices whose degree may have changed; a rewrite
     re-queues only its endpoints, so the engine runs in linear time (the
     series-parallel reduction of Valdes, Tarjan and Lawler).  The residue
     is unique up to isomorphism, so the verdicts built on it do not depend
-    on the order; ``order_seed`` shuffles which queued vertex is taken
-    next so tests can check that.
+    on the order.
 
-    With ``seeds`` the caller vouches that no other vertex of g is
-    reducible (with ``simplify``, that g is simple as well): the worklist
-    starts from the seeds only and the rules write to ``g.overlay()``, so
-    the run costs what it rewrites, however large g is.
+    With ``seeds`` the caller vouches that g is simple and no other vertex
+    of it is reducible: the worklist starts from the seeds only and the
+    rules write to ``g.overlay()``, so the run costs what it rewrites,
+    however large g is.
     """
     if seeds is None:
         h = g.copy()
-        if simplify:
-            h.simplify()
+        h.simplify()
         work = list(h.vertices())
     else:
         h = g.overlay()
         work = list(seeds)
-    rng = random.Random(order_seed) if order_seed is not None else None
     queued = set(work)
     while work:
-        if rng is not None:
-            i = rng.randrange(len(work))
-            work[i], work[-1] = work[-1], work[i]
         v = work.pop()
         queued.discard(v)
         if not h.has_vertex(v):
@@ -108,11 +92,11 @@ def _reduce(
         if deg <= 1:
             touched = h.neighbors(v)
             h.delete_vertex(v)
-        elif deg == 2 and not h.loops(v):
-            # With simplify the graph is simple, so a != b and the new
-            # edge can only be a parallel copy.
+        elif deg == 2:
+            # The graph is simple, so a != b and the new edge can only be
+            # a parallel copy.
             a, b = _smooth(h, v)
-            if simplify and h.multiplicity(a, b) > 1:
+            if h.multiplicity(a, b) > 1:
                 h.remove_edge(a, b)
             touched = (a, b)
         else:
@@ -146,66 +130,6 @@ def is_partial_2_tree(g: MultiGraph) -> bool:
     rules) emptying the graph.
     """
     return _reduce(g).n == 0
-
-
-class ComponentKind(Enum):
-    EMPTY = "empty"
-    SINGLE_VERTEX = "single-vertex"
-    LOOP_VERTEX = "loop-vertex"
-    DIPOLE_D3 = "dipole-d3"
-    K4 = "k4"
-    REJECT = "reject"
-
-
-@dataclass(frozen=True)
-class ComponentClass:
-    kind: ComponentKind
-    reason: str = ""
-
-    @property
-    def accepted(self) -> bool:
-        return self.kind is not ComponentKind.REJECT
-
-
-def classify_component(g: MultiGraph) -> ComponentClass:
-    """Classify a connected graph by its contraction residue.
-
-    ``_reduce`` without simplification deletes degree-<=1 vertices and
-    smooths degree-2 vertices (multigraph smoothing: the two incident
-    edges become one edge, possibly parallel or a loop) until neither
-    rule applies; the residue is then matched against the accepted
-    shapes.  Accepted residues are exactly those a well-formed
-    planar-reducer output can leave behind: nothing, a single vertex, a
-    single cycle (loop vertex), the three-edge dipole, or a K4.
-    """
-    if g.n == 0:
-        return ComponentClass(ComponentKind.EMPTY)
-    if len(g.components()) != 1:
-        return ComponentClass(ComponentKind.REJECT, "input not connected")
-    h = _reduce(g, simplify=False)
-    if h.n == 0:
-        return ComponentClass(ComponentKind.EMPTY)
-    if h.n == 1:
-        v = next(iter(h.vertices()))
-        if h.m == 0:
-            return ComponentClass(ComponentKind.SINGLE_VERTEX)
-        if h.loops(v) == 1:
-            return ComponentClass(ComponentKind.LOOP_VERTEX)
-        return ComponentClass(ComponentKind.REJECT, f"{h.loops(v)} loops on one vertex")
-    if h.n == 2:
-        a, b = sorted(h.vertices())
-        if h.loops(a) == 0 and h.loops(b) == 0 and h.multiplicity(a, b) == 3:
-            return ComponentClass(ComponentKind.DIPOLE_D3)
-        return ComponentClass(ComponentKind.REJECT, "two-vertex residue is not the dipole")
-    if h.n == 4 and h.m == 6 and h.is_simple():
-        verts = h.sorted_vertices()
-        if all(h.multiplicity(u, v) == 1 for i, u in enumerate(verts) for v in verts[i + 1:]):
-            return ComponentClass(ComponentKind.K4)
-    return ComponentClass(ComponentKind.REJECT, f"residue n={h.n}, m={h.m} unrecognized")
-
-
-def classify_all(g: MultiGraph) -> list[ComponentClass]:
-    return [classify_component(induced_subgraph(g, set(comp))) for comp in g.components()]
 
 
 def accepts_planar_residue(g: MultiGraph) -> bool:

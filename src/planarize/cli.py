@@ -13,19 +13,13 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import certify, generators, graphio, lp as lpmod, minors, oracle
 from .errors import GraphError, LedgerError, BoundViolation, CaseAnalysisIncomplete, CertificateFailure
-from .multigraph import MultiGraph
 from .planar import ChargeParams
 from .reducers import REDUCERS, certificates
 
 _ASSERTION_ERRORS = (LedgerError, BoundViolation, CaseAnalysisIncomplete, CertificateFailure)
-
-
-def _frac(x: Fraction) -> str:
-    return lpmod.format_rational(x)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -37,12 +31,8 @@ def _emit(payload: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _load(path: str) -> MultiGraph:
-    return graphio.read_graph(path)
-
-
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    g = _load(args.input)
+    g = graphio.read_graph(args.input)
     run, _ = REDUCERS[args.alg]
     t0 = time.perf_counter()
     sol, ledger = run(g, args.params)
@@ -59,7 +49,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         "s": sorted(sol.s),
         "s_size": len(sol.s),
         "bound_ratio": f"{sol.bound_num}/{sol.bound_den}",
-        "bound_value": _frac(sol.bound_value()),
+        "bound_value": lpmod.format_rational(sol.bound_value()),
         "bound_satisfied": satisfied,
         "certificates": verdicts,
         "steps": len(sol.trace),
@@ -67,12 +57,14 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     }
     if ledger is not None:
         report["ledger"] = {
-            "params": {k: _frac(v) for k, v in ledger.params.as_assignment().items()},
+            "params": {
+                k: lpmod.format_rational(v) for k, v in ledger.params.as_assignment().items()
+            },
             "steps": [
-                {"step": e.index, "case": e.label, "charge": _frac(e.charge)}
+                {"step": e.index, "case": e.label, "charge": lpmod.format_rational(e.charge)}
                 for e in ledger.entries
             ],
-            "min_charge": _frac(ledger.min_charge()) if ledger.entries else None,
+            "min_charge": lpmod.format_rational(ledger.min_charge()) if ledger.entries else None,
         }
     _emit(report, args.output)
     if not satisfied:
@@ -83,27 +75,18 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    g = _load(args.input)
+    g = graphio.read_graph(args.input)
     s = graphio.read_vertex_set(args.set) if args.set else set(g.vertices())
     sub = certify.induced_subgraph(g, s)
-    classes = certify.classify_all(sub)
-    report = {
-        "n": sub.n,
-        "m": sub.m,
-        "s": sorted(s),
-        "pseudoforest": certify.is_pseudoforest(sub),
-        "partial_2_tree": certify.is_partial_2_tree(sub),
-        "planar": certify.is_planar(sub),
-        "components": [
-            {"kind": c.kind.value, "reason": c.reason} for c in classes
-        ],
-    }
+    report = {"n": sub.n, "m": sub.m, "s": sorted(s)}
+    for _, certs in REDUCERS.values():
+        report.update((key, holds(sub)) for key, holds in certs)
     _emit(report, args.output)
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    g = _load(args.input)
+    g = graphio.read_graph(args.input)
     prop = oracle.PropertyId(args.property)
     size, witness = oracle.max_induced(g, prop)
     report = {
@@ -127,10 +110,10 @@ def _cmd_lp(args: argparse.Namespace) -> int:
         )
         rows = lpmod.check_feasible(problem, point)
         report = {
-            "assignment": {k: _frac(v) for k, v in point.items()},
+            "assignment": {k: lpmod.format_rational(v) for k, v in point.items()},
             "feasible": all(r.satisfied for r in rows),
             "slacks": [
-                {"name": r.name, "slack": _frac(r.slack), "tight": r.tight}
+                {"name": r.name, "slack": lpmod.format_rational(r.slack), "tight": r.tight}
                 for r in rows
             ],
         }
@@ -140,8 +123,8 @@ def _cmd_lp(args: argparse.Namespace) -> int:
         problem = problem.drop(name)
     value, point = lpmod.solve(problem)
     report = {
-        "optimum": _frac(value),
-        "assignment": {k: _frac(point[k]) for k in lpmod.VARIABLES},
+        "optimum": lpmod.format_rational(value),
+        "assignment": {k: lpmod.format_rational(point[k]) for k in lpmod.VARIABLES},
         "dropped": args.drop or [],
     }
     _emit(report, args.output)
@@ -149,7 +132,7 @@ def _cmd_lp(args: argparse.Namespace) -> int:
 
 
 def _cmd_minor(args: argparse.Namespace) -> int:
-    g = _load(args.input)
+    g = graphio.read_graph(args.input)
     result = minors.level_contract(g, root=args.root)
     density = minors.verify_minor_density(result)
     report = {
@@ -170,33 +153,18 @@ def _cmd_minor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _family_spec(args: argparse.Namespace) -> generators.FamilySpec:
-    fam = args.family
-    if fam == "k33xt":
-        return generators.FamilySpec(
-            "disjoint-copies",
-            inner=generators.FamilySpec("complete-bipartite", (3, 3)),
-            copies=args.t,
-        )
-    if fam == "k5xt":
-        return generators.FamilySpec(
-            "disjoint-copies", inner=generators.FamilySpec("complete", (5,)), copies=args.t
-        )
-    if fam == "random-regular":
-        return generators.FamilySpec(
-            "random-regular", (args.n, args.d), seed=args.seed if args.seed is not None else 0
-        )
-    if fam == "cycle":
-        return generators.FamilySpec("cycle", (args.n,))
-    if fam == "complete":
-        return generators.FamilySpec("complete", (args.n,))
-    if fam == "fixture":
-        return generators.FamilySpec("fixture", fixture=args.name)
-    raise GraphError(f"unknown family {fam!r}")
+_FAMILIES = {
+    "k33xt": lambda a: generators.disjoint_copies(generators.complete_bipartite(3, 3), a.t),
+    "k5xt": lambda a: generators.disjoint_copies(generators.complete(5), a.t),
+    "random-regular": lambda a: generators.random_regular(a.n, a.d, a.seed or 0),
+    "cycle": lambda a: generators.cycle(a.n),
+    "complete": lambda a: generators.complete(a.n),
+    "fixture": lambda a: generators.fixture(a.name),
+}
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    g = generators.generate(_family_spec(args))
+    g = _FAMILIES[args.family](args)
     text = graphio.write_graph_text(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -252,10 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_minor)
 
     p = sub.add_parser("gen", help="generate a family graph as an edge list")
-    p.add_argument(
-        "family",
-        choices=["k33xt", "k5xt", "random-regular", "cycle", "complete", "fixture"],
-    )
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("--t", type=int, default=1, help="copy count for k33xt/k5xt")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--d", type=int, default=3)

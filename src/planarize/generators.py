@@ -2,13 +2,12 @@
 
 Random regular graphs use the pairing model seeded through the stdlib
 Mersenne Twister, whose state transition is stable across platforms and
-Python releases, so every family here is reproducible from its spec.
+Python releases, so every family here is reproducible from its arguments.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import InvalidSpec
 from .multigraph import MultiGraph
@@ -177,46 +176,9 @@ FIXTURES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Declarative description of a test-family graph.
-
-    family: one of complete, complete-bipartite, cycle, path, empty,
-    disjoint-copies, random-regular, fixture.
-    """
-
-    family: str
-    params: tuple[int, ...] = ()
-    inner: "FamilySpec | None" = None
-    fixture: str = ""
-    seed: int | None = None
-    copies: int = field(default=1)
-
-
-def generate(spec: FamilySpec) -> MultiGraph:
-    fam = spec.family
-    if fam == "complete":
-        return complete(*spec.params)
-    if fam == "complete-bipartite":
-        return complete_bipartite(*spec.params)
-    if fam == "cycle":
-        return cycle(*spec.params)
-    if fam == "path":
-        return path(*spec.params)
-    if fam == "empty":
-        return empty(*spec.params)
-    if fam == "disjoint-copies":
-        if spec.inner is None:
-            raise InvalidSpec("disjoint-copies needs an inner spec")
-        return disjoint_copies(generate(spec.inner), spec.copies)
-    if fam == "random-regular":
-        if spec.seed is None:
-            raise InvalidSpec("random-regular needs a seed")
-        n, d = spec.params
-        return random_regular(n, d, spec.seed)
-    if fam == "fixture":
-        key = spec.fixture.lower().replace("-", "").replace("_", "")
-        if key not in FIXTURES:
-            raise InvalidSpec(f"unknown fixture {spec.fixture!r}; have {sorted(FIXTURES)}")
-        return FIXTURES[key]()
-    raise InvalidSpec(f"unknown family {fam!r}")
+def fixture(name: str) -> MultiGraph:
+    """The named fixture; case, '-' and '_' in the name are ignored."""
+    key = name.lower().replace("-", "").replace("_", "")
+    if key not in FIXTURES:
+        raise InvalidSpec(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
+    return FIXTURES[key]()

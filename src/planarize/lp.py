@@ -55,9 +55,11 @@ class Constraint:
         return self.rhs - val if self.relation == LE else val - self.rhs
 
 
+OBJECTIVE = "epsilon"  # maximized
+
+
 @dataclass
 class RationalLp:
-    objective: str = "epsilon"  # maximized
     constraints: list[Constraint] = field(default_factory=list)
 
     def names(self) -> list[str]:
@@ -66,7 +68,7 @@ class RationalLp:
     def drop(self, name: str) -> "RationalLp":
         if name not in self.names():
             raise MissingVariable(f"no constraint named {name!r}; have {self.names()}")
-        return RationalLp(self.objective, [c for c in self.constraints if c.name != name])
+        return RationalLp([c for c in self.constraints if c.name != name])
 
 
 def _c(name: str, coeffs: dict[str, int | Fraction], rel: str, rhs: int | Fraction) -> Constraint:
@@ -91,7 +93,7 @@ def default_lp() -> RationalLp:
         _c("epsilon-nonneg", {"epsilon": 1}, GE, 0),
         _c("c3-nonneg", {"c3": 1}, GE, 0),
     ]
-    return RationalLp("epsilon", cons)
+    return RationalLp(cons)
 
 
 def paper_point() -> dict[str, Fraction]:
@@ -172,13 +174,13 @@ def solve(lp: RationalLp) -> tuple[Fraction, dict[str, Fraction]]:
     points = enumerate_basic_feasible(lp)
     if not points:
         raise Infeasible("no basic feasible solution")
-    best = max(points, key=lambda p: (p[lp.objective],) + tuple(-p[v] for v in VARIABLES))
+    best = max(points, key=lambda p: (p[OBJECTIVE],) + tuple(-p[v] for v in VARIABLES))
     # Unboundedness guard: the objective must not admit an improving ray.
     # With all case constraints present the objective is bounded; a crude
     # certificate: some constraint upper-bounds the objective variable.
     bounded = any(
-        c.relation == LE and c.coeffs.get(lp.objective, 0) > 0 for c in lp.constraints
+        c.relation == LE and c.coeffs.get(OBJECTIVE, 0) > 0 for c in lp.constraints
     )
     if not bounded:
-        raise Unbounded(f"no constraint upper-bounds {lp.objective}")
-    return best[lp.objective], best
+        raise Unbounded(f"no constraint upper-bounds {OBJECTIVE}")
+    return best[OBJECTIVE], best

@@ -23,10 +23,13 @@ NegativeCharge.
 
 Dispatch is incremental rather than a rescan of the graph.  A component
 table keeps, per component, its members, degree counts, vertices of
-degree <= 2, debt total, tau flag and residue verdict, and lazy heaps
-hold the candidates of each case; a step updates only the vertices it
-touched.  A deletion splits its component by breadth-first searches run
-side by side from the surviving neighbours (``MultiGraph.split_off``).
+degree <= 2, debt total, tau flag and residue verdict, and one
+``CaseQueue`` holds each vertex and each component that has a case, at
+the rank of that case (``_Run._match`` and the two rank functions it
+calls are where the case conditions are written); a step updates only
+the vertices it touched.  A deletion splits its component by
+breadth-first searches run side by side from the surviving neighbours
+(``MultiGraph.split_off``).
 A component's verdict is inherited across a contraction, read off its
 degree counts when it has no vertex of degree <= 2, and otherwise
 recomputed by ``certify._reduce`` seeded at those vertices.
@@ -44,6 +47,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import certify, lp as lpmod
+from .casequeue import CaseQueue
 from .errors import CaseAnalysisIncomplete, DebtCapExceeded, InfeasibleParams, NegativeCharge
 from .multigraph import MultiGraph
 from .solution import ReductionSolution, TraceStep, check_result, require_simple
@@ -247,17 +251,22 @@ class _Table:
         return [c] + [self._new(part, c) for part in self.g.split_off(starts)]
 
 
+# Ranks are positions in this table: the case priority of the module
+# docstring.  Ranks 0, 4 and 7 are component cases, the others vertex cases.
+_LABELS = (PLANAR_ACCEPT, PREPROCESS, HARVEST, DEG2_CONTRACT, THREE_REG_DELETE,
+           DEG5_DELETE, MIXED_DELETE, FOUR_REG_DELETE)
+
+
 class _Run:
     """One reduction: the working graph, the ledger, the component table
-    and lazy heaps, one per dispatch case.
+    and the case queue.
 
-    Vertex heaps hold candidates for the high-degree, isolated,
-    contractible, degree-5 and mixed cases; component heaps hold
-    (smallest member, id) for components that are ready to accept,
-    3-regular or 4-regular.  Entries go stale freely and are checked when
-    they reach the top; every vertex whose degree or neighbourhood a step
-    changed is pushed again, and every component it left behind is
-    assessed again, so each heap holds every current candidate.
+    A vertex v is queued as (v, -1) and a component as (smallest member,
+    id), each at the exact rank of its case, and not at all without one.
+    A rank can fall only where a step changed something: every vertex
+    whose degree or neighbourhood a step changed is queued again, with
+    the neighbours of those left at degree 3 (the mixed case), and every
+    component the step left behind is assessed again.
     """
 
     def __init__(self, g: MultiGraph, params: ChargeParams, strict: bool) -> None:
@@ -267,48 +276,66 @@ class _Run:
         self.ledger = LedgerState(params)
         self.sol = ReductionSolution("planar", g.n, g.m, set(), bound_num=23, bound_den=120)
         self.table = _Table(g, self.ledger.debt)
-        self.high: list[int] = []
-        self.isolated: list[int] = []
-        self.contractible: list[int] = []
-        self.deg5: list[int] = []
-        self.mixed: list[int] = []
-        self.ready: list[tuple[int, int]] = []
-        self.cubic: list[tuple[int, int]] = []
-        self.quartic: list[tuple[int, int]] = []
+        self.queue = CaseQueue()
         for v in g.vertices():
             self._push(v)
         for c in list(self.table.comps.values()):
             self._assess(c)
 
-    # -- the table and the heaps -----------------------------------------
+    # -- the cases -----------------------------------------------------
 
-    def _push(self, v: int) -> None:
-        """Queue v, and for a degree-3 v its degree-4 neighbours, under
-        the cases they may now meet."""
+    def _vertex_rank(self, v: int) -> int | None:
         g = self.g
         d = g.degree(v)
         if d >= 6:
-            heapq.heappush(self.high, v)
-        elif d == 0:
-            heapq.heappush(self.isolated, v)
-        elif d <= 2:
-            heapq.heappush(self.contractible, v)
-        elif d == 5:
-            heapq.heappush(self.deg5, v)
-        elif d == 4:
-            if any(g.degree(u) == 3 for u in g.neighbors(v)):
-                heapq.heappush(self.mixed, v)
-        else:
-            for u in g.neighbors(v):
-                if g.degree(u) == 4:
-                    heapq.heappush(self.mixed, u)
+            return 1
+        if d == 0:
+            return 2
+        if d == 1 or (d == 2 and g.loops(v) == 0):
+            return 3
+        if d == 5:
+            return 5
+        if d == 4 and any(g.degree(u) == 3 for u in g.neighbor_view(v)):
+            return 6
+        return None
+
+    def _comp_rank(self, c: _Comp) -> int | None:
+        if c.acceptable and self._acceptance_charge(c) >= 0:
+            return 0
+        if c.degrees[3] == c.size:
+            return 4
+        if c.degrees[4] == c.size:
+            return 7
+        return None
+
+    def _match(self, anchor: tuple[int, int]) -> tuple[int, _Comp | None] | None:
+        """(rank, component or None) of the case at a queued anchor."""
+        v, cid = anchor
+        if cid < 0:
+            rank = self._vertex_rank(v) if self.g.has_vertex(v) else None
+            return None if rank is None else (rank, None)
+        c = self.table.comps.get(cid)
+        if c is None or self.table.min_member(c) != v:
+            return None
+        rank = self._comp_rank(c)
+        return None if rank is None else (rank, c)
+
+    def _push(self, v: int) -> None:
+        rank = self._vertex_rank(v)
+        if rank is not None:
+            self.queue.push((v, -1), rank)
 
     def _touched(self, vs) -> list[int]:
-        """Recount and re-queue the surviving vertices of vs."""
-        alive = [v for v in vs if self.g.has_vertex(v)]
+        """Recount and re-queue the surviving vertices of vs, and the
+        neighbours of those at degree 3, which may now meet the mixed case."""
+        g = self.g
+        alive = [v for v in vs if g.has_vertex(v)]
         for v in alive:
             self.table.refresh(v)
             self._push(v)
+            if g.degree(v) == 3:
+                for u in g.neighbor_view(v):
+                    self._push(u)
         return alive
 
     def _residue_ok(self, c: _Comp) -> bool:
@@ -322,49 +349,13 @@ class _Run:
         return left in (0, 4)
 
     def _assess(self, c: _Comp, inherit: bool = False) -> None:
-        """Renew c's verdict (kept with ``inherit``) and queue it under
-        the component cases it meets."""
+        """Renew c's verdict (kept with ``inherit``) and queue c at the
+        rank of its case."""
         if not inherit:
             c.acceptable = self._residue_ok(c)
-        key = None
-        for heap, ok in (
-            (self.ready, self._ready),
-            (self.cubic, self._cubic),
-            (self.quartic, self._quartic),
-        ):
-            if ok(c):
-                key = key or (self.table.min_member(c), c.id)
-                heapq.heappush(heap, key)
-
-    def _ready(self, c: _Comp) -> bool:
-        return c.acceptable and self._acceptance_charge(c) >= 0
-
-    @staticmethod
-    def _cubic(c: _Comp) -> bool:
-        return c.degrees[3] == c.size
-
-    @staticmethod
-    def _quartic(c: _Comp) -> bool:
-        return c.degrees[4] == c.size
-
-    def _top_vertex(self, heap: list[int], ok) -> int | None:
-        g = self.g
-        while heap:
-            v = heap[0]
-            if g.has_vertex(v) and ok(g.degree(v), v):
-                return v
-            heapq.heappop(heap)
-        return None
-
-    def _top_comp(self, heap: list[tuple[int, int]], ok) -> _Comp | None:
-        table = self.table
-        while heap:
-            least, cid = heap[0]
-            c = table.comps.get(cid)
-            if c is not None and ok(c) and table.min_member(c) == least:
-                return c
-            heapq.heappop(heap)
-        return None
+        rank = self._comp_rank(c)
+        if rank is not None:
+            self.queue.push((self.table.min_member(c), c.id), rank)
 
     # -- ledger plumbing ---------------------------------------------
 
@@ -547,70 +538,29 @@ class _Run:
         return Fraction(units) - c.debt - (self.params.tau if c.tau else _ZERO)
 
     def dispatch(self) -> bool:
-        """Perform one step; False when the graph is empty.
-
-        The cases in priority order, each taking its smallest candidate:
-        accept a whole component whose residue is a legal output core and
-        whose own edge units cover the debts being settled (keeping a
-        whole component is always at least as large as reducing it
-        further); delete a vertex of degree >= 6; harvest an isolated
-        vertex; contract at a degree-<=2 vertex; delete the smallest
-        vertex of a 3-regular component; delete a degree-5 vertex; delete
-        a degree-4 vertex next to a degree-3 vertex; delete the smallest
-        vertex of a 4-regular component.
-        """
+        """Perform the least (rank, anchor) case; False when the graph is
+        empty.  Keeping a whole component is always at least as large as
+        reducing it further, so acceptance comes first."""
         g = self.g
         if g.n == 0:
             return False
-
-        c = self._top_comp(self.ready, self._ready)
-        if c is not None:
-            self.accept_step(c)
-            return True
-
-        v = self._top_vertex(self.high, lambda d, v: d >= 6)
-        if v is not None:
-            self.delete_step(PREPROCESS, v)
-            return True
-
-        v = self._top_vertex(self.isolated, lambda d, v: d == 0)
-        if v is not None:
+        found = self.queue.pop(self._match)
+        if found is None:
+            raise CaseAnalysisIncomplete(
+                f"planar reducer stalled with n={g.n}, m={g.m}, "
+                f"degrees={sorted(g.degree(v) for v in g.vertices())}"
+            )
+        rank, (v, _), comp = found
+        label = _LABELS[rank]
+        if label == PLANAR_ACCEPT:
+            self.accept_step(comp)
+        elif label == HARVEST:
             self.harvest_step(v)
-            return True
-
-        v = self._top_vertex(
-            self.contractible, lambda d, v: d == 1 or (d == 2 and g.loops(v) == 0)
-        )
-        if v is not None:
+        elif label == DEG2_CONTRACT:
             self.contract_step(v)
-            return True
-
-        c = self._top_comp(self.cubic, self._cubic)
-        if c is not None:
-            self.delete_step(THREE_REG_DELETE, self.table.min_member(c))
-            return True
-
-        v = self._top_vertex(self.deg5, lambda d, v: d == 5)
-        if v is not None:
-            self.delete_step(DEG5_DELETE, v)
-            return True
-
-        v = self._top_vertex(
-            self.mixed, lambda d, v: d == 4 and any(g.degree(u) == 3 for u in g.neighbors(v))
-        )
-        if v is not None:
-            self.delete_step(MIXED_DELETE, v)
-            return True
-
-        c = self._top_comp(self.quartic, self._quartic)
-        if c is not None:
-            self.delete_step(FOUR_REG_DELETE, self.table.min_member(c), may_issue_tau=True)
-            return True
-
-        raise CaseAnalysisIncomplete(
-            f"planar reducer stalled with n={g.n}, m={g.m}, "
-            f"degrees={sorted(g.degree(v) for v in g.vertices())}"
-        )
+        else:
+            self.delete_step(label, v, may_issue_tau=label == FOUR_REG_DELETE)
+        return True
 
 
 def reduce_planar(

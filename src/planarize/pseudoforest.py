@@ -6,25 +6,26 @@ has maximum degree 4.  Vertices moved to the output set S leave the
 working graph by contraction or acceptance; the result satisfies
 9 |S| >= 9 n - 2 m and the input induced on S is a pseudoforest.
 
-Two dispatchers produce identical runs.  The reference scan
+Two dispatchers produce identical runs, both built on ``_match_at``,
+where the case conditions are written.  The reference scan
 ``first_applicable_case`` matches every vertex and takes the minimum
-(rank, anchor).  ``reduce_pseudoforest`` keeps a lazy heap instead: each
-vertex is keyed by a lower bound on its rank that depends on its degree
-alone, and is matched only when it reaches the top, where it either
-fires (its rank equals its key) or goes back at its exact rank.  After a
-step, the vertices within distance 2 of the change go back at their
-degree bound when that is below their live key.  Every vertex with a
-case so holds a key at most its rank, and the popped minimum is the
-scan's minimum.  The one non-local case, FourRegC4, searches only the
+(rank, anchor).  ``reduce_pseudoforest`` dispatches from a ``CaseQueue``
+instead: each vertex is keyed by a lower bound on its rank that depends
+on its degree alone, and is matched only when it reaches the top, where
+it either fires (its rank equals its key) or goes back at its exact
+rank.  After a step, the vertices within distance 2 of the change go
+back at their degree bound when that is below their live key.  Every
+vertex with a case so holds a key at most its rank, and the popped
+minimum is the scan's minimum.  The one non-local case, FourRegC4, searches only the
 anchor's component for a cycle of tetrahedra.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
+from .casequeue import CaseQueue
 from .errors import CaseAnalysisIncomplete, GraphError, StaleDescriptor
 from .multigraph import MultiGraph
 from .solution import ReductionSolution, TraceStep, check_result, require_simple
@@ -592,69 +593,50 @@ _DEGREE_BOUND = (_RANKS[HARVEST], _RANKS[LEAF], _RANKS[DEG2_NO_TRIANGLE],
                  _RANKS[DEG3_ADJ_DEG4], _RANKS[FOUR_REG_A])
 
 
-def _degree_bound(g: MultiGraph, v: int) -> int:
-    deg = g.degree(v)
-    return _DEGREE_BOUND[deg] if deg < 5 else _RANKS[PREPROCESS]
+def _case_at(g: MultiGraph, v: int) -> tuple[int, CaseDescriptor] | None:
+    desc = _match_at(g, v) if g.has_vertex(v) else None
+    return None if desc is None else (desc.rank, desc)
 
 
 class _Run:
-    """One reduction: the working graph, the solution and a lazy heap.
+    """One reduction: the working graph, the solution and the case queue.
 
-    The heap holds (key, v), and ``queued[v]`` is the key of v's one live
-    entry; any other entry for v is stale.  Invariant: every vertex that
-    has a case holds a live entry whose key is at most the rank of its
-    case.  A vertex is queued at its degree bound and matched only when
-    it reaches the top: if its case has rank ``key``, then (key, v) is the
+    A vertex is queued at its degree bound and matched only when it
+    reaches the top (``CaseQueue.pop``), so the case that fires is the
     minimum (rank, v) over the graph, the step ``first_applicable_case``
-    takes; otherwise v goes back at its exact rank.
+    takes.
     """
 
     def __init__(self, g: MultiGraph, sol: ReductionSolution) -> None:
         self.g = g
         self.sol = sol
-        self.queued = {v: _degree_bound(g, v) for v in g.vertices()}
-        self.heap = [(key, v) for v, key in self.queued.items()]
-        heapq.heapify(self.heap)
+        self.queue = CaseQueue()
+        self.queue.push_all(g.vertices(), self._key)
+
+    def _key(self, v: int) -> int:
+        deg = self.g.degree(v)
+        return _DEGREE_BOUND[deg] if deg < 5 else _RANKS[PREPROCESS]
 
     def step(self) -> bool:
-        """Apply the next case; False once the heap is empty."""
-        g, heap, queued = self.g, self.heap, self.queued
-        while heap:
-            key, v = heapq.heappop(heap)
-            if queued.get(v) != key:
-                continue
-            del queued[v]
-            if not g.has_vertex(v):
-                continue
-            desc = _match_at(g, v)
-            if desc is None:
-                continue
-            if desc.rank != key:
-                if desc.rank < key:
-                    raise CaseAnalysisIncomplete(
-                        f"{desc.label} at {v} has rank {desc.rank} below its key {key}"
-                    )
-                queued[v] = desc.rank
-                heapq.heappush(heap, (desc.rank, v))
-                continue
-            if desc.label == FOUR_REG_C4:
-                desc = _c4_payload(g, v)
-            _, touched = apply_case(g, desc, self.sol)
-            # A step changes cases only within distance 2 of what it
-            # touched, and the anchor, whose entry was just popped, may
-            # lie outside that ball (FourRegC4 deletes from the smallest
-            # tetrahedron on a cycle, which need not be the anchor's).
-            # A lower key keeps the invariant; a live key at or below the
-            # degree bound already keeps it.
-            if g.has_vertex(v):
-                touched.add(v)
-            for x in _dirty_ball(g, touched):
-                bound = _degree_bound(g, x)
-                if bound < queued.get(x, len(_RANKS)):
-                    queued[x] = bound
-                    heapq.heappush(heap, (bound, x))
-            return True
-        return False
+        """Apply the next case; False once no vertex has one."""
+        g = self.g
+        found = self.queue.pop(lambda v: _case_at(g, v))
+        if found is None:
+            return False
+        _, v, desc = found
+        if desc.label == FOUR_REG_C4:
+            desc = _c4_payload(g, v)
+        _, touched = apply_case(g, desc, self.sol)
+        # A step changes cases only within distance 2 of what it touched,
+        # and the anchor, whose entry was just popped, may lie outside
+        # that ball (FourRegC4 deletes from the smallest tetrahedron on a
+        # cycle, which need not be the anchor's).  A lower key keeps the
+        # invariant; a live key at or below the degree bound already
+        # keeps it.
+        if g.has_vertex(v):
+            touched.add(v)
+        self.queue.push_all(_dirty_ball(g, touched), self._key)
+        return True
 
 
 def reduce_pseudoforest(g_in: MultiGraph) -> ReductionSolution:

@@ -10,12 +10,18 @@ vertices are harvested into S immediately.  The output satisfies
 The amortized accounting charges -5 per deleted vertex and +1 per edge
 unit consumed (contracted, removed by simplification, or deleted with a
 vertex); ``solution.replay`` recomputes it from the trace.
+
+Dispatch runs through a ``CaseQueue``: each vertex is queued at a lower
+bound on its rank read from its degree, ``_match`` (the one place the
+case conditions are written) runs only when it reaches the top, and
+after a step the neighbours of the removed vertex are queued again.
+``tests/test_treewidth2.py`` keeps the earlier bucket heaps and checks
+that the two agree step by step.
 """
 
 from __future__ import annotations
 
-import heapq
-
+from .casequeue import CaseQueue
 from .errors import CaseAnalysisIncomplete
 from .multigraph import MultiGraph
 from .solution import ReductionSolution, TraceStep, check_result, require_simple
@@ -27,136 +33,98 @@ DELETE_MAX_DEG = "DeleteMaxDeg"
 HARVEST = "HarvestIsolated"
 
 
-class _Buckets:
-    """Degree-indexed lazy heaps over the working graph."""
+# Ranks are positions in this table; DeleteAdjDeg3 takes two, the
+# deletion next to a degree-3 vertex that has a degree-4 neighbour first.
+_LABELS = (PREPROCESS, HARVEST, CONTRACT_DEG12, DELETE_ADJ_DEG3, DELETE_ADJ_DEG3, DELETE_MAX_DEG)
 
-    def __init__(self, g: MultiGraph) -> None:
-        self.g = g
-        self.h0: list[int] = []
-        self.h12: list[int] = []
-        self.h3_with4: list[int] = []
-        self.h3: list[int] = []
-        self.h4: list[int] = []
-        self.hpre: list[int] = []
-        for v in g.vertices():
-            self.push(v)
+# A lower bound on the rank of a vertex of each degree below 5 (degree 5
+# or more is 0): only a degree-3 vertex has two possible ranks.
+_DEGREE_KEY = (1, 2, 2, 3, 5)
 
-    def push(self, v: int) -> None:
-        g = self.g
-        if not g.has_vertex(v):
-            return
-        d = g.degree(v)
-        if d >= 5:
-            heapq.heappush(self.hpre, v)
-        elif d == 0:
-            heapq.heappush(self.h0, v)
-        elif d <= 2:
-            heapq.heappush(self.h12, v)
-        elif d == 3:
-            if any(g.degree(u) == 4 for u in g.neighbors(v)):
-                heapq.heappush(self.h3_with4, v)
-            heapq.heappush(self.h3, v)
-        else:
-            heapq.heappush(self.h4, v)
 
-    def peek(self, heap: list[int], want) -> int | None:
-        """The smallest live vertex of heap that passes want, left in
-        place; stale entries in front of it are dropped.  A vertex taken
-        from hpre, h0, h12 or h4 leaves the graph in that step, so its
-        entry goes stale."""
-        g = self.g
-        while heap:
-            v = heap[0]
-            if g.has_vertex(v) and want(v):
-                return v
-            heapq.heappop(heap)
+def _match(g: MultiGraph, v: int) -> tuple[int, int] | None:
+    """(rank, the vertex the step removes) of the case anchored at v."""
+    if not g.has_vertex(v):
         return None
+    d = g.degree(v)
+    if d >= 5:
+        return 0, v
+    if d == 0:
+        return 1, v
+    if d <= 2:
+        return 2, v
+    if d == 4:
+        return 5, v
+    # When this case fires no vertex has degree 5 or more, and none ever
+    # will again, so "degree 4 or more" reads "degree 4" there; read this
+    # way, v's rank never falls while it keeps its neighbours.
+    nbrs = g.neighbors(v)
+    big = [u for u in nbrs if g.degree(u) >= 4]
+    return (3, big[0]) if big else (4, nbrs[0])
 
 
-def reduce_treewidth2(g_in: MultiGraph) -> ReductionSolution:
-    """Compute S with 5 |S| >= 5 n - m and G_in[S] of treewidth <= 2."""
-    require_simple(g_in)
-    g = g_in.copy()
-    sol = ReductionSolution("tw2", g_in.n, g_in.m, set(), bound_num=1, bound_den=5)
-    bk = _Buckets(g)
+class _Run:
+    """One reduction: the working graph, the solution and the case queue.
 
-    def repush(vs) -> None:
-        for v in vs:
-            bk.push(v)
+    Every vertex is queued at its degree key.  Degrees never rise, so a
+    rank falls only at a vertex whose degree changed or that gained a
+    neighbour; both are neighbours of the vertex a step removes, and they
+    are queued again after it.
+    """
 
-    def delete(label: str, v: int) -> None:
-        nbrs = g.neighbors(v)
-        units = g.delete_vertex(v)
-        sol.trace.append(TraceStep(label, deleted=(v,), removed_edges=units))
-        repush(nbrs)
-        # Second ring: a neighbor dropping from 5 to 4 can turn its
-        # own degree-3 neighbors into deletion anchors.
-        for x in nbrs:
-            if g.has_vertex(x):
-                repush(g.neighbors(x))
+    def __init__(self, g: MultiGraph, sol: ReductionSolution) -> None:
+        self.g = g
+        self.sol = sol
+        self.queue = CaseQueue()
+        self.queue.push_all(g.vertices(), self._key)
 
-    while g.n > 0:
-        v = bk.peek(bk.hpre, lambda x: g.degree(x) >= 5)
-        if v is not None:
-            delete(PREPROCESS, v)
-            continue
+    def _key(self, v: int) -> int:
+        d = self.g.degree(v)
+        return _DEGREE_KEY[d] if d < 5 else 0
 
-        v = bk.peek(bk.h0, lambda x: g.degree(x) == 0)
-        if v is not None:
-            orig = g.origin(v)
-            g.delete_vertex(v)
+    def step(self) -> bool:
+        """Apply the next case; False once no vertex has one."""
+        g, sol = self.g, self.sol
+        found = self.queue.pop(lambda v: _match(g, v))
+        if found is None:
+            return False
+        rank, _, x = found
+        label = _LABELS[rank]
+        nbrs = g.neighbors(x)
+        if label == HARVEST:
+            orig = g.origin(x)
+            g.delete_vertex(x)
             sol.s.add(orig)
-            sol.trace.append(TraceStep(HARVEST, accepted=(v,), s_added=(orig,)))
-            continue
-
-        v = bk.peek(bk.h12, lambda x: 1 <= g.degree(x) <= 2)
-        if v is not None:
-            u = g.neighbors(v)[0]
-            affected = set(g.neighbors(v)) | set(g.neighbors(u)) | {u}
-            orig = g.origin(v)
-            g.contract_edge(v, u, u)
+            sol.trace.append(TraceStep(HARVEST, accepted=(x,), s_added=(orig,)))
+        elif label == CONTRACT_DEG12:
+            u = nbrs[0]
+            orig = g.origin(x)
+            g.contract_edge(x, u, u)
             cleaned = g.simplify_at(u)
             sol.s.add(orig)
             sol.trace.append(
                 TraceStep(
                     CONTRACT_DEG12,
-                    contracted=((v, u, u),),
+                    contracted=((x, u, u),),
                     removed_edges=1 + cleaned,
                     s_added=(orig,),
                     simplified=True,
                 )
             )
-            affected.discard(v)
-            repush(x for x in affected if g.has_vertex(x))
-            if g.has_vertex(u):
-                repush(g.neighbors(u))
-            continue
+        else:
+            units = g.delete_vertex(x)
+            sol.trace.append(TraceStep(label, deleted=(x,), removed_edges=units))
+        self.queue.push_all(nbrs, self._key)
+        return True
 
-        # No low-degree vertices left: delete next to a degree-3 vertex if
-        # one exists, preferring the globally largest adjacent degree.
-        a = bk.peek(bk.h3_with4, lambda x: g.degree(x) == 3
-                    and any(g.degree(u) == 4 for u in g.neighbors(x)))
-        if a is not None:
-            delete(DELETE_ADJ_DEG3, min(u for u in g.neighbors(a) if g.degree(u) == 4))
-            continue
 
-        a = bk.peek(bk.h3, lambda x: g.degree(x) == 3)
-        if a is not None:
-            # Degrees never rise once no vertex has degree 5 or more, so a
-            # new 3-next-to-4 pair can only appear at a re-pushed vertex.
-            if any(g.degree(u) == 4 for u in g.neighbors(a)):
-                raise CaseAnalysisIncomplete(
-                    f"degree-3 vertex {a} has a degree-4 neighbour the buckets missed"
-                )
-            delete(DELETE_ADJ_DEG3, min(g.neighbors(a)))
-            continue
-
-        # Only degree-4 vertices remain once the earlier branches pass.
-        v = bk.peek(bk.h4, lambda x: g.degree(x) == 4)
-        if v is not None:
-            delete(DELETE_MAX_DEG, v)
-            continue
-
-        raise CaseAnalysisIncomplete(f"no case matched with n={g.n}, m={g.m}")
-
+def reduce_treewidth2(g_in: MultiGraph) -> ReductionSolution:
+    """Compute S with 5 |S| >= 5 n - m and G_in[S] of treewidth <= 2."""
+    require_simple(g_in)
+    sol = ReductionSolution("tw2", g_in.n, g_in.m, set(), bound_num=1, bound_den=5)
+    run = _Run(g_in.copy(), sol)
+    while run.step():
+        pass
+    if run.g.n:
+        raise CaseAnalysisIncomplete(f"no case matched with n={run.g.n}, m={run.g.m}")
     return check_result(sol)

@@ -129,9 +129,24 @@ def test_certify_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "certify", "-i", str(gpath), "-s", str(spath))
     assert code == 0
     report = json.loads(out)
-    assert report["pseudoforest"] is True
-    assert report["planar"] is True
-    assert report["components"][0]["kind"] == "loop-vertex"
+    assert report == {"n": 3, "m": 3, "s": [0, 1, 2], "pseudoforest": True,
+                      "partial_2_tree": True, "planar": True, "structure": True}
+
+
+def test_certify_agrees_with_reduce_on_the_bowtie(tmp_path, capsys):
+    # Two triangles sharing vertex 2: the planar reducer keeps all five
+    # vertices, and certify gives G[S] the verdicts reduce reported.
+    gpath = tmp_path / "bowtie.txt"
+    gpath.write_text("0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n")
+    code, out, _ = run_cli(capsys, "reduce", "--alg", "planar", "-i", str(gpath))
+    assert code == 0
+    reduced = json.loads(out)
+    assert reduced["s"] == [0, 1, 2, 3, 4]
+    assert reduced["certificates"] == {"planar": True, "structure": True}
+    code, out, _ = run_cli(capsys, "certify", "-i", str(gpath))
+    assert code == 0
+    report = json.loads(out)
+    assert report["planar"] is True and report["structure"] is True
 
 
 def test_oracle_subcommand(tmp_path, capsys):
@@ -182,6 +197,13 @@ def test_gen_fixture_to_stdout(capsys):
     code, out, _ = run_cli(capsys, "gen", "fixture", "petersen")
     assert code == 0
     assert out.splitlines()[0] == "p 10 15"
+
+
+def test_gen_unknown_fixture_exit_one(capsys):
+    code, out, err = run_cli(capsys, "gen", "fixture", "nope")
+    assert code == 1 and out == ""
+    assert err == ("error: unknown fixture 'nope'; have ['c4', 'heawood', 'k33', 'k4', "
+                   "'k5', 'mcgee', 'petersen', 'tuttecoxeter']\n")
 
 
 def test_gen_k33xt(tmp_path, capsys):

@@ -2,7 +2,6 @@ import pytest
 
 from planarize import generators as gen
 from planarize.errors import InvalidSpec
-from planarize.generators import FamilySpec, generate
 from planarize.graphio import write_graph_text
 
 
@@ -68,17 +67,11 @@ def test_subdivide_scales_girth():
     assert gen.subdivide(gen.petersen(), 2).girth() == 15
 
 
-def test_family_spec_dispatch():
-    g = generate(
-        FamilySpec("disjoint-copies", inner=FamilySpec("complete-bipartite", (3, 3)), copies=2)
-    )
-    assert (g.n, g.m) == (12, 18)
-    assert generate(FamilySpec("fixture", fixture="mcgee")).n == 24
-    assert generate(FamilySpec("random-regular", (10, 3), seed=1)).is_d_regular(3)
-    with pytest.raises(InvalidSpec):
-        generate(FamilySpec("no-such-family"))
-    with pytest.raises(InvalidSpec):
-        generate(FamilySpec("fixture", fixture="nope"))
+def test_fixture_lookup():
+    assert gen.fixture("mcgee").n == 24
+    assert gen.fixture("Tutte-Coxeter").n == gen.fixture("tutte_coxeter").n == 30
+    with pytest.raises(InvalidSpec, match="unknown fixture 'nope'"):
+        gen.fixture("nope")
 
 
 def test_girth11_cubic_filter_is_empty_at_small_n():

@@ -60,7 +60,7 @@ def test_toy_maximize_x_le_1():
         lp.Constraint(f"{v}-nonneg", {v: Fraction(1)}, lp.GE, Fraction(0))
         for v in lp.VARIABLES
     ]
-    value, point = lp.solve(lp.RationalLp("epsilon", cons))
+    value, point = lp.solve(lp.RationalLp(cons))
     assert value == Fraction(1)
     assert point["epsilon"] == Fraction(1)
 
@@ -96,7 +96,7 @@ def test_infeasible_lp():
         for v in lp.VARIABLES
     ]
     with pytest.raises(Infeasible):
-        lp.solve(lp.RationalLp("epsilon", cons))
+        lp.solve(lp.RationalLp(cons))
 
 
 def test_rational_parsing():

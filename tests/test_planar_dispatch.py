@@ -38,6 +38,7 @@ from planarize.planar import (
     LedgerState,
 )
 from planarize.solution import ReductionSolution, TraceStep
+from test_casequeue import check_invariant
 
 _ZERO = Fraction(0)
 
@@ -349,6 +350,9 @@ def _check_table(run: planar._Run) -> None:
         assert c.debt == sum((run.ledger.debt.get(v, _ZERO) for v in members), _ZERO)
         sub = certify.induced_subgraph(g, set(members))
         assert c.acceptable == certify.accepts_planar_residue(sub)
+    anchors = [(v, -1) for v in g.vertices()]
+    anchors += [(table.min_member(c), c.id) for c in table.comps.values()]
+    check_invariant(run.queue, anchors, run._match)
 
 
 def _corpus_recipe():

@@ -9,6 +9,7 @@ from planarize import certify, generators as gen, oracle
 from planarize.multigraph import from_edge_list
 from planarize.solution import ReductionSolution, aggregate_charge_ok, replay
 import planarize.pseudoforest as pf
+from test_casequeue import check_invariant
 from test_planar_dispatch import _corpus_recipe, _from_nx
 
 
@@ -195,15 +196,7 @@ def _c4_payload_whole_graph(g):
 
 
 def _check_keys(run):
-    """From scratch: every vertex with a case has a live heap entry whose
-    key is at most the case's rank."""
-    live = set(run.heap)
-    for v in run.g.vertices():
-        desc = pf._match_at(run.g, v)
-        if desc is not None:
-            key = run.queued.get(v)
-            assert key is not None and key <= desc.rank, (v, key, desc)
-            assert (key, v) in live
+    check_invariant(run.queue, run.g.vertices(), lambda v: pf._case_at(run.g, v))
 
 
 def _lockstep(g):
