@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import MutableMapping
-from typing import Callable, Iterable, Iterator, KeysView
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, KeysView, Mapping
 
 from .errors import GraphError, LoopInInput, NoSuchEdge, UnknownVertex
 
@@ -156,6 +157,17 @@ class MultiGraph:
         """Live, unordered view of v's neighbors; v itself is in it when v has a loop."""
         self._require(v)
         return self._adj[v].keys()
+
+    def degree_map(self) -> Mapping[int, int]:
+        """Live read-only map from each vertex to its degree.  Unlike
+        ``degree`` it does not check the vertex: for hot loops that visit
+        only vertices known to be in the graph."""
+        return MappingProxyType(self._deg)
+
+    def adjacency_map(self) -> Mapping[int, Mapping[int, int]]:
+        """Live map from each vertex to its neighbour multiplicities, as
+        ``degree_map`` is to ``degree``; read it, never write it."""
+        return MappingProxyType(self._adj)
 
     def incidences(self, v: int) -> list[tuple[int, int]]:
         """(neighbor, multiplicity) pairs for v, loops included, sorted by id."""

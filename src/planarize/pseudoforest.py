@@ -13,11 +13,16 @@ where the case conditions are written.  The reference scan
 instead: each vertex is keyed by a lower bound on its rank that depends
 on its degree alone, and is matched only when it reaches the top, where
 it either fires (its rank equals its key) or goes back at its exact
-rank.  After a step, the vertices within distance 2 of the change go
-back at their degree bound when that is below their live key.  Every
-vertex with a case so holds a key at most its rank, and the popped
-minimum is the scan's minimum.  The one non-local case, FourRegC4, searches only the
-anchor's component for a cycle of tetrahedra.
+rank.  A vertex whose live key is at or below its degree bound keeps
+that key valid until its degree changes.  So after a step only these go
+back at their degree bound, when that is below their live key: the
+vertices the step touched (``apply_case``), the anchor, and the vertices
+the queue raised above their key or dropped (``CaseQueue.raised``)
+within distance 1 of a touched vertex, or 2 at degree 4, since FourRegB
+and FourRegC3 read that far.  Every vertex with a case so holds a key at
+most its rank, and the popped minimum is the scan's minimum.  The one
+non-local case, FourRegC4, searches only the anchor's component for a
+cycle of tetrahedra.
 """
 
 from __future__ import annotations
@@ -371,9 +376,11 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
     (d, e) the endpoints to delete, linking edges in the payload;
     FourRegC4 the tetrahedron, payload (on-cycle pair, off-cycle pair).
 
-    Returns the recorded step and the set of vertices whose incident
-    edges changed (for dirty propagation).  Raises StaleDescriptor when
-    the descriptor no longer matches the graph.
+    Returns the recorded step and the touched vertices: the live ones
+    among the closed neighbourhoods of the vertices the step deleted,
+    contracted or contracted into, and among the descriptor's vertices;
+    every vertex whose incident edges changed is one.  Raises
+    StaleDescriptor when the descriptor no longer matches the graph.
     """
     label = desc.label
     touched: set[int] = set()
@@ -382,7 +389,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         for x in vs:
             if g.has_vertex(x):
                 touched.add(x)
-                touched.update(g.neighbors(x))
+                touched.update(g.neighbor_view(x))
 
     if label == PREPROCESS:
         (v,) = desc.vertices
@@ -575,16 +582,6 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
 # -- driver ------------------------------------------------------------
 
 
-def _dirty_ball(g: MultiGraph, seeds: set[int]) -> set[int]:
-    out = set(seeds)
-    for _ in range(2):
-        frontier = set()
-        for x in out:
-            frontier.update(g.neighbor_view(x))
-        out |= frontier
-    return out
-
-
 # A lower bound on the rank of any case anchored at a vertex of the given
 # degree: degree 2 matches DeltaA-D or Deg2NoTriangle (ranks 3-7), degree
 # 3 Deg3AdjDeg4 or ThreeRegular (8-9), degree 4 one of the FourReg cases
@@ -594,7 +591,7 @@ _DEGREE_BOUND = (_RANKS[HARVEST], _RANKS[LEAF], _RANKS[DEG2_NO_TRIANGLE],
 
 
 def _case_at(g: MultiGraph, v: int) -> tuple[int, CaseDescriptor] | None:
-    desc = _match_at(g, v) if g.has_vertex(v) else None
+    desc = _match_at(g, v)
     return None if desc is None else (desc.rank, desc)
 
 
@@ -604,38 +601,67 @@ class _Run:
     A vertex is queued at its degree bound and matched only when it
     reaches the top (``CaseQueue.pop``), so the case that fires is the
     minimum (rank, v) over the graph, the step ``first_applicable_case``
-    takes.
+    takes.  ``keyed`` counts the vertices keyed again after steps and
+    ``matched`` the ``_match_at`` calls: work counters, independent of
+    the host.
     """
 
     def __init__(self, g: MultiGraph, sol: ReductionSolution) -> None:
         self.g = g
         self.sol = sol
+        self.degree = g.degree_map()
+        self.adj = g.adjacency_map()
         self.queue = CaseQueue()
         self.queue.push_all(g.vertices(), self._key)
+        self.keyed = 0
+        self.matched = 0
 
     def _key(self, v: int) -> int:
-        deg = self.g.degree(v)
+        deg = self.degree[v]
         return _DEGREE_BOUND[deg] if deg < 5 else _RANKS[PREPROCESS]
+
+    def _match(self, v: int) -> tuple[int, CaseDescriptor] | None:
+        self.matched += 1
+        return _case_at(self.g, v)
+
+    def _raised_near(self, touched: set[int]) -> set[int]:
+        """The raised vertices a step may have re-ranked: those within
+        distance 1 of ``touched``, and those of degree 4 within distance 2
+        (FourRegB and FourRegC3 read the neighbourhoods of neighbours;
+        every other case reads only the anchor's own neighbourhood)."""
+        adj, degree = self.adj, self.degree
+        ring = touched.union(*map(adj.__getitem__, touched))
+        ball = ring.union(*map(adj.__getitem__, ring))
+        return {y for y in ball & self.queue.raised if y in ring or degree[y] == 4}
 
     def step(self) -> bool:
         """Apply the next case; False once no vertex has one."""
-        g = self.g
-        found = self.queue.pop(lambda v: _case_at(g, v))
+        g, queue = self.g, self.queue
+        found = queue.pop(self._match)
         if found is None:
             return False
         _, v, desc = found
         if desc.label == FOUR_REG_C4:
             desc = _c4_payload(g, v)
-        _, touched = apply_case(g, desc, self.sol)
-        # A step changes cases only within distance 2 of what it touched,
-        # and the anchor, whose entry was just popped, may lie outside
-        # that ball (FourRegC4 deletes from the smallest tetrahedron on a
-        # cycle, which need not be the anchor's).  A lower key keeps the
-        # invariant; a live key at or below the degree bound already
-        # keeps it.
+        step, touched = apply_case(g, desc, self.sol)
+        for x in step.deleted + step.accepted:
+            queue.discard(x)
+        for x, y, keep in step.contracted:
+            queue.discard(y if x == keep else x)
+        # A vertex whose live key is at or below its degree bound keeps it
+        # valid until its degree changes, and then it is in touched.  The
+        # others are the anchor, whose entry was just popped and which may
+        # lie far from touched (FourRegC4 deletes from the smallest
+        # tetrahedron on a cycle, which need not be the anchor's), and the
+        # raised vertices.  Touched holds the closed neighbourhood of every
+        # vertex the step deleted, contracted or contracted into, so their
+        # cases change only within distance 2 of it (``_raised_near``).
         if g.has_vertex(v):
             touched.add(v)
-        self.queue.push_all(_dirty_ball(g, touched), self._key)
+        if queue.raised:
+            touched |= self._raised_near(touched)
+        self.keyed += len(touched)
+        queue.push_all(touched, self._key)
         return True
 
 

@@ -16,7 +16,7 @@ from planarize.pseudoforest import reduce_pseudoforest
 from planarize.reducers import REDUCERS, certificates
 from planarize.treewidth2 import reduce_treewidth2
 from planarize.solution import aggregate_charge_ok, replay
-from test_pseudoforest import _tetra_ring
+from test_pseudoforest import _new_run, _tetra_ring
 
 
 def _ok(num, msg):
@@ -212,27 +212,41 @@ def test_criterion_9_scaling_smoke():
                 times[i] = min(times[i], time.perf_counter() - t0)
         return [b / a for a, b in zip(times, times[1:])], times
 
-    ratios_pf, times_pf = ladder(
-        reduce_pseudoforest,
-        (1000, 2000, 4000),
-        lambda t: gen.disjoint_copies(gen.complete_bipartite(3, 3), t),
-    )
-    assert all(r <= 3.0 for r in ratios_pf), (ratios_pf, times_pf)
+    def work_ratios(sizes, make):
+        # The pseudoforest work counters (vertices keyed again after steps
+        # plus matcher calls) are deterministic, so this gate cannot flake.
+        work = []
+        for size in sizes:
+            run = _new_run(make(size))
+            while run.step():
+                pass
+            work.append(run.keyed + run.matched)
+        return [b / a for a, b in zip(work, work[1:])]
 
-    ratios_pf_rr4, times_pf_rr4 = ladder(
-        reduce_pseudoforest,
-        (2000, 4000),
-        lambda n: gen.random_regular(n, 4, 11),
-    )
+    def k33(t):
+        return gen.disjoint_copies(gen.complete_bipartite(3, 3), t)
+
+    def rr4(n):
+        return gen.random_regular(n, 4, 11)
+
+    def tetra(t):
+        return gen.disjoint_copies(_tetra_ring(), t)
+
+    ratios_pf, times_pf = ladder(reduce_pseudoforest, (1000, 2000, 4000), k33)
+    assert all(r <= 3.0 for r in ratios_pf), (ratios_pf, times_pf)
+    work_pf = work_ratios((1000, 2000, 4000), k33)
+    assert all(r <= 2.5 for r in work_pf), work_pf
+
+    ratios_pf_rr4, times_pf_rr4 = ladder(reduce_pseudoforest, (2000, 4000), rr4)
     assert all(r <= 3.0 for r in ratios_pf_rr4), (ratios_pf_rr4, times_pf_rr4)
+    work_pf_rr4 = work_ratios((2000, 4000), rr4)
+    assert all(r <= 2.5 for r in work_pf_rr4), work_pf_rr4
 
     # All-tetrahedra components: FourRegC4 fires once per component.
-    ratios_pf_tetra, times_pf_tetra = ladder(
-        reduce_pseudoforest,
-        (100, 200),
-        lambda t: gen.disjoint_copies(_tetra_ring(), t),
-    )
+    ratios_pf_tetra, times_pf_tetra = ladder(reduce_pseudoforest, (100, 200), tetra)
     assert all(r <= 3.0 for r in ratios_pf_tetra), (ratios_pf_tetra, times_pf_tetra)
+    work_pf_tetra = work_ratios((100, 200), tetra)
+    assert all(r <= 2.5 for r in work_pf_tetra), work_pf_tetra
 
     ratios_tw, times_tw = ladder(
         reduce_treewidth2,

@@ -10,7 +10,6 @@ its defaults is pinned as well, by running the script end to end.
 """
 
 import hashlib
-import importlib.util
 import os
 import subprocess
 import sys
@@ -20,6 +19,7 @@ import pytest
 
 from planarize import generators as gen
 from planarize.reducers import REDUCERS
+from test_planar_dispatch import _corpus_recipe
 from test_pseudoforest import _shared_triangle_pair, _tetra_ring, _two_k4s_matched
 
 PINNED = {
@@ -36,13 +36,6 @@ PINNED_TETRA = "1a260a66016d99165a69ef0f2bcb511c756f81a588c9a097e4ebd795bdd6fd5e
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS_SCRIPT = ROOT / "scripts" / "run_corpus.py"
-
-
-def _corpus_recipe():
-    spec = importlib.util.spec_from_file_location("run_corpus", CORPUS_SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.corpus(0, 400)
 
 
 def pinned_inputs():

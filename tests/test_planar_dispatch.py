@@ -356,6 +356,9 @@ def _check_table(run: planar._Run) -> None:
 
 
 def _corpus_recipe():
+    """The ``scripts/run_corpus.py`` recipe (seed 0, 400 graphs) as (tag,
+    graph) pairs: the one copy the lockstep tests and the pinned digests
+    read."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
     spec = importlib.util.spec_from_file_location("run_corpus", path)
     module = importlib.util.module_from_spec(spec)

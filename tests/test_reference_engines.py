@@ -18,7 +18,7 @@ from planarize.errors import NoSuchEdge, TraceMismatch, UnknownVertex
 from planarize.multigraph import MultiGraph
 from planarize.reducers import REDUCERS
 from planarize.solution import ChargeReport, ReductionSolution, TraceStep, replay
-from test_pinned_traces import _corpus_recipe
+from test_planar_dispatch import _corpus_recipe
 
 
 def ref_induced_subgraph(g: MultiGraph, s: set[int]) -> MultiGraph:
