@@ -16,28 +16,17 @@ from typing import Iterable
 
 import networkx as nx
 
-from .errors import UnknownVertex
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, from_rows
 
 
 def induced_subgraph(g: MultiGraph, s: set[int]) -> MultiGraph:
     """Exact induced subgraph G[S].
 
-    Vertices and edges are added in sorted order, the order a full
+    Vertices and rows are in sorted order, the order a full
     ``g.iter_edges()`` scan would give, but only S's own incidences are
     read.
     """
-    out = MultiGraph()
-    order = sorted(s)
-    for v in order:
-        if not g.has_vertex(v):
-            raise UnknownVertex(f"vertex {v} not in graph")
-        out.add_vertex(v)
-    for u in order:
-        for v, c in g.incidences(u):
-            if u <= v and v in s:
-                out.add_edge(u, v, c)
-    return out
+    return from_rows({v: {u: c for u, c in g.incidences(v) if u in s} for v in sorted(s)})
 
 
 def is_pseudoforest(g: MultiGraph) -> bool:
@@ -157,17 +146,18 @@ def accepts_planar_residue(g: MultiGraph) -> bool:
 def is_planar(g: MultiGraph) -> bool:
     """Exact planarity of the underlying simple graph.
 
-    Loops and parallel edges never affect planarity, so the test runs on
-    the simplified copy.  Decision comes from the left-right planarity
-    test; the brute-force side (subdivision search) cross-checks it in
-    the test suite.
+    Loops and parallel edges never affect planarity, so the test sees
+    each adjacent pair once and no loops.  Decision comes from the
+    left-right planarity test, whose verdict is a property of the graph
+    and not of the order its edges are given in; the brute-force side
+    (subdivision search) cross-checks it in the test suite.
     """
-    h = g.copy()
-    h.simplify()
-    if h.n <= 4 or h.m <= 8:
+    rows = g.adjacency_map()
+    pairs = [(u, v) for u, row in rows.items() for v in row if u < v]
+    if g.n <= 4 or len(pairs) <= 8:
         return True
     gx = nx.Graph()
-    gx.add_nodes_from(h.vertices())
-    gx.add_edges_from((u, v) for u, v, _ in h.iter_edges())
+    gx.add_nodes_from(rows)
+    gx.add_edges_from(pairs)
     ok, _ = nx.check_planarity(gx, counterexample=False)
     return bool(ok)

@@ -19,41 +19,39 @@ from .multigraph import MultiGraph, from_edge_list
 
 
 def parse_graph(text: str) -> MultiGraph:
-    lines = []
+    lines: list[tuple[str, list[str]]] = []
+    dimacs = False
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
-    if any(line.split()[0] == "e" for line in lines) or any(
-        line.startswith("p edge") or line.startswith("p col") for line in lines
-    ):
-        return _parse_dimacs(lines)
-    return _parse_native(lines)
+            parts = line.split()
+            tag = parts[0]
+            if tag == "e" or (tag == "p" and line.startswith(("p edge", "p col"))):
+                dimacs = True
+            lines.append((line, parts))
+    return _parse_dimacs(lines) if dimacs else _parse_native(lines)
 
 
-def _parse_native(lines: list[str]) -> MultiGraph:
+def _parse_native(lines: list[tuple[str, list[str]]]) -> MultiGraph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    for line in lines:
-        parts = line.split()
+    for line, parts in lines:
         if parts[0] == "p":
             header = _header_counts(parts[1:], f"bad header: {line!r}")
             continue
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise ParseError(f"non-integer labels in {line!r}") from exc
-        edges.append((u, v))
     return _build(edges, header)
 
 
-def _parse_dimacs(lines: list[str]) -> MultiGraph:
+def _parse_dimacs(lines: list[tuple[str, list[str]]]) -> MultiGraph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    for line in lines:
-        parts = line.split()
+    for line, parts in lines:
         tag = parts[0]
         if tag == "c":
             continue

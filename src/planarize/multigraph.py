@@ -1,7 +1,8 @@
 """Mutable undirected multigraph with contraction, the substrate for all reducers.
 
-Adjacency is multiplicity keyed: ``adj[u][v]`` is the number of parallel
-u-v edges, and a self loop is stored once at ``adj[v][v]``.  A loop
+Adjacency is multiplicity keyed: each vertex has a row, a plain ``dict``
+in which ``adj[u][v]`` is the number of parallel u-v edges (a missing
+key means none), and a self loop is stored once at ``adj[v][v]``.  A loop
 contributes 2 to the degree of its vertex but only 1 to the edge count.
 Vertex ids are stable for the lifetime of a graph and never reused after
 deletion.  Every surviving vertex carries the id of the original input
@@ -14,7 +15,7 @@ move between threads or to share read-only.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from collections.abc import MutableMapping
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, KeysView, Mapping
@@ -80,7 +81,7 @@ class MultiGraph:
     __slots__ = ("_adj", "_deg", "_m", "_origin")
 
     def __init__(self) -> None:
-        self._adj: dict[int, Counter] = {}
+        self._adj: dict[int, dict[int, int]] = {}
         self._deg: dict[int, int] = {}
         self._m: int = 0
         self._origin: dict[int, int] = {}
@@ -91,7 +92,7 @@ class MultiGraph:
         if v < 0:
             raise GraphError(f"vertex ids must be non-negative, got {v}")
         if v not in self._adj:
-            self._adj[v] = Counter()
+            self._adj[v] = {}
             self._deg[v] = 0
             self._origin[v] = v if origin is None else origin
 
@@ -101,12 +102,13 @@ class MultiGraph:
             raise GraphError("edge count must be positive")
         self.add_vertex(u)
         self.add_vertex(v)
+        row = self._adj[u]
+        row[v] = row.get(v, 0) + count
         if u == v:
-            self._adj[u][u] += count
             self._deg[u] += 2 * count
         else:
-            self._adj[u][v] += count
-            self._adj[v][u] += count
+            row = self._adj[v]
+            row[u] = row.get(u, 0) + count
             self._deg[u] += count
             self._deg[v] += count
         self._m += count
@@ -151,7 +153,11 @@ class MultiGraph:
     def neighbors(self, v: int) -> list[int]:
         """Distinct neighbors of v in increasing id order, excluding v itself."""
         self._require(v)
-        return sorted(u for u in self._adj[v] if u != v)
+        row = self._adj[v]
+        nbrs = sorted(row)
+        if v in row:
+            nbrs.remove(v)
+        return nbrs
 
     def neighbor_view(self, v: int) -> KeysView[int]:
         """Live, unordered view of v's neighbors; v itself is in it when v has a loop."""
@@ -201,6 +207,8 @@ class MultiGraph:
     # -- mutation -----------------------------------------------------
 
     def remove_edge(self, u: int, v: int, count: int = 1) -> None:
+        if count <= 0:
+            raise GraphError("edge count must be positive")
         self._require(u)
         self._require(v)
         have = self._adj[u].get(v, 0)
@@ -224,18 +232,15 @@ class MultiGraph:
     def delete_vertex(self, v: int) -> int:
         """Remove v and all incident edges; return removed edge units (loop = 1)."""
         self._require(v)
+        adj, deg = self._adj, self._deg
         removed = 0
-        for u, c in list(self._adj[v].items()):
-            if u == v:
-                removed += c
-                self._m -= c
-            else:
-                removed += c
-                self._m -= c
-                del self._adj[u][v]
-                self._deg[u] -= c
-        del self._adj[v]
-        del self._deg[v]
+        for u, c in adj.pop(v).items():
+            removed += c
+            if u != v:
+                del adj[u][v]
+                deg[u] -= c
+        self._m -= removed
+        del deg[v]
         del self._origin[v]
         return removed
 
@@ -258,29 +263,31 @@ class MultiGraph:
             raise NoSuchEdge(f"no edge ({u},{v}) to contract")
         gone = u if survivor == v else v
 
+        adj, deg = self._adj, self._deg
+        keep = adj[survivor]
         # Detach the (u, v) bundle first: one copy vanishes, the rest loop.
-        self._adj[survivor].pop(gone, None)
-        self._adj[gone].pop(survivor, None)
-        self._deg[survivor] -= mult
-        self._deg[gone] -= mult
+        del keep[gone]
+        row = adj.pop(gone)
+        del row[survivor]
+        deg[survivor] -= mult
         self._m -= 1
         extra = mult - 1
         if extra:
-            self._adj[survivor][survivor] += extra
-            self._deg[survivor] += 2 * extra
+            keep[survivor] = keep.get(survivor, 0) + extra
+            deg[survivor] += 2 * extra
 
         # Re-attach everything else incident to the vanishing vertex.
-        for w, c in list(self._adj[gone].items()):
+        for w, c in row.items():
             if w == gone:
-                self._adj[survivor][survivor] += c
-                self._deg[survivor] += 2 * c
+                keep[survivor] = keep.get(survivor, 0) + c
+                deg[survivor] += 2 * c
             else:
-                self._adj[w][survivor] += c
-                self._adj[survivor][w] += c
-                self._deg[survivor] += c
-                del self._adj[w][gone]
-        del self._adj[gone]
-        del self._deg[gone]
+                other = adj[w]
+                del other[gone]
+                other[survivor] = other.get(survivor, 0) + c
+                keep[w] = keep.get(w, 0) + c
+                deg[survivor] += c
+        del deg[gone]
         del self._origin[gone]
 
     def simplify(self) -> int:
@@ -444,7 +451,7 @@ class MultiGraph:
 
     def copy(self) -> "MultiGraph":
         g = MultiGraph()
-        g._adj = {v: Counter(adj) for v, adj in self._adj.items()}
+        g._adj = dict(zip(self._adj, map(dict.copy, self._adj.values())))
         g._deg = dict(self._deg)
         g._m = self._m
         g._origin = dict(self._origin)
@@ -456,7 +463,7 @@ class MultiGraph:
         O(k) and not a copy of the whole graph.  This graph must not
         change while the overlay is in use."""
         g = MultiGraph()
-        g._adj = _CopyOnWrite(self._adj, Counter)
+        g._adj = _CopyOnWrite(self._adj, dict.copy)
         g._deg = _CopyOnWrite(self._deg)
         g._m = self._m
         g._origin = _CopyOnWrite(self._origin)
@@ -476,7 +483,7 @@ class MultiGraph:
                 else:
                     deg += c
                     total += c
-                    if self._adj.get(u, Counter()).get(v, 0) != c:
+                    if self._adj.get(u, {}).get(v, 0) != c:
                         raise GraphError(f"asymmetric adjacency at ({v},{u})")
             if deg != self._deg[v]:
                 raise GraphError(f"cached degree wrong at {v}")
@@ -492,22 +499,44 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, m={self.m})"
 
 
+def from_rows(rows: dict[int, dict[int, int]]) -> MultiGraph:
+    """Build a graph in bulk from its adjacency rows, taken over as they are.
+
+    ``rows`` maps each vertex (a non-negative id) to its row, neighbour to
+    positive multiplicity, a loop stored once under the vertex itself,
+    and must be symmetric.  Vertices and rows keep the order they have in
+    ``rows``; degrees, the edge count and the (identity) origins are
+    filled in one pass.
+    """
+    g = MultiGraph()
+    g._adj = rows
+    deg = g._deg = {}
+    ends = 0
+    for v, row in rows.items():
+        d = deg[v] = sum(row.values()) + row.get(v, 0)
+        ends += d
+    g._m = ends // 2
+    g._origin = dict(zip(rows, rows))
+    return g
+
+
 def from_edge_list(edges: Iterable[tuple[int, int]], n_hint: int = 0) -> MultiGraph:
     """Build a simple graph from integer pairs; duplicates collapse.
 
     Raises LoopInInput on a u == u pair.  ``n_hint`` forces at least that
-    many vertices (labels 0..n_hint-1) so isolated vertices survive.
+    many vertices (labels 0..n_hint-1) so isolated vertices survive.  The
+    vertices are 0..n_hint-1 and then the other labels in order of first
+    appearance, and each row lists its neighbours in edge order.
     """
-    g = MultiGraph()
-    for i in range(n_hint):
-        g.add_vertex(i)
+    rows: dict[int, dict[int, int]] = {v: {} for v in range(n_hint)}
+    new = rows.setdefault
     for u, v in edges:
         if u == v:
             raise LoopInInput(f"self loop at vertex {u}")
         if u < 0 or v < 0:
             raise GraphError(f"negative vertex label in edge ({u},{v})")
-        g.add_vertex(u)
-        g.add_vertex(v)
-        if g.multiplicity(u, v) == 0:
-            g.add_edge(u, v)
-    return g
+        row = new(u, {})
+        if v not in row:
+            row[v] = 1
+            new(v, {})[u] = 1
+    return from_rows(rows)

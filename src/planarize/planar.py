@@ -39,6 +39,7 @@ replaced and checks that the two agree step by step.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import Counter
@@ -90,13 +91,9 @@ class ChargeParams:
         return {"epsilon": self.epsilon, "c3": self.c3, "c4": self.c4, "tau": self.tau}
 
     def validate(self) -> None:
-        if self.c2 != 1:
-            raise InfeasibleParams("c2 is pinned to 1 by the analysis")
-        rows = lpmod.check_feasible(lpmod.default_lp(), self.as_assignment())
-        bad = [r for r in rows if not r.satisfied]
-        if bad:
-            names = ", ".join(f"{r.name} (slack {lpmod.format_rational(r.slack)})" for r in bad)
-            raise InfeasibleParams(f"charge parameters violate: {names}")
+        problem = _violation(self)
+        if problem is not None:
+            raise InfeasibleParams(problem)
 
     @staticmethod
     def paper() -> "ChargeParams":
@@ -110,6 +107,21 @@ class ChargeParams:
             raise InfeasibleParams("expected 'epsilon,c3,c4,tau' as p/q rationals")
         e, c3, c4, tau = (lpmod.rational(p) for p in parts)
         return ChargeParams(e, c3, c4, tau)
+
+
+@functools.lru_cache(maxsize=32)
+def _violation(params: ChargeParams) -> str | None:
+    """Why ``params`` is infeasible, or None.  Memoized per value, since
+    every ``reduce_planar`` call validates its parameters and the check
+    rebuilds the whole LP."""
+    if params.c2 != 1:
+        return "c2 is pinned to 1 by the analysis"
+    rows = lpmod.check_feasible(lpmod.default_lp(), params.as_assignment())
+    bad = [r for r in rows if not r.satisfied]
+    if bad:
+        names = ", ".join(f"{r.name} (slack {lpmod.format_rational(r.slack)})" for r in bad)
+        return f"charge parameters violate: {names}"
+    return None
 
 
 @dataclass(frozen=True)

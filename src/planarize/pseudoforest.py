@@ -92,20 +92,17 @@ class CaseDescriptor:
 # -- local structure helpers -----------------------------------------
 
 
-def _adjacent(g: MultiGraph, u: int, v: int) -> bool:
-    return v in g.neighbor_view(u)
-
-
 def _disjoint_nonadj_pairs(g: MultiGraph, a: int) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """Two disjoint non-adjacent pairs covering N(a); first is kept."""
     nbrs = g.neighbors(a)
     if len(nbrs) != 4:
         return None
+    adj = g.adjacency_map()
     for p, q in combinations(nbrs, 2):
-        if _adjacent(g, p, q):
+        if q in adj[p]:
             continue
         r, s = (x for x in nbrs if x not in (p, q))
-        if not _adjacent(g, r, s):
+        if s not in adj[r]:
             return (p, q), (r, s)
     return None
 
@@ -115,7 +112,8 @@ def _star_center(g: MultiGraph, a: int) -> int | None:
     nbrs = g.neighbors(a)
     if len(nbrs) != 4:
         return None
-    within = {u: sum(1 for v in nbrs if v != u and _adjacent(g, u, v)) for u in nbrs}
+    adj = g.adjacency_map()
+    within = {u: sum(1 for v in nbrs if v != u and v in adj[u]) for u in nbrs}
     counts = sorted(within.values())
     if counts == [1, 1, 1, 3]:
         return max(within, key=lambda u: (within[u], -u))
@@ -125,9 +123,10 @@ def _star_center(g: MultiGraph, a: int) -> int | None:
 def _tetra_of(g: MultiGraph, v: int) -> tuple[int, ...] | None:
     """The K4 through v, as a sorted 4-tuple, if one exists."""
     nbrs = g.neighbors(v)
+    adj = g.adjacency_map()
     for triple in combinations(nbrs, 3):
         b, c, d = triple
-        if _adjacent(g, b, c) and _adjacent(g, b, d) and _adjacent(g, c, d):
+        if c in adj[b] and d in adj[b] and d in adj[c]:
             return tuple(sorted((v,) + triple))
     return None
 
@@ -138,7 +137,8 @@ def _k5_component(g: MultiGraph, a: int) -> tuple[int, ...] | None:
         return None
     if any(g.degree(u) != 4 for u in nbrs):
         return None
-    if all(_adjacent(g, u, v) for u, v in combinations(nbrs, 2)):
+    adj = g.adjacency_map()
+    if all(v in adj[u] for u, v in combinations(nbrs, 2)):
         return tuple(sorted([a] + nbrs))
     return None
 
@@ -146,14 +146,15 @@ def _k5_component(g: MultiGraph, a: int) -> tuple[int, ...] | None:
 def _shared_triangle(g: MultiGraph, a: int) -> tuple[int, ...] | None:
     """(a, e, b, c, d): tetrahedra a,b,c,d and e,b,c,d share triangle bcd."""
     nbrs = g.neighbors(a)
+    adj = g.adjacency_map()
     for triple in combinations(nbrs, 3):
         b, c, d = triple
-        if not (_adjacent(g, b, c) and _adjacent(g, b, d) and _adjacent(g, c, d)):
+        if not (c in adj[b] and d in adj[b] and d in adj[c]):
             continue
         common = set(g.neighbors(b)) & set(g.neighbors(c)) & set(g.neighbors(d))
         common.discard(a)
         for e in sorted(common):
-            if not _adjacent(g, a, e):
+            if e not in adj[a]:
                 return (a, e, b, c, d)
     return None
 
@@ -206,7 +207,7 @@ def _match_at(g: MultiGraph, v: int) -> CaseDescriptor | None:
         if len(nbrs) != 2:
             raise GraphError(f"multigraph state at {v}; the reducer requires simple inputs")
         u, w = nbrs
-        if not _adjacent(g, u, w):
+        if w not in g.adjacency_map()[u]:
             return CaseDescriptor(DEG2_NO_TRIANGLE, (v, min(u, w), max(u, w)))
         du, dw = g.degree(u), g.degree(w)
         pair = sorted(((du, u), (dw, w)))
@@ -383,13 +384,14 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
     StaleDescriptor when the descriptor no longer matches the graph.
     """
     label = desc.label
+    adj = g.adjacency_map()
     touched: set[int] = set()
 
     def collect(vs) -> None:
         for x in vs:
             if g.has_vertex(x):
                 touched.add(x)
-                touched.update(g.neighbor_view(x))
+                touched.update(adj[x])
 
     if label == PREPROCESS:
         (v,) = desc.vertices
@@ -405,7 +407,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         step = TraceStep(label, accepted=(v,), s_added=(orig,))
     elif label == LEAF:
         a, b = desc.vertices
-        _check(g.has_vertex(a) and g.degree(a) == 1 and _adjacent(g, a, b), desc, "not a leaf edge")
+        _check(g.has_vertex(a) and g.degree(a) == 1 and b in adj[a], desc, "not a leaf edge")
         collect([a, b])
         orig = g.origin(a)
         g.contract_edge(a, b, b)
@@ -414,7 +416,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         a, u, w = desc.vertices
         _check(
             g.has_vertex(a) and g.degree(a) == 2 and sorted((u, w)) == g.neighbors(a)
-            and not _adjacent(g, u, w),
+            and w not in adj[u],
             desc,
             "not a triangle-free degree-2 vertex",
         )
@@ -426,7 +428,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         a, b, c = desc.vertices
         _check(
             all(g.has_vertex(x) and g.degree(x) == 2 for x in (a, b, c))
-            and _adjacent(g, a, b) and _adjacent(g, b, c) and _adjacent(g, a, c),
+            and b in adj[a] and c in adj[b] and c in adj[a],
             desc,
             "not an isolated triangle",
         )
@@ -437,7 +439,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         a, b, c, d = desc.vertices
         _check(
             g.has_vertex(d) and g.has_vertex(a) and g.degree(a) == 2 and g.degree(b) == 2
-            and g.degree(c) == 3 and _adjacent(g, c, d),
+            and g.degree(c) == 3 and d in adj[c],
             desc,
             "triangle configuration changed",
         )
@@ -452,8 +454,8 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         a, b, c, x = desc.vertices
         _check(
             g.has_vertex(c) and g.degree(a) == 2 and g.degree(b) == 3 and g.degree(c) >= 3
-            and _adjacent(g, a, b) and _adjacent(g, a, c) and _adjacent(g, b, c)
-            and _adjacent(g, b, x),
+            and b in adj[a] and c in adj[a] and c in adj[b]
+            and x in adj[b],
             desc,
             "triangle configuration changed",
         )
@@ -473,7 +475,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         a, b, c = desc.vertices
         _check(
             g.has_vertex(b) and g.degree(a) == 2 and g.degree(b) == 4
-            and _adjacent(g, a, b) and _adjacent(g, a, c) and _adjacent(g, b, c),
+            and b in adj[a] and c in adj[a] and c in adj[b],
             desc,
             "triangle configuration changed",
         )
@@ -491,7 +493,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
     elif label == DEG3_ADJ_DEG4:
         a, b = desc.vertices
         _check(
-            g.has_vertex(b) and g.degree(a) == 3 and g.degree(b) == 4 and _adjacent(g, a, b),
+            g.has_vertex(b) and g.degree(a) == 3 and g.degree(b) == 4 and b in adj[a],
             desc,
             "degree pair changed",
         )
@@ -510,7 +512,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         _check(
             g.has_vertex(anchor) and g.degree(anchor) == 4
             and set(keep) | set(drop) == set(g.neighbors(anchor))
-            and not _adjacent(g, *keep) and not _adjacent(g, *drop),
+            and keep[1] not in adj[keep[0]] and drop[1] not in adj[drop[0]],
             desc,
             "neighborhood pairs changed",
         )
@@ -522,7 +524,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         comp = desc.vertices
         _check(
             len(comp) == 5 and all(g.has_vertex(x) and g.degree(x) == 4 for x in comp)
-            and all(_adjacent(g, u, v) for u, v in combinations(comp, 2)),
+            and all(v in adj[u] for u, v in combinations(comp, 2)),
             desc,
             "component is no longer a K5",
         )
@@ -535,8 +537,8 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         b, c, d = desc.vertices[2:]
         _check(
             all(g.has_vertex(x) for x in desc.vertices)
-            and not _adjacent(g, a, e)
-            and all(_adjacent(g, a, y) and _adjacent(g, e, y) for y in (b, c, d)),
+            and e not in adj[a]
+            and all(y in adj[a] and y in adj[e] for y in (b, c, d)),
             desc,
             "shared triangle changed",
         )
@@ -548,7 +550,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         (b, e2), (d2, g2) = desc.payload
         _check(
             g.has_vertex(d) and g.has_vertex(e) and e2 == e and d2 == d
-            and _adjacent(g, b, e) and _adjacent(g, d, g2) and not _adjacent(g, d, e),
+            and b in adj[e] and g2 in adj[d] and e not in adj[d],
             desc,
             "linking edges changed",
         )
@@ -560,7 +562,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
         on_cycle, off = desc.payload
         _check(
             len(tetra) == 4 and all(g.has_vertex(x) for x in tetra)
-            and all(_adjacent(g, u, v) for u, v in combinations(tetra, 2))
+            and all(v in adj[u] for u, v in combinations(tetra, 2))
             and set(on_cycle) | set(off) == set(tetra),
             desc,
             "tetrahedron changed",

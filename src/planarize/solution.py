@@ -110,8 +110,10 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> ChargeReport:
     work = g.copy()
     # Vertices that may carry a loop or a parallel copy.  Only contraction
     # creates multiplicity, and only at its survivor, so simplifying at
-    # these vertices equals a whole-graph simplify.
-    dirty = {u for u, v, c in work.iter_edges() if u == v or c > 1}
+    # these vertices equals a whole-graph simplify.  A row has one exactly
+    # when its vertex has more edge ends than distinct neighbours.
+    rows, degree = work.adjacency_map(), work.degree_map()
+    dirty = {u for u, row in rows.items() if degree[u] != len(row)}
     s: set[int] = set()
     total_units = 0
     deletions = 0

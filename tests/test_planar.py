@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarize import certify, generators as gen, oracle
+from planarize import certify, generators as gen, lp as lpmod, oracle, planar
 from planarize.errors import InfeasibleParams
 from planarize.multigraph import from_edge_list
 from planarize.planar import ChargeParams, reduce_planar
@@ -119,6 +119,24 @@ def test_infeasible_params_rejected():
     bad = ChargeParams(Fraction(5, 23) + Fraction(1, 1000), Fraction(9, 46), Fraction(1, 23), Fraction(15, 23))
     with pytest.raises(InfeasibleParams):
         reduce_planar(gen.complete(4), params=bad)
+
+
+def test_params_checked_once_per_value(monkeypatch):
+    calls = []
+    check = lpmod.check_feasible
+    monkeypatch.setattr(lpmod, "check_feasible", lambda *args: calls.append(args) or check(*args))
+    planar._violation.cache_clear()
+    bad = ChargeParams(Fraction(5, 23) + Fraction(1, 1000), Fraction(9, 46), Fraction(1, 23), Fraction(15, 23))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InfeasibleParams, match="charge parameters violate: ") as err:
+            reduce_planar(gen.complete(4), params=bad)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    for _ in range(3):
+        reduce_planar(gen.complete(4))
+        ChargeParams.paper().validate()
+    assert len(calls) == 2
 
 
 def test_alternate_feasible_params_work():
