@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import networkx as nx
-
 from .multigraph import MultiGraph, from_rows
 
 
@@ -150,12 +148,16 @@ def is_planar(g: MultiGraph) -> bool:
     each adjacent pair once and no loops.  Decision comes from the
     left-right planarity test, whose verdict is a property of the graph
     and not of the order its edges are given in; the brute-force side
-    (subdivision search) cross-checks it in the test suite.
+    (subdivision search) cross-checks it in the test suite.  networkx is
+    imported here, on first use, so that a process that checks only the
+    other certificates never loads it.
     """
     rows = g.adjacency_map()
     pairs = [(u, v) for u, row in rows.items() for v in row if u < v]
     if g.n <= 4 or len(pairs) <= 8:
         return True
+    import networkx as nx
+
     gx = nx.Graph()
     gx.add_nodes_from(rows)
     gx.add_edges_from(pairs)

@@ -77,6 +77,10 @@ class _CopyOnWrite(MutableMapping):
         return self._len
 
 
+def _unknown(v: int) -> UnknownVertex:
+    return UnknownVertex(f"vertex {v} not in graph")
+
+
 class MultiGraph:
     __slots__ = ("_adj", "_deg", "_m", "_origin")
 
@@ -134,26 +138,37 @@ class MultiGraph:
 
     def _require(self, v: int) -> None:
         if v not in self._adj:
-            raise UnknownVertex(f"vertex {v} not in graph")
+            raise _unknown(v)
 
     def degree(self, v: int) -> int:
         """Degree of v; a loop counts twice."""
-        self._require(v)
-        return self._deg[v]
+        try:
+            return self._deg[v]
+        except KeyError:
+            raise _unknown(v) from None
 
     def multiplicity(self, u: int, v: int) -> int:
-        self._require(u)
-        self._require(v)
-        return self._adj[u].get(v, 0)
+        try:
+            c = self._adj[u].get(v)
+        except KeyError:
+            raise _unknown(u) from None
+        if c is None:
+            self._require(v)
+            return 0
+        return c
 
     def loops(self, v: int) -> int:
-        self._require(v)
-        return self._adj[v].get(v, 0)
+        try:
+            return self._adj[v].get(v, 0)
+        except KeyError:
+            raise _unknown(v) from None
 
     def neighbors(self, v: int) -> list[int]:
         """Distinct neighbors of v in increasing id order, excluding v itself."""
-        self._require(v)
-        row = self._adj[v]
+        try:
+            row = self._adj[v]
+        except KeyError:
+            raise _unknown(v) from None
         nbrs = sorted(row)
         if v in row:
             nbrs.remove(v)
@@ -161,8 +176,10 @@ class MultiGraph:
 
     def neighbor_view(self, v: int) -> KeysView[int]:
         """Live, unordered view of v's neighbors; v itself is in it when v has a loop."""
-        self._require(v)
-        return self._adj[v].keys()
+        try:
+            return self._adj[v].keys()
+        except KeyError:
+            raise _unknown(v) from None
 
     def degree_map(self) -> Mapping[int, int]:
         """Live read-only map from each vertex to its degree.  Unlike
@@ -177,8 +194,10 @@ class MultiGraph:
 
     def incidences(self, v: int) -> list[tuple[int, int]]:
         """(neighbor, multiplicity) pairs for v, loops included, sorted by id."""
-        self._require(v)
-        return sorted(self._adj[v].items())
+        try:
+            return sorted(self._adj[v].items())
+        except KeyError:
+            raise _unknown(v) from None
 
     def iter_edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, multiplicity) with u <= v, sorted."""
@@ -198,8 +217,10 @@ class MultiGraph:
         return max(self._deg.values(), default=0)
 
     def origin(self, v: int) -> int:
-        self._require(v)
-        return self._origin[v]
+        try:
+            return self._origin[v]
+        except KeyError:
+            raise _unknown(v) from None
 
     def origin_map(self) -> dict[int, int]:
         return dict(self._origin)

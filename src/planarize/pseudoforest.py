@@ -10,19 +10,27 @@ Two dispatchers produce identical runs, both built on ``_match_at``,
 where the case conditions are written.  The reference scan
 ``first_applicable_case`` matches every vertex and takes the minimum
 (rank, anchor).  ``reduce_pseudoforest`` dispatches from a ``CaseQueue``
-instead: each vertex is keyed by a lower bound on its rank that depends
-on its degree alone, and is matched only when it reaches the top, where
-it either fires (its rank equals its key) or goes back at its exact
-rank.  A vertex whose live key is at or below its degree bound keeps
-that key valid until its degree changes.  So after a step only these go
-back at their degree bound, when that is below their live key: the
-vertices the step touched (``apply_case``), the anchor, and the vertices
-the queue raised above their key or dropped (``CaseQueue.raised``)
-within distance 1 of a touched vertex, or 2 at degree 4, since FourRegB
-and FourRegC3 read that far.  Every vertex with a case so holds a key at
-most its rank, and the popped minimum is the scan's minimum.  The one
-non-local case, FourRegC4, searches only the anchor's component for a
-cycle of tetrahedra.
+instead: each vertex is keyed by a lower bound on its rank and is
+matched only when it reaches the top, where it either fires (its rank
+equals its key) or goes back at its exact rank.  The key is the bound
+its degree gives, except at degree 3, where it is the exact rank read
+from the neighbours: Deg3AdjDeg4 when one has degree 4 or more,
+ThreeRegular otherwise.
+
+A key stays a lower bound until a step touches its vertex.  No case
+raises a degree: every deletion and contraction lowers the degrees it
+changes, and Deg2NoTriangle, which contracts a into u and so joins u to
+w, keeps both degrees and touches both.  So a vertex's degree changes,
+or it gains a neighbour, only when a step touches it, and a degree-3
+vertex cannot come next to a vertex of degree 4 or more otherwise.
+After a step only these go back at their key, when that is below their
+live key: the vertices the step touched (``apply_case``), the anchor,
+and the vertices the queue raised above their key or dropped
+(``CaseQueue.raised``) within distance 1 of a touched vertex, or 2 at
+degree 4, since FourRegB and FourRegC3 read that far.  Every vertex
+with a case so holds a key at most its rank, and the popped minimum is
+the scan's minimum.  The one non-local case, FourRegC4, searches only
+the anchor's component for a cycle of tetrahedra.
 """
 
 from __future__ import annotations
@@ -195,46 +203,44 @@ def _match_at(g: MultiGraph, v: int) -> CaseDescriptor | None:
     Rank 15 is only a marker (v lies in a tetrahedron); its payload is
     computed on v's component when it actually fires.
     """
-    deg = g.degree(v)
+    degree = g.degree_map()
+    adj = g.adjacency_map()
+    row = adj[v]
+    deg = degree[v]
     if deg >= 5:
         return CaseDescriptor(PREPROCESS, (v,))
     if deg == 0:
         return CaseDescriptor(HARVEST, (v,))
     if deg == 1:
-        return CaseDescriptor(LEAF, (v, g.neighbors(v)[0]))
+        return CaseDescriptor(LEAF, (v, next(iter(row))))
     if deg == 2:
-        nbrs = g.neighbors(v)
-        if len(nbrs) != 2:
+        if len(row) != 2:
             raise GraphError(f"multigraph state at {v}; the reducer requires simple inputs")
-        u, w = nbrs
-        if w not in g.adjacency_map()[u]:
-            return CaseDescriptor(DEG2_NO_TRIANGLE, (v, min(u, w), max(u, w)))
-        du, dw = g.degree(u), g.degree(w)
-        pair = sorted(((du, u), (dw, w)))
+        u, w = sorted(row)
+        if w not in adj[u]:
+            return CaseDescriptor(DEG2_NO_TRIANGLE, (v, u, w))
+        du, dw = degree[u], degree[w]
         if du == 2 and dw == 2:
             return CaseDescriptor(DELTA_A, tuple(sorted((v, u, w))))
-        if pair[0][0] == 2 and pair[1][0] == 3:
-            b = pair[0][1]
-            c = pair[1][1]
-            d = next(x for x in g.neighbors(c) if x not in (v, b))
+        (low, b), (high, c) = sorted(((du, u), (dw, w)))
+        if low == 2 and high == 3:
+            d = next(x for x in adj[c] if x not in (v, b))
             return CaseDescriptor(DELTA_B, (v, b, c, d))
-        threes = sorted(x for x in (u, w) if g.degree(x) == 3)
-        if threes:
-            b = threes[0]
+        if 3 in (du, dw):
+            b = u if du == 3 else w
             c = u if b == w else w
-            x = next(y for y in g.neighbors(b) if y not in (v, c))
+            x = next(y for y in adj[b] if y not in (v, c))
             return CaseDescriptor(DELTA_C, (v, b, c, x))
         # Remaining neighbor degrees are {2,4} or {4,4}; a degree >= 5
         # neighbor can only appear while a Preprocess entry is pending,
         # which outranks this descriptor, so the match stays provisional.
-        fours = sorted(x for x in (u, w) if g.degree(x) >= 4)
-        b = fours[0]
+        b = u if du >= 4 else w
         c = u if b == w else w
         return CaseDescriptor(DELTA_D, (v, b, c))
     if deg == 3:
-        fours = sorted(u for u in g.neighbors(v) if g.degree(u) >= 4)
-        if fours:
-            return CaseDescriptor(DEG3_ADJ_DEG4, (v, fours[0]))
+        b = min((u for u in row if degree[u] >= 4), default=None)
+        if b is not None:
+            return CaseDescriptor(DEG3_ADJ_DEG4, (v, b))
         return CaseDescriptor(THREE_REGULAR, (v,))
     pairs = _disjoint_nonadj_pairs(g, v)
     if pairs is not None:
@@ -576,8 +582,8 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
     for orig in step.s_added:
         sol.s.add(orig)
     sol.trace.append(step)
-    touched = {x for x in touched if g.has_vertex(x)}
-    touched.update(v for v in desc.vertices if g.has_vertex(v))
+    touched.update(desc.vertices)
+    touched &= adj.keys()
     return step, touched
 
 
@@ -586,10 +592,11 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
 
 # A lower bound on the rank of any case anchored at a vertex of the given
 # degree: degree 2 matches DeltaA-D or Deg2NoTriangle (ranks 3-7), degree
-# 3 Deg3AdjDeg4 or ThreeRegular (8-9), degree 4 one of the FourReg cases
-# (10-15) or none; degrees 0, 1 and >= 5 have exactly one case each.
+# 4 one of the FourReg cases (10-15) or none; degrees 0, 1 and >= 5 have
+# exactly one case each.  Degree 3 is keyed at its exact rank (``_Run._key``).
 _DEGREE_BOUND = (_RANKS[HARVEST], _RANKS[LEAF], _RANKS[DEG2_NO_TRIANGLE],
                  _RANKS[DEG3_ADJ_DEG4], _RANKS[FOUR_REG_A])
+_THREE_REGULAR = _RANKS[THREE_REGULAR]
 
 
 def _case_at(g: MultiGraph, v: int) -> tuple[int, CaseDescriptor] | None:
@@ -600,12 +607,12 @@ def _case_at(g: MultiGraph, v: int) -> tuple[int, CaseDescriptor] | None:
 class _Run:
     """One reduction: the working graph, the solution and the case queue.
 
-    A vertex is queued at its degree bound and matched only when it
-    reaches the top (``CaseQueue.pop``), so the case that fires is the
-    minimum (rank, v) over the graph, the step ``first_applicable_case``
-    takes.  ``keyed`` counts the vertices keyed again after steps and
-    ``matched`` the ``_match_at`` calls: work counters, independent of
-    the host.
+    A vertex is queued at a lower bound on its rank (``_key``) and matched
+    only when it reaches the top (``CaseQueue.pop``), so the case that
+    fires is the minimum (rank, v) over the graph, the step
+    ``first_applicable_case`` takes.  ``keyed`` counts the vertices keyed
+    again after steps and ``matched`` the ``_match_at`` calls: work
+    counters, independent of the host.
     """
 
     def __init__(self, g: MultiGraph, sol: ReductionSolution) -> None:
@@ -619,7 +626,12 @@ class _Run:
         self.matched = 0
 
     def _key(self, v: int) -> int:
-        deg = self.degree[v]
+        """The degree bound of v, or at degree 3 its exact rank: Deg3AdjDeg4
+        next to a vertex of degree 4 or more, ThreeRegular otherwise."""
+        degree = self.degree
+        deg = degree[v]
+        if deg == 3 and all(degree[u] < 4 for u in self.adj[v]):
+            return _THREE_REGULAR
         return _DEGREE_BOUND[deg] if deg < 5 else _RANKS[PREPROCESS]
 
     def _match(self, v: int) -> tuple[int, CaseDescriptor] | None:
@@ -650,14 +662,14 @@ class _Run:
             queue.discard(x)
         for x, y, keep in step.contracted:
             queue.discard(y if x == keep else x)
-        # A vertex whose live key is at or below its degree bound keeps it
-        # valid until its degree changes, and then it is in touched.  The
-        # others are the anchor, whose entry was just popped and which may
-        # lie far from touched (FourRegC4 deletes from the smallest
-        # tetrahedron on a cycle, which need not be the anchor's), and the
-        # raised vertices.  Touched holds the closed neighbourhood of every
-        # vertex the step deleted, contracted or contracted into, so their
-        # cases change only within distance 2 of it (``_raised_near``).
+        # A vertex whose live key is at or below its ``_key`` keeps it valid
+        # until a step touches it (module docstring).  The others are the
+        # anchor, whose entry was just popped and which may lie far from
+        # touched (FourRegC4 deletes from the smallest tetrahedron on a
+        # cycle, which need not be the anchor's), and the raised vertices.
+        # Touched holds the closed neighbourhood of every vertex the step
+        # deleted, contracted or contracted into, so their cases change
+        # only within distance 2 of it (``_raised_near``).
         if g.has_vertex(v):
             touched.add(v)
         if queue.raised:

@@ -14,7 +14,8 @@ vertex); ``solution.replay`` recomputes it from the trace.
 Dispatch runs through a ``CaseQueue``: each vertex is queued at a lower
 bound on its rank read from its degree, ``_match`` (the one place the
 case conditions are written) runs only when it reaches the top, and
-after a step the neighbours of the removed vertex are queued again.
+after a step the removed vertex is discarded and its neighbours are
+queued again.
 ``tests/test_treewidth2.py`` keeps the earlier bucket heaps and checks
 that the two agree step by step.
 """
@@ -44,8 +45,6 @@ _DEGREE_KEY = (1, 2, 2, 3, 5)
 
 def _match(g: MultiGraph, v: int) -> tuple[int, int] | None:
     """(rank, the vertex the step removes) of the case anchored at v."""
-    if not g.has_vertex(v):
-        return None
     d = g.degree(v)
     if d >= 5:
         return 0, v
@@ -114,6 +113,9 @@ class _Run:
         else:
             units = g.delete_vertex(x)
             sol.trace.append(TraceStep(label, deleted=(x,), removed_edges=units))
+        # x need not be the anchor (DeleteAdjDeg3 removes a neighbour of
+        # it), so its own entry may still be live.
+        self.queue.discard(x)
         self.queue.push_all(nbrs, self._key)
         return True
 

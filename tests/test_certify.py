@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,3 +140,24 @@ def test_is_planar_agrees_with_kuratowski_search():
         edges = [(u, v) for u in range(10) for v in range(u + 1, 10) if rng.random() < 0.4]
         g = from_edge_list(edges, 10)
         assert (oracle.find_kuratowski(g) is None) == certify.is_planar(g)
+
+
+def test_networkx_loads_only_for_the_planarity_test():
+    # The CLI, tw2 and pseudoforest with their certificates never call
+    # is_planar, so a process that runs only them never imports networkx.
+    script = """
+import sys
+import planarize.cli
+from planarize import generators as gen
+from planarize.reducers import REDUCERS, certificates
+g = gen.random_regular(60, 4, 3)
+for alg in ("tw2", "pseudoforest"):
+    sol, _ = REDUCERS[alg][0](g)
+    assert all(certificates(alg, g, sol.s).values()), alg
+assert "networkx" not in sys.modules
+"""
+    src = str(Path(certify.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -55,6 +55,29 @@ def test_delete_unknown_vertex():
         g.delete_vertex(9)
 
 
+@pytest.mark.parametrize("query", [
+    lambda g, v: g.degree(v),
+    lambda g, v: g.neighbors(v),
+    lambda g, v: g.neighbor_view(v),
+    lambda g, v: g.loops(v),
+    lambda g, v: g.origin(v),
+    lambda g, v: g.multiplicity(v, 0),
+    lambda g, v: g.multiplicity(0, v),
+    lambda g, v: g.incidences(v),
+], ids=["degree", "neighbors", "neighbor_view", "loops", "origin",
+        "multiplicity_first", "multiplicity_second", "incidences"])
+@pytest.mark.parametrize("make", [lambda g: g, lambda g: g.copy(), lambda g: g.overlay()],
+                         ids=["graph", "copy", "overlay"])
+def test_query_on_absent_vertex_raises_unknown_vertex(query, make):
+    g = from_edge_list([(0, 1), (1, 2)])
+    g.delete_vertex(2)
+    h = make(g)
+    for v in (2, 9):
+        with pytest.raises(UnknownVertex) as info:
+            query(h, v)
+        assert str(info.value) == f"vertex {v} not in graph"
+
+
 def test_edge_counts_must_be_positive():
     g = from_edge_list([(0, 1), (1, 2)])
     for count in (0, -1):

@@ -350,16 +350,29 @@ def test_raised_vertex_two_steps_from_a_contraction_goes_back():
     _lockstep(g)
 
 
-def test_requeue_work_per_step_on_random_4_regular():
-    # Work counters, not times.  Keying the whole radius-2 ball of what a
-    # step touched cost 48.7 keys and 2.79 matches per step here.
-    g = gen.random_regular(4000, 4, 11)
+def _work_per_step(g):
     run = _new_run(g)
     while run.step():
         pass
     steps = len(run.sol.trace)
-    assert run.keyed <= 20 * steps, run.keyed / steps
-    assert run.matched <= 2.2 * steps, run.matched / steps
+    return run.keyed / steps, run.matched / steps
+
+
+def test_requeue_work_per_step_on_random_4_regular():
+    # Work counters, not times.  Keying the whole radius-2 ball of what a
+    # step touched cost 48.7 keys and 2.79 matches per step here, and
+    # keying degree 3 at its degree bound 6.62 keys and 1.98 matches.
+    keyed, matched = _work_per_step(gen.random_regular(4000, 4, 11))
+    assert keyed <= 7, keyed
+    assert matched <= 1.2, matched
+
+
+def test_requeue_work_per_step_on_k33_copies():
+    # Every vertex has degree 3 and fires ThreeRegular or a case after it;
+    # keyed at its degree bound it cost 2.5 keys and 3.0 matches per step.
+    keyed, matched = _work_per_step(gen.disjoint_copies(gen.complete_bipartite(3, 3), 1000))
+    assert keyed <= 2.5, keyed
+    assert matched <= 1.6, matched
 
 
 def test_stale_descriptor_rejected():
