@@ -7,7 +7,7 @@ writes one matcher, ``match(anchor) -> (rank, case) or None``, the only
 place its case conditions appear.  The queue finds the least (rank,
 anchor) without rescanning the graph: an anchor is queued under a key
 that is a lower bound on its rank, and matched only when it reaches the
-top.
+top.  Which anchors to push again after a step is the reducer's choice.
 """
 
 from __future__ import annotations
@@ -27,48 +27,37 @@ class CaseQueue:
     of its case, by pushing again, after each step, every anchor whose
     rank the step may have lowered.  Then an anchor that pops with a case
     of rank equal to its key holds the least (rank, anchor) of all.
-
-    ``raised`` holds the anchors that ``pop`` matched and did not fire:
-    those it put back at a rank above the key they popped at, and those
-    it dropped with no case.  A push that lowers an anchor's key takes it
-    out.  Every other anchor that has not fired still holds the key it
-    was last pushed at, so a reducer whose keys are cheap lower bounds
-    needs to requeue far from a change only the anchors in this set.
     """
 
     def __init__(self) -> None:
         self.heap: list = []
         self.queued: dict = {}
-        self.raised: set = set()
 
     def push(self, anchor, key) -> None:
         """Queue anchor at key, unless its live entry is at or below it."""
         if key < self.queued.get(anchor, inf):
             self.queued[anchor] = key
-            self.raised.discard(anchor)
             heapq.heappush(self.heap, (key, anchor))
 
     def push_all(self, anchors, key_fn) -> None:
         """``push(a, key_fn(a))`` for each anchor, in one call."""
-        heap, queued, raised = self.heap, self.queued, self.raised
+        heap, queued = self.heap, self.queued
         for a in anchors:
             key = key_fn(a)
             if key < queued.get(a, inf):
                 queued[a] = key
-                raised.discard(a)
                 heapq.heappush(heap, (key, a))
 
     def discard(self, anchor) -> None:
         """Forget an anchor that is gone: its entries become stale."""
         self.queued.pop(anchor, None)
-        self.raised.discard(anchor)
 
     def pop(self, match):
         """The least (rank, anchor, case), taken off the queue; None when
         no queued anchor has a case.  An anchor whose case ranks above its
         key goes back at its rank; one ranked below its key means the
         invariant broke, and raises."""
-        heap, queued, raised = self.heap, self.queued, self.raised
+        heap, queued = self.heap, self.queued
         while heap:
             key, anchor = heapq.heappop(heap)
             if queued.get(anchor) != key:
@@ -76,17 +65,14 @@ class CaseQueue:
             del queued[anchor]
             found = match(anchor)
             if found is None:
-                raised.add(anchor)
                 continue
             rank, case = found
             if rank == key:
-                raised.discard(anchor)
                 return rank, anchor, case
             if rank < key:
                 raise CaseAnalysisIncomplete(
                     f"case at {anchor} has rank {rank} below its key {key}"
                 )
             queued[anchor] = rank
-            raised.add(anchor)
             heapq.heappush(heap, (rank, anchor))
         return None

@@ -10,6 +10,7 @@ charge, failed certificate); assertions are never downgraded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -179,7 +180,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused."""
     ap = argparse.ArgumentParser(prog="planarize", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

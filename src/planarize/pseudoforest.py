@@ -25,12 +25,13 @@ or it gains a neighbour, only when a step touches it, and a degree-3
 vertex cannot come next to a vertex of degree 4 or more otherwise.
 After a step only these go back at their key, when that is below their
 live key: the vertices the step touched (``apply_case``), the anchor,
-and the vertices the queue raised above their key or dropped
-(``CaseQueue.raised``) within distance 1 of a touched vertex, or 2 at
-degree 4, since FourRegB and FourRegC3 read that far.  Every vertex
-with a case so holds a key at most its rank, and the popped minimum is
-the scan's minimum.  The one non-local case, FourRegC4, searches only
-the anchor's component for a cycle of tetrahedra.
+and the raised vertices (``_Run.raised``: matched, so put back above
+their key or dropped, and not pushed since) within distance 1 of a
+touched vertex, or 2 at degree 4, since FourRegB and FourRegC3 read
+that far.  Every vertex with a case so holds a key at most its rank,
+and the popped minimum is the scan's minimum.  The one non-local case,
+FourRegC4, searches only the anchor's component for a cycle of
+tetrahedra.
 """
 
 from __future__ import annotations
@@ -385,9 +386,12 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
 
     Returns the recorded step and the touched vertices: the live ones
     among the closed neighbourhoods of the vertices the step deleted,
-    contracted or contracted into, and among the descriptor's vertices;
-    every vertex whose incident edges changed is one.  Raises
-    StaleDescriptor when the descriptor no longer matches the graph.
+    contracted or contracted into; every vertex whose incident edges
+    changed is one.  The other descriptor vertices (DeltaB's a and b,
+    FourRegB's a and center) keep their edges, so their keys cannot
+    fall, and lie next to the touched c, so the reducer requeues them as
+    it does any vertex.  Raises StaleDescriptor when the descriptor no
+    longer matches the graph.
     """
     label = desc.label
     adj = g.adjacency_map()
@@ -582,7 +586,6 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
     for orig in step.s_added:
         sol.s.add(orig)
     sol.trace.append(step)
-    touched.update(desc.vertices)
     touched &= adj.keys()
     return step, touched
 
@@ -610,7 +613,8 @@ class _Run:
     A vertex is queued at a lower bound on its rank (``_key``) and matched
     only when it reaches the top (``CaseQueue.pop``), so the case that
     fires is the minimum (rank, v) over the graph, the step
-    ``first_applicable_case`` takes.  ``keyed`` counts the vertices keyed
+    ``first_applicable_case`` takes.  ``raised`` holds the vertices
+    matched and not pushed since.  ``keyed`` counts the vertices keyed
     again after steps and ``matched`` the ``_match_at`` calls: work
     counters, independent of the host.
     """
@@ -622,6 +626,7 @@ class _Run:
         self.adj = g.adjacency_map()
         self.queue = CaseQueue()
         self.queue.push_all(g.vertices(), self._key)
+        self.raised: set[int] = set()
         self.keyed = 0
         self.matched = 0
 
@@ -636,6 +641,7 @@ class _Run:
 
     def _match(self, v: int) -> tuple[int, CaseDescriptor] | None:
         self.matched += 1
+        self.raised.add(v)
         return _case_at(self.g, v)
 
     def _raised_near(self, touched: set[int]) -> set[int]:
@@ -646,11 +652,11 @@ class _Run:
         adj, degree = self.adj, self.degree
         ring = touched.union(*map(adj.__getitem__, touched))
         ball = ring.union(*map(adj.__getitem__, ring))
-        return {y for y in ball & self.queue.raised if y in ring or degree[y] == 4}
+        return {y for y in ball & self.raised if y in ring or degree[y] == 4}
 
     def step(self) -> bool:
         """Apply the next case; False once no vertex has one."""
-        g, queue = self.g, self.queue
+        g, queue, raised = self.g, self.queue, self.raised
         found = queue.pop(self._match)
         if found is None:
             return False
@@ -658,12 +664,14 @@ class _Run:
         if desc.label == FOUR_REG_C4:
             desc = _c4_payload(g, v)
         step, touched = apply_case(g, desc, self.sol)
-        for x in step.deleted + step.accepted:
+        gone = step.deleted + step.accepted + tuple(
+            y if x == keep else x for x, y, keep in step.contracted)
+        for x in gone:
             queue.discard(x)
-        for x, y, keep in step.contracted:
-            queue.discard(y if x == keep else x)
+        raised.difference_update(gone)
         # A vertex whose live key is at or below its ``_key`` keeps it valid
-        # until a step touches it (module docstring).  The others are the
+        # until a step touches it (module docstring), and once pushed it
+        # holds such a key, so it leaves ``raised``.  The others are the
         # anchor, whose entry was just popped and which may lie far from
         # touched (FourRegC4 deletes from the smallest tetrahedron on a
         # cycle, which need not be the anchor's), and the raised vertices.
@@ -672,10 +680,11 @@ class _Run:
         # only within distance 2 of it (``_raised_near``).
         if g.has_vertex(v):
             touched.add(v)
-        if queue.raised:
+        if raised:
             touched |= self._raised_near(touched)
         self.keyed += len(touched)
         queue.push_all(touched, self._key)
+        raised -= touched
         return True
 
 

@@ -237,9 +237,11 @@ def test_criterion_9_scaling_smoke():
     work_pf = work_ratios((1000, 2000, 4000), k33)
     assert all(r <= 2.5 for r in work_pf), work_pf
 
-    ratios_pf_rr4, times_pf_rr4 = ladder(reduce_pseudoforest, (2000, 4000), rr4)
+    # At n = 2000 / 4000 the rungs were short enough (0.04-0.25 s) that
+    # noise on a loaded host pushed the ratio over the gate.
+    ratios_pf_rr4, times_pf_rr4 = ladder(reduce_pseudoforest, (4000, 8000), rr4)
     assert all(r <= 3.0 for r in ratios_pf_rr4), (ratios_pf_rr4, times_pf_rr4)
-    work_pf_rr4 = work_ratios((2000, 4000), rr4)
+    work_pf_rr4 = work_ratios((4000, 8000), rr4)
     assert all(r <= 2.5 for r in work_pf_rr4), work_pf_rr4
 
     # All-tetrahedra components: FourRegC4 fires once per component.

@@ -51,39 +51,3 @@ def test_case_ranked_below_its_key_raises():
     q.push("a", 2)
     with pytest.raises(CaseAnalysisIncomplete):
         q.pop(lambda a: (1, None))
-
-
-def test_raised_holds_anchors_put_back_above_their_key_or_dropped():
-    ranks = {"a": 4, "b": None, "c": 2}
-    q = CaseQueue()
-    q.push_all(ranks, lambda a: 1)
-    found = q.pop(lambda a: None if ranks[a] is None else (ranks[a], None))
-    assert found == (2, "c", None)
-    assert q.raised == {"a", "b"}
-    assert q.queued == {"a": 4}  # "b" has no case, so no entry
-
-
-def test_a_lower_push_takes_an_anchor_out_of_raised():
-    q = CaseQueue()
-    q.push("a", 1)
-    assert q.pop(lambda a: None) is None
-    assert q.raised == {"a"} and q.queued == {}
-    q.push("a", 3)  # any key is below no entry
-    q.push("b", 1)
-    assert q.raised == set()
-    assert q.pop(lambda a: (4 if a == "b" else 3, None)) == (3, "a", None)
-    assert q.raised == {"b"} and q.queued == {"b": 4}
-    q.push("b", 4)  # not lower: "b" stays raised
-    assert q.raised == {"b"}
-    q.push_all(["b"], lambda a: 2)
-    assert q.raised == set() and q.queued == {"b": 2}
-
-
-def test_firing_and_discarding_leave_raised():
-    q = CaseQueue()
-    q.push_all("ab", lambda a: 1)
-    assert q.pop(lambda a: (2, None)) == (2, "a", None)  # raised, then fired
-    assert q.raised == {"b"}
-    q.discard("b")
-    assert q.raised == set() and q.queued == {}
-    assert q.pop(lambda a: (2, None)) is None  # b's entry went stale

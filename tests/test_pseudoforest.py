@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import inf
 
 import networkx as nx
 import pytest
@@ -197,7 +198,13 @@ def _c4_payload_whole_graph(g):
 
 
 def _check_keys(run):
+    """The queue invariant, and the one the requeue rests on: every live
+    vertex outside ``raised`` holds a live key at most its ``_key``."""
     check_invariant(run.queue, run.g.vertices(), lambda v: pf._case_at(run.g, v))
+    live = run.g.adjacency_map().keys()
+    assert run.raised <= live, run.raised - live
+    for v in live - run.raised:
+        assert run.queue.queued.get(v, inf) <= run._key(v), (v, run.queue.queued.get(v))
 
 
 def _new_run(g):
@@ -313,8 +320,7 @@ def test_lockstep_on_triangle_rich_four_regular():
 
 def _far_double_link():
     """A 4-regular graph in which a contraction completes a tetrahedron two
-    steps away from a vertex the queue has raised, and so gives it a
-    FourRegC3 case.
+    steps away from a raised vertex, and so gives it a FourRegC3 case.
 
     Vertex 0 lies in the tetrahedron 0-3, whose outside neighbours are 4
     and 5 (the tetrahedron 4-7) and 13 and 14.  It pops first and goes
@@ -340,7 +346,7 @@ def test_raised_vertex_two_steps_from_a_contraction_goes_back():
     assert g.is_d_regular(4)
     run = _new_run(g)
     run.step()
-    assert run.queue.queued[0] == pf._RANKS[pf.FOUR_REG_C4] and 0 in run.queue.raised
+    assert run.queue.queued[0] == pf._RANKS[pf.FOUR_REG_C4] and 0 in run.raised
     run.step()
     run.step()
     assert [step.label for step in run.sol.trace] == [
@@ -360,8 +366,9 @@ def _work_per_step(g):
 
 def test_requeue_work_per_step_on_random_4_regular():
     # Work counters, not times.  Keying the whole radius-2 ball of what a
-    # step touched cost 48.7 keys and 2.79 matches per step here, and
-    # keying degree 3 at its degree bound 6.62 keys and 1.98 matches.
+    # step touched cost 48.7 keys and 2.79 matches per step here, keying
+    # degree 3 at its degree bound 6.62 keys and 1.98 matches, and keeping
+    # a vertex raised after a push that left its key 6.47 keys.
     keyed, matched = _work_per_step(gen.random_regular(4000, 4, 11))
     assert keyed <= 7, keyed
     assert matched <= 1.2, matched
