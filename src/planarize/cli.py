@@ -103,6 +103,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_lp(args: argparse.Namespace) -> int:
     problem = lpmod.default_lp()
+    if args.lp_cmd == "solve" and args.params:
+        raise GraphError("lp solve takes no --params; they apply to lp check only")
+    if args.lp_cmd == "check" and args.drop:
+        raise GraphError("lp check takes no --drop; it applies to lp solve only")
     if args.lp_cmd == "check":
         point = (
             ChargeParams.parse(args.params).as_assignment()

@@ -94,9 +94,17 @@ def _build(edges: list[tuple[int, int]], header: tuple[int, int] | None) -> Mult
     return g
 
 
+def _read_text(path: str) -> str:
+    """The file's text; a file that is not UTF-8 is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def read_graph(path: str) -> MultiGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def write_graph_text(g: MultiGraph) -> str:
@@ -112,13 +120,12 @@ def write_graph_text(g: MultiGraph) -> str:
 def read_vertex_set(path: str) -> set[int]:
     """One vertex id per line; '#' comments ignored."""
     out: set[int] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                out.add(int(line))
-            except ValueError as exc:
-                raise ParseError(f"bad vertex id line: {raw!r}") from exc
+    for raw in io.StringIO(_read_text(path)):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            out.add(int(line))
+        except ValueError as exc:
+            raise ParseError(f"bad vertex id line: {raw!r}") from exc
     return out

@@ -6,16 +6,20 @@ has maximum degree 4.  Vertices moved to the output set S leave the
 working graph by contraction or acceptance; the result satisfies
 9 |S| >= 9 n - 2 m and the input induced on S is a pseudoforest.
 
-Two dispatchers produce identical runs, both built on ``_match_at``,
-where the case conditions are written.  The reference scan
-``first_applicable_case`` matches every vertex and takes the minimum
-(rank, anchor).  ``reduce_pseudoforest`` dispatches from a ``CaseQueue``
-instead: each vertex is keyed by a lower bound on its rank and is
-matched only when it reaches the top, where it either fires (its rank
-equals its key) or goes back at its exact rank.  The key is the bound
-its degree gives, except at degree 3, where it is the exact rank read
-from the neighbours: Deg3AdjDeg4 when one has degree 4 or more,
-ThreeRegular otherwise.
+``_match_at`` is the one place a case condition is written, and what it
+returns is the step itself (``CaseDescriptor``): the vertices to delete,
+the edges to contract and the vertices to accept.  ``apply_case`` takes
+any such step the same way.
+
+Two dispatchers produce identical runs, both built on ``_match_at``.
+The reference scan ``first_applicable_case`` matches every vertex and
+takes the minimum (rank, anchor).  ``reduce_pseudoforest`` dispatches
+from a ``CaseQueue`` instead: each vertex is keyed by a lower bound on
+its rank and is matched only when it reaches the top, where it either
+fires (its rank equals its key) or goes back at its exact rank.  The key
+is the bound its degree gives, except at degree 3, where it is the exact
+rank read from the neighbours: Deg3AdjDeg4 when one has degree 4 or
+more, ThreeRegular otherwise.
 
 A key stays a lower bound until a step touches its vertex.  No case
 raises a degree: every deletion and contraction lowers the degrees it
@@ -24,14 +28,14 @@ w, keeps both degrees and touches both.  So a vertex's degree changes,
 or it gains a neighbour, only when a step touches it, and a degree-3
 vertex cannot come next to a vertex of degree 4 or more otherwise.
 After a step only these go back at their key, when that is below their
-live key: the vertices the step touched (``apply_case``), the anchor,
-and the raised vertices (``_Run.raised``: matched, so put back above
-their key or dropped, and not pushed since) within distance 1 of a
-touched vertex, or 2 at degree 4, since FourRegB and FourRegC3 read
-that far.  Every vertex with a case so holds a key at most its rank,
-and the popped minimum is the scan's minimum.  The one non-local case,
-FourRegC4, searches only the anchor's component for a cycle of
-tetrahedra.
+live key: the vertices the step touched (the closed neighbourhoods of
+the vertices it names, ``apply_case``), the anchor, and the raised
+vertices (``_Run.raised``: matched, so put back above their key or
+dropped, and not pushed since) within distance 1 of a touched vertex,
+or 2 at degree 4, since FourRegC2 and FourRegC3 read that far.  Every
+vertex with a case so holds a key at most its rank, and the popped
+minimum is the scan's minimum.  The one non-local case, FourRegC4,
+searches only the anchor's component for a cycle of tetrahedra.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ DELTA_D = "DeltaD"
 DEG3_ADJ_DEG4 = "Deg3AdjDeg4"
 THREE_REGULAR = "ThreeRegular"
 FOUR_REG_A = "FourRegA"
-FOUR_REG_B = "FourRegB"
 FOUR_REG_C1 = "FourRegC1"
 FOUR_REG_C2 = "FourRegC2"
 FOUR_REG_C3 = "FourRegC3"
@@ -73,25 +76,23 @@ _RANKS = {
     DEG3_ADJ_DEG4: 8,
     THREE_REGULAR: 9,
     FOUR_REG_A: 10,
-    FOUR_REG_B: 11,
-    FOUR_REG_C1: 12,
-    FOUR_REG_C2: 13,
-    FOUR_REG_C3: 14,
-    FOUR_REG_C4: 15,
+    FOUR_REG_C1: 11,
+    FOUR_REG_C2: 12,
+    FOUR_REG_C3: 13,
+    FOUR_REG_C4: 14,
 }
 
 
 @dataclass(frozen=True)
 class CaseDescriptor:
-    """A matched case: label plus the participating vertices.
-
-    ``vertices`` meaning per label is documented in ``apply_case``;
-    ``payload`` carries auxiliary vertex pairs where needed.
-    """
+    """A matched case as the step it takes, in the order ``solution.replay``
+    runs a step: delete, then contract each ``(u, v, survivor)``, then
+    accept."""
 
     label: str
-    vertices: tuple[int, ...]
-    payload: tuple = ()
+    deleted: tuple[int, ...] = ()
+    contracted: tuple[tuple[int, int, int], ...] = ()
+    accepted: tuple[int, ...] = ()
 
     @property
     def rank(self) -> int:
@@ -101,31 +102,17 @@ class CaseDescriptor:
 # -- local structure helpers -----------------------------------------
 
 
-def _disjoint_nonadj_pairs(g: MultiGraph, a: int) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Two disjoint non-adjacent pairs covering N(a); first is kept."""
+def _dropped_pair(g: MultiGraph, a: int) -> tuple[int, int] | None:
+    """Of two disjoint non-adjacent pairs covering N(a), the second, which
+    FourRegA deletes; the first is kept."""
     nbrs = g.neighbors(a)
-    if len(nbrs) != 4:
-        return None
     adj = g.adjacency_map()
     for p, q in combinations(nbrs, 2):
         if q in adj[p]:
             continue
         r, s = (x for x in nbrs if x not in (p, q))
         if s not in adj[r]:
-            return (p, q), (r, s)
-    return None
-
-
-def _star_center(g: MultiGraph, a: int) -> int | None:
-    """Center of N(a) when the induced neighborhood is a 3-edge star."""
-    nbrs = g.neighbors(a)
-    if len(nbrs) != 4:
-        return None
-    adj = g.adjacency_map()
-    within = {u: sum(1 for v in nbrs if v != u and v in adj[u]) for u in nbrs}
-    counts = sorted(within.values())
-    if counts == [1, 1, 1, 3]:
-        return max(within, key=lambda u: (within[u], -u))
+            return r, s
     return None
 
 
@@ -142,8 +129,6 @@ def _tetra_of(g: MultiGraph, v: int) -> tuple[int, ...] | None:
 
 def _k5_component(g: MultiGraph, a: int) -> tuple[int, ...] | None:
     nbrs = g.neighbors(a)
-    if len(nbrs) != 4 or g.degree(a) != 4:
-        return None
     if any(g.degree(u) != 4 for u in nbrs):
         return None
     adj = g.adjacency_map()
@@ -152,8 +137,8 @@ def _k5_component(g: MultiGraph, a: int) -> tuple[int, ...] | None:
     return None
 
 
-def _shared_triangle(g: MultiGraph, a: int) -> tuple[int, ...] | None:
-    """(a, e, b, c, d): tetrahedra a,b,c,d and e,b,c,d share triangle bcd."""
+def _shared_apex(g: MultiGraph, a: int) -> int | None:
+    """e with tetrahedra a,b,c,d and e,b,c,d sharing triangle bcd."""
     nbrs = g.neighbors(a)
     adj = g.adjacency_map()
     for triple in combinations(nbrs, 3):
@@ -164,17 +149,14 @@ def _shared_triangle(g: MultiGraph, a: int) -> tuple[int, ...] | None:
         common.discard(a)
         for e in sorted(common):
             if e not in adj[a]:
-                return (a, e, b, c, d)
+                return e
     return None
 
 
-def _double_link(g: MultiGraph, a: int) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Two inter-tetrahedron edges joining a's tetrahedron to one other.
-
-    Returns ((b, e), (d, g2)): the sorted pair of linking edges; the case
-    deletes d (first tetra's endpoint of the second edge) and e (second
-    tetra's endpoint of the first edge).
-    """
+def _double_link(g: MultiGraph, a: int) -> tuple[int, int] | None:
+    """Two inter-tetrahedron edges (b, e) < (d, g2) joining a's tetrahedron
+    to one other; returns (d, e), the first tetrahedron's endpoint of the
+    second edge and the second's endpoint of the first."""
     t1 = _tetra_of(g, a)
     if t1 is None:
         return None
@@ -190,8 +172,8 @@ def _double_link(g: MultiGraph, a: int) -> tuple[tuple[int, int], tuple[int, int
             links.setdefault(t2, []).append((x, y))
     for t2 in sorted(links):
         if len(links[t2]) >= 2:
-            edges = sorted(links[t2])
-            return edges[0], edges[1]
+            (_, e), (d, _) = sorted(links[t2])[:2]
+            return d, e
     return None
 
 
@@ -201,70 +183,64 @@ def _double_link(g: MultiGraph, a: int) -> tuple[tuple[int, int], tuple[int, int
 def _match_at(g: MultiGraph, v: int) -> CaseDescriptor | None:
     """Best-priority case anchored at v, from vertex-local structure only.
 
-    Rank 15 is only a marker (v lies in a tetrahedron); its payload is
-    computed on v's component when it actually fires.
+    FourRegC4 is returned only as a marker (v lies in a tetrahedron), with
+    no step; ``_c4_payload`` finds its step on v's component when it
+    actually fires.
     """
     degree = g.degree_map()
     adj = g.adjacency_map()
     row = adj[v]
     deg = degree[v]
     if deg >= 5:
-        return CaseDescriptor(PREPROCESS, (v,))
+        return CaseDescriptor(PREPROCESS, deleted=(v,))
     if deg == 0:
-        return CaseDescriptor(HARVEST, (v,))
+        return CaseDescriptor(HARVEST, accepted=(v,))
     if deg == 1:
-        return CaseDescriptor(LEAF, (v, next(iter(row))))
+        b = next(iter(row))
+        return CaseDescriptor(LEAF, contracted=((v, b, b),))
     if deg == 2:
         if len(row) != 2:
             raise GraphError(f"multigraph state at {v}; the reducer requires simple inputs")
         u, w = sorted(row)
         if w not in adj[u]:
-            return CaseDescriptor(DEG2_NO_TRIANGLE, (v, u, w))
+            return CaseDescriptor(DEG2_NO_TRIANGLE, contracted=((v, u, u),))
         du, dw = degree[u], degree[w]
         if du == 2 and dw == 2:
-            return CaseDescriptor(DELTA_A, tuple(sorted((v, u, w))))
+            return CaseDescriptor(DELTA_A, accepted=tuple(sorted((v, u, w))))
         (low, b), (high, c) = sorted(((du, u), (dw, w)))
         if low == 2 and high == 3:
             d = next(x for x in adj[c] if x not in (v, b))
-            return CaseDescriptor(DELTA_B, (v, b, c, d))
+            return CaseDescriptor(DELTA_B, deleted=(d,))
         if 3 in (du, dw):
             b = u if du == 3 else w
             c = u if b == w else w
             x = next(y for y in adj[b] if y not in (v, c))
-            return CaseDescriptor(DELTA_C, (v, b, c, x))
+            return CaseDescriptor(DELTA_C, deleted=(c,), contracted=((v, b, b), (b, x, x)))
         # Remaining neighbor degrees are {2,4} or {4,4}; a degree >= 5
         # neighbor can only appear while a Preprocess entry is pending,
         # which outranks this descriptor, so the match stays provisional.
         b = u if du >= 4 else w
         c = u if b == w else w
-        return CaseDescriptor(DELTA_D, (v, b, c))
+        return CaseDescriptor(DELTA_D, deleted=(b,), contracted=((v, c, c),))
     if deg == 3:
         b = min((u for u in row if degree[u] >= 4), default=None)
         if b is not None:
-            return CaseDescriptor(DEG3_ADJ_DEG4, (v, b))
-        return CaseDescriptor(THREE_REGULAR, (v,))
-    pairs = _disjoint_nonadj_pairs(g, v)
-    if pairs is not None:
-        keep, drop = pairs
-        return CaseDescriptor(FOUR_REG_A, (v,), (keep, drop))
-    center = _star_center(g, v)
-    if center is not None:
-        c = min(x for x in g.neighbors(v) if x != center)
-        cpairs = _disjoint_nonadj_pairs(g, c)
-        if cpairs is not None:
-            return CaseDescriptor(FOUR_REG_B, (v, center, c), cpairs)
+            return CaseDescriptor(DEG3_ADJ_DEG4, deleted=(b,))
+        return CaseDescriptor(THREE_REGULAR, deleted=(v,))
+    drop = _dropped_pair(g, v)
+    if drop is not None:
+        return CaseDescriptor(FOUR_REG_A, deleted=drop)
     comp5 = _k5_component(g, v)
     if comp5 is not None:
-        return CaseDescriptor(FOUR_REG_C1, comp5)
-    shared = _shared_triangle(g, v)
-    if shared is not None:
-        return CaseDescriptor(FOUR_REG_C2, shared)
+        return CaseDescriptor(FOUR_REG_C1, deleted=comp5[:2])
+    e = _shared_apex(g, v)
+    if e is not None:
+        return CaseDescriptor(FOUR_REG_C2, deleted=(v, e))
     link = _double_link(g, v)
     if link is not None:
-        (b, e), (d, g2) = link
-        return CaseDescriptor(FOUR_REG_C3, (d, e), ((b, e), (d, g2)))
+        return CaseDescriptor(FOUR_REG_C3, deleted=link)
     if _tetra_of(g, v) is not None:
-        return CaseDescriptor(FOUR_REG_C4, (v,))
+        return CaseDescriptor(FOUR_REG_C4)
     return None
 
 
@@ -309,7 +285,7 @@ def _c4_payload(g: MultiGraph, anchor: int) -> CaseDescriptor:
     off = tuple(sorted(set(tetra[t0]) - on_cycle))
     if len(off) != 2:
         raise CaseAnalysisIncomplete("cycle touches a tetrahedron at more than two vertices")
-    return CaseDescriptor(FOUR_REG_C4, tetra[t0], (tuple(sorted(on_cycle)), off))
+    return CaseDescriptor(FOUR_REG_C4, deleted=off)
 
 
 def _find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
@@ -358,233 +334,61 @@ def first_applicable_case(g: MultiGraph) -> CaseDescriptor | None:
             raise CaseAnalysisIncomplete(f"{g.m} edges left but no case matches")
         return None
     if best.label == FOUR_REG_C4:
-        return _c4_payload(g, best.vertices[0])
+        return _c4_payload(g, best_key[1])
     return best
 
 
 # -- case application --------------------------------------------------
 
 
-def _check(cond: bool, desc: CaseDescriptor, why: str) -> None:
-    if not cond:
-        raise StaleDescriptor(f"{desc.label}{desc.vertices}: {why}")
-
-
 def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> tuple[TraceStep, set[int]]:
-    """Execute one case, updating the graph, S, and the trace.
+    """Take the step ``desc`` names, updating the graph, S and the trace.
 
-    Descriptor vertices by label: Preprocess/Harvest/ThreeRegular (v,);
-    Leaf (a, neighbor); Deg2NoTriangle (a, u, w) contracting a into u;
-    DeltaA (a, b, c) the isolated triangle; DeltaB (a, b, c, d) deleting
-    d; DeltaC (a, b, c, x) deleting c then contracting a-b and b-x;
-    DeltaD (a, b, c) deleting b then contracting a-c; Deg3AdjDeg4 (a, b)
-    deleting b; FourRegA (a,) and FourRegB (a, center, c) with the kept
-    and deleted pairs in the payload; FourRegC1 the K5 component;
-    FourRegC2 (a, e, b, c, d) deleting the apexes a and e; FourRegC3
-    (d, e) the endpoints to delete, linking edges in the payload;
-    FourRegC4 the tetrahedron, payload (on-cycle pair, off-cycle pair).
-
-    Returns the recorded step and the touched vertices: the live ones
-    among the closed neighbourhoods of the vertices the step deleted,
-    contracted or contracted into; every vertex whose incident edges
-    changed is one.  The other descriptor vertices (DeltaB's a and b,
-    FourRegB's a and center) keep their edges, so their keys cannot
-    fall, and lie next to the touched c, so the reducer requeues them as
-    it does any vertex.  Raises StaleDescriptor when the descriptor no
-    longer matches the graph.
+    Raises StaleDescriptor, before any change, when a vertex it names or
+    an edge it contracts is gone.  The case conditions themselves are not
+    checked again: replay, the integer bound and the certificate on G[S]
+    vouch for a run.  Returns the recorded step and the touched vertices:
+    the live ones among the closed neighbourhoods of the vertices the
+    step names, which hold every vertex whose incident edges changed.
     """
-    label = desc.label
     adj = g.adjacency_map()
     touched: set[int] = set()
-
-    def collect(vs) -> None:
-        for x in vs:
-            if g.has_vertex(x):
-                touched.add(x)
-                touched.update(adj[x])
-
-    if label == PREPROCESS:
-        (v,) = desc.vertices
-        _check(g.has_vertex(v) and g.degree(v) >= 5, desc, "degree below 5")
-        collect([v])
-        units = g.delete_vertex(v)
-        step = TraceStep(label, deleted=(v,), removed_edges=units)
-    elif label == HARVEST:
-        (v,) = desc.vertices
-        _check(g.has_vertex(v) and g.degree(v) == 0, desc, "not isolated")
-        orig = g.origin(v)
-        g.delete_vertex(v)
-        step = TraceStep(label, accepted=(v,), s_added=(orig,))
-    elif label == LEAF:
-        a, b = desc.vertices
-        _check(g.has_vertex(a) and g.degree(a) == 1 and b in adj[a], desc, "not a leaf edge")
-        collect([a, b])
-        orig = g.origin(a)
-        g.contract_edge(a, b, b)
-        step = TraceStep(label, contracted=((a, b, b),), removed_edges=1, s_added=(orig,))
-    elif label == DEG2_NO_TRIANGLE:
-        a, u, w = desc.vertices
-        _check(
-            g.has_vertex(a) and g.degree(a) == 2 and sorted((u, w)) == g.neighbors(a)
-            and w not in adj[u],
-            desc,
-            "not a triangle-free degree-2 vertex",
-        )
-        collect([a, u, w])
-        orig = g.origin(a)
-        g.contract_edge(a, u, u)
-        step = TraceStep(label, contracted=((a, u, u),), removed_edges=1, s_added=(orig,))
-    elif label == DELTA_A:
-        a, b, c = desc.vertices
-        _check(
-            all(g.has_vertex(x) and g.degree(x) == 2 for x in (a, b, c))
-            and b in adj[a] and c in adj[b] and c in adj[a],
-            desc,
-            "not an isolated triangle",
-        )
-        origs = tuple(g.origin(x) for x in (a, b, c))
-        units = sum(g.delete_vertex(x) for x in (a, b, c))
-        step = TraceStep(label, accepted=(a, b, c), removed_edges=units, s_added=origs)
-    elif label == DELTA_B:
-        a, b, c, d = desc.vertices
-        _check(
-            g.has_vertex(d) and g.has_vertex(a) and g.degree(a) == 2 and g.degree(b) == 2
-            and g.degree(c) == 3 and d in adj[c],
-            desc,
-            "triangle configuration changed",
-        )
+    for v in desc.deleted:
+        if v not in adj:
+            raise StaleDescriptor(f"{desc}: vertex {v} is gone")
+        touched.add(v)
+        touched.update(adj[v])
+    for u, v, _ in desc.contracted:
+        if u not in adj or v not in adj[u]:
+            raise StaleDescriptor(f"{desc}: edge ({u}, {v}) is gone")
+        touched.add(u)
+        touched.update(adj[u])
+        touched.update(adj[v])
+    for v in desc.accepted:
+        if v not in adj:
+            raise StaleDescriptor(f"{desc}: vertex {v} is gone")
+        touched.add(v)
+        touched.update(adj[v])
+    if desc.label == DELTA_B:
+        (d,) = desc.deleted
         if g.degree(d) < 3:
             raise CaseAnalysisIncomplete(
                 f"DeltaB fired with deg({d}) = {g.degree(d)}; earlier cases missed it"
             )
-        collect([d])
-        units = g.delete_vertex(d)
-        step = TraceStep(label, deleted=(d,), removed_edges=units)
-    elif label == DELTA_C:
-        a, b, c, x = desc.vertices
-        _check(
-            g.has_vertex(c) and g.degree(a) == 2 and g.degree(b) == 3 and g.degree(c) >= 3
-            and b in adj[a] and c in adj[a] and c in adj[b]
-            and x in adj[b],
-            desc,
-            "triangle configuration changed",
-        )
-        collect([a, b, c, x])
-        orig_a, orig_b = g.origin(a), g.origin(b)
-        units = g.delete_vertex(c)
-        g.contract_edge(a, b, b)
-        g.contract_edge(b, x, x)
-        step = TraceStep(
-            label,
-            deleted=(c,),
-            contracted=((a, b, b), (b, x, x)),
-            removed_edges=units + 2,
-            s_added=(orig_a, orig_b),
-        )
-    elif label == DELTA_D:
-        a, b, c = desc.vertices
-        _check(
-            g.has_vertex(b) and g.degree(a) == 2 and g.degree(b) == 4
-            and b in adj[a] and c in adj[a] and c in adj[b],
-            desc,
-            "triangle configuration changed",
-        )
-        collect([a, b, c])
-        orig_a = g.origin(a)
-        units = g.delete_vertex(b)
-        g.contract_edge(a, c, c)
-        step = TraceStep(
-            label,
-            deleted=(b,),
-            contracted=((a, c, c),),
-            removed_edges=units + 1,
-            s_added=(orig_a,),
-        )
-    elif label == DEG3_ADJ_DEG4:
-        a, b = desc.vertices
-        _check(
-            g.has_vertex(b) and g.degree(a) == 3 and g.degree(b) == 4 and b in adj[a],
-            desc,
-            "degree pair changed",
-        )
-        collect([b])
-        units = g.delete_vertex(b)
-        step = TraceStep(label, deleted=(b,), removed_edges=units)
-    elif label == THREE_REGULAR:
-        (a,) = desc.vertices
-        _check(g.has_vertex(a) and g.degree(a) == 3, desc, "degree changed")
-        collect([a])
-        units = g.delete_vertex(a)
-        step = TraceStep(label, deleted=(a,), removed_edges=units)
-    elif label in (FOUR_REG_A, FOUR_REG_B):
-        keep, drop = desc.payload
-        anchor = desc.vertices[0] if label == FOUR_REG_A else desc.vertices[2]
-        _check(
-            g.has_vertex(anchor) and g.degree(anchor) == 4
-            and set(keep) | set(drop) == set(g.neighbors(anchor))
-            and keep[1] not in adj[keep[0]] and drop[1] not in adj[drop[0]],
-            desc,
-            "neighborhood pairs changed",
-        )
-        d, e = drop
-        collect([d, e])
-        units = g.delete_vertex(d) + g.delete_vertex(e)
-        step = TraceStep(label, deleted=(d, e), removed_edges=units)
-    elif label == FOUR_REG_C1:
-        comp = desc.vertices
-        _check(
-            len(comp) == 5 and all(g.has_vertex(x) and g.degree(x) == 4 for x in comp)
-            and all(v in adj[u] for u, v in combinations(comp, 2)),
-            desc,
-            "component is no longer a K5",
-        )
-        d, e = comp[0], comp[1]
-        collect([d, e])
-        units = g.delete_vertex(d) + g.delete_vertex(e)
-        step = TraceStep(label, deleted=(d, e), removed_edges=units)
-    elif label == FOUR_REG_C2:
-        a, e = desc.vertices[0], desc.vertices[1]
-        b, c, d = desc.vertices[2:]
-        _check(
-            all(g.has_vertex(x) for x in desc.vertices)
-            and e not in adj[a]
-            and all(y in adj[a] and y in adj[e] for y in (b, c, d)),
-            desc,
-            "shared triangle changed",
-        )
-        collect([a, e])
-        units = g.delete_vertex(a) + g.delete_vertex(e)
-        step = TraceStep(label, deleted=(a, e), removed_edges=units)
-    elif label == FOUR_REG_C3:
-        d, e = desc.vertices
-        (b, e2), (d2, g2) = desc.payload
-        _check(
-            g.has_vertex(d) and g.has_vertex(e) and e2 == e and d2 == d
-            and b in adj[e] and g2 in adj[d] and e not in adj[d],
-            desc,
-            "linking edges changed",
-        )
-        collect([d, e])
-        units = g.delete_vertex(d) + g.delete_vertex(e)
-        step = TraceStep(label, deleted=(d, e), removed_edges=units)
-    elif label == FOUR_REG_C4:
-        tetra = desc.vertices
-        on_cycle, off = desc.payload
-        _check(
-            len(tetra) == 4 and all(g.has_vertex(x) for x in tetra)
-            and all(v in adj[u] for u, v in combinations(tetra, 2))
-            and set(on_cycle) | set(off) == set(tetra),
-            desc,
-            "tetrahedron changed",
-        )
-        collect(off)
-        units = sum(g.delete_vertex(x) for x in off)
-        step = TraceStep(label, deleted=tuple(off), removed_edges=units)
-    else:
-        raise StaleDescriptor(f"unknown case label {label!r}")
 
-    for orig in step.s_added:
-        sol.s.add(orig)
+    units = 0
+    s_added = []
+    for v in desc.deleted:
+        units += g.delete_vertex(v)
+    for u, v, survivor in desc.contracted:
+        s_added.append(g.origin(v if survivor == u else u))
+        g.contract_edge(u, v, survivor)
+        units += 1
+    for v in desc.accepted:
+        s_added.append(g.origin(v))
+        units += g.delete_vertex(v)
+    step = TraceStep(desc.label, desc.deleted, desc.contracted, desc.accepted, units, tuple(s_added))
+    sol.s.update(s_added)
     sol.trace.append(step)
     touched &= adj.keys()
     return step, touched
@@ -595,7 +399,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
 
 # A lower bound on the rank of any case anchored at a vertex of the given
 # degree: degree 2 matches DeltaA-D or Deg2NoTriangle (ranks 3-7), degree
-# 4 one of the FourReg cases (10-15) or none; degrees 0, 1 and >= 5 have
+# 4 one of the FourReg cases (10-14) or none; degrees 0, 1 and >= 5 have
 # exactly one case each.  Degree 3 is keyed at its exact rank (``_Run._key``).
 _DEGREE_BOUND = (_RANKS[HARVEST], _RANKS[LEAF], _RANKS[DEG2_NO_TRIANGLE],
                  _RANKS[DEG3_ADJ_DEG4], _RANKS[FOUR_REG_A])
@@ -647,7 +451,7 @@ class _Run:
     def _raised_near(self, touched: set[int]) -> set[int]:
         """The raised vertices a step may have re-ranked: those within
         distance 1 of ``touched``, and those of degree 4 within distance 2
-        (FourRegB and FourRegC3 read the neighbourhoods of neighbours;
+        (FourRegC2 and FourRegC3 read the neighbourhoods of neighbours;
         every other case reads only the anchor's own neighbourhood)."""
         adj, degree = self.adj, self.degree
         ring = touched.union(*map(adj.__getitem__, touched))

@@ -55,8 +55,9 @@ def test_reduce_with_custom_params(tmp_path, capsys):
 
 
 def test_bad_params_exit_one(tmp_path, capsys):
-    # Infeasible or malformed rationals, in reduce and in lp check, and
-    # any params at all for a reducer that takes none.
+    # Infeasible or malformed rationals, in reduce and in lp check, any
+    # params at all for a reducer that takes none, and an lp option given
+    # to the subcommand it does not apply to.
     path = tmp_path / "k4.txt"
     path.write_text(write_graph_text(gen.complete(4)))
     reduce = ("reduce", "-i", str(path), "--alg")
@@ -66,6 +67,8 @@ def test_bad_params_exit_one(tmp_path, capsys):
                   (("lp", "check", "--params", f"{bad},1,1,1"), repr(bad))]
     for alg in ("pseudoforest", "tw2"):
         cases += [(reduce + (alg, "--params", p), "planar only") for p in ("garbage", "0,1/4,0,1")]
+    cases += [(("lp", "solve", "--params", "1/5,1/5,1/23,1/2"), "check only"),
+              (("lp", "check", "--drop", "foo"), "solve only")]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -78,10 +81,17 @@ def test_missing_file_exit_one(capsys):
 
 
 def test_malformed_file_exit_one(tmp_path, capsys):
-    path = tmp_path / "bad.txt"
-    path.write_text("1 1\n")  # self loop
-    code, _, err = run_cli(capsys, "reduce", "--alg", "tw2", "-i", str(path))
-    assert code == 1
+    # A self loop, and bytes that are not UTF-8 as the graph or as the set.
+    good = tmp_path / "k4.txt"
+    good.write_text(write_graph_text(gen.complete(4)))
+    bad = tmp_path / "bad.txt"
+    reduce = ("reduce", "--alg", "tw2", "-i", str(bad))
+    for data, argv in ((b"1 1\n", reduce), (b"\xff\xfe\x00bad", reduce),
+                       (b"\xff\xfe\x00bad", ("certify", "-i", str(good), "-s", str(bad)))):
+        bad.write_bytes(data)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), (data, argv)
+        assert err.startswith("error:") and "Traceback" not in err, (data, argv)
 
 
 def test_malformed_dimacs_exit_one_without_traceback(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from planarize import generators as gen
 from planarize.errors import LoopInInput, ParseError
-from planarize.graphio import parse_graph, read_vertex_set, write_graph_text
+from planarize.graphio import parse_graph, read_graph, read_vertex_set, write_graph_text
 
 
 def test_parse_native_with_header_and_comments():
@@ -92,3 +92,11 @@ def test_read_vertex_set(tmp_path):
     p = tmp_path / "s.txt"
     p.write_text("1\n3\n# comment\n5\n")
     assert read_vertex_set(str(p)) == {1, 3, 5}
+
+
+def test_non_utf8_files_raise_parse_error(tmp_path):
+    p = tmp_path / "bad.bin"
+    p.write_bytes(b"\xff\xfe\x00bad")
+    for read in (read_graph, read_vertex_set):
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read(str(p))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarize import certify, generators as gen, oracle
+from planarize.errors import StaleDescriptor
 from planarize.multigraph import from_edge_list
 from planarize.solution import ReductionSolution, aggregate_charge_ok, replay
 import planarize.pseudoforest as pf
@@ -70,7 +71,7 @@ def test_first_applicable_case_k33_is_three_regular():
 def test_first_applicable_case_path_is_leaf():
     desc = pf.first_applicable_case(gen.path(4))
     assert desc.label == pf.LEAF
-    assert desc.vertices[0] == 0
+    assert desc.contracted[0][0] == 0
 
 
 def test_first_applicable_case_done():
@@ -110,25 +111,32 @@ def test_tetra_ring_hits_c4():
     assert g.is_d_regular(4)
     desc = pf.first_applicable_case(g)
     assert desc.label == pf.FOUR_REG_C4
-    assert len(desc.payload[1]) == 2  # two off-cycle vertices to delete
+    assert len(desc.deleted) == 2  # two off-cycle vertices to delete
     sol = pf.reduce_pseudoforest(g)
     _check_run(g, sol)
+
+
+def _is_star(g, a):
+    """N(a) induces a star with three edges."""
+    nbrs, adj = g.neighbors(a), g.adjacency_map()
+    within = sorted(sum(1 for v in nbrs if v in adj[u]) for u in nbrs)
+    return within == [1, 1, 1, 3]
 
 
 def test_star_neighborhood_is_subsumed_by_case_a():
     # Vertex 0 sees a star (neighbors 1..4 with 1 adjacent to 2, 3, 4),
     # but whenever a star neighborhood exists, one of its leaves admits
-    # the two-disjoint-pairs case directly, so the star label can never
-    # be the first applicable case; the executed mutation is identical.
+    # the two-disjoint-pairs case directly, so FourRegA fires first and
+    # the star needs no case of its own.
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
     edges += [(2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
     g = from_edge_list(edges)
     assert g.is_d_regular(4)
-    assert pf._star_center(g, 0) == 1
-    assert pf._star_center(g, 2) is None
+    assert _is_star(g, 0) and not _is_star(g, 2)
     desc = pf.first_applicable_case(g)
     assert desc.label == pf.FOUR_REG_A
     sol = pf.reduce_pseudoforest(g)
+    assert sol.trace[0].label == pf.FOUR_REG_A
     _check_run(g, sol)
 
 
@@ -147,7 +155,7 @@ def test_shared_triangle_tetrahedra_hit_c2():
     assert g.is_d_regular(4)
     desc = pf.first_applicable_case(g)
     assert desc.label == pf.FOUR_REG_C2
-    assert set(desc.vertices[:2]) == {0, 1}  # the two apexes get deleted
+    assert set(desc.deleted) == {0, 1}  # the two apexes get deleted
     sol = pf.reduce_pseudoforest(g)
     assert sol.trace[0].label == pf.FOUR_REG_C2
     assert sol.trace[1].label == pf.DELTA_A  # isolated shared triangle
@@ -194,7 +202,7 @@ def _c4_payload_whole_graph(g):
         x, y = link[(min(t0, other), max(t0, other))]
         on_cycle.add(x if rep[x] == t0 else y)
     off = tuple(sorted(set(tetra[t0]) - on_cycle))
-    return pf.CaseDescriptor(pf.FOUR_REG_C4, tetra[t0], (tuple(sorted(on_cycle)), off))
+    return pf.CaseDescriptor(pf.FOUR_REG_C4, off)
 
 
 def _check_keys(run):
@@ -367,10 +375,11 @@ def _work_per_step(g):
 def test_requeue_work_per_step_on_random_4_regular():
     # Work counters, not times.  Keying the whole radius-2 ball of what a
     # step touched cost 48.7 keys and 2.79 matches per step here, keying
-    # degree 3 at its degree bound 6.62 keys and 1.98 matches, and keeping
-    # a vertex raised after a push that left its key 6.47 keys.
+    # degree 3 at its degree bound 6.62 keys and 1.98 matches, keeping a
+    # vertex raised after a push that left its key 6.47 keys, and keying
+    # the other neighbours of w in Deg2NoTriangle 6.02 keys.
     keyed, matched = _work_per_step(gen.random_regular(4000, 4, 11))
-    assert keyed <= 7, keyed
+    assert keyed <= 5, keyed
     assert matched <= 1.2, matched
 
 
@@ -382,15 +391,46 @@ def test_requeue_work_per_step_on_k33_copies():
     assert matched <= 1.6, matched
 
 
-def test_stale_descriptor_rejected():
-    from planarize.errors import StaleDescriptor
+def _state(g, sol):
+    """What apply_case may change: the rows, the origins, S and the trace."""
+    rows = {v: dict(row) for v, row in g.adjacency_map().items()}
+    return rows, g.origin_map(), set(sol.s), list(sol.trace)
 
+
+def test_stale_descriptor_rejected():
     g = gen.path(4)
     desc = pf.first_applicable_case(g)
     sol = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
     pf.apply_case(g, desc, sol)
+    before = _state(g, sol)
     with pytest.raises(StaleDescriptor):
         pf.apply_case(g, desc, sol)
+    assert _state(g, sol) == before
+
+
+def test_stale_contracted_edge_rejected():
+    # Every vertex the Leaf step names is live, but the edge it contracts
+    # is gone.
+    desc = pf.first_applicable_case(gen.path(3))
+    assert desc.contracted == ((0, 1, 1),)
+    g = from_edge_list([(0, 2), (1, 2)])
+    sol = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
+    before = _state(g, sol)
+    with pytest.raises(StaleDescriptor):
+        pf.apply_case(g, desc, sol)
+    assert _state(g, sol) == before
+
+
+def test_executor_takes_a_step_in_replay_order():
+    # Delete, then contract, then accept: accepting 1 before the
+    # contraction into it would leave no edge (0, 1) to contract.
+    g = gen.path(4)
+    desc = pf.CaseDescriptor("HandBuilt", deleted=(3,), contracted=((0, 1, 1),), accepted=(1, 2))
+    sol = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
+    step, touched = pf.apply_case(g.copy(), desc, sol)
+    assert (step.removed_edges, step.s_added, touched) == (3, (0, 1, 2), set())
+    assert sol.s == {0, 1, 2} and sol.trace == [step]
+    assert replay(g, sol).edge_events == 3
 
 
 @settings(max_examples=120, deadline=None)
