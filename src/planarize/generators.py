@@ -13,7 +13,13 @@ from .errors import InvalidSpec
 from .multigraph import MultiGraph
 
 
+def _require_sizes(*sizes: int) -> None:
+    if min(sizes) < 0:
+        raise InvalidSpec(f"sizes must be non-negative, got {', '.join(map(str, sizes))}")
+
+
 def complete(k: int) -> MultiGraph:
+    _require_sizes(k)
     g = MultiGraph()
     for v in range(k):
         g.add_vertex(v)
@@ -24,6 +30,7 @@ def complete(k: int) -> MultiGraph:
 
 
 def complete_bipartite(a: int, b: int) -> MultiGraph:
+    _require_sizes(a, b)
     g = MultiGraph()
     for v in range(a + b):
         g.add_vertex(v)
@@ -45,6 +52,7 @@ def cycle(n: int) -> MultiGraph:
 
 
 def path(n: int) -> MultiGraph:
+    _require_sizes(n)
     g = MultiGraph()
     for v in range(n):
         g.add_vertex(v)
@@ -54,6 +62,7 @@ def path(n: int) -> MultiGraph:
 
 
 def empty(n: int) -> MultiGraph:
+    _require_sizes(n)
     g = MultiGraph()
     for v in range(n):
         g.add_vertex(v)

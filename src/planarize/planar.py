@@ -3,23 +3,24 @@
 Case priority: accept whole any component whose contraction residue is
 already a legal output core (K4, the dipole, cycles, trees, and their
 cycle-gluings) when its edge units cover the debts being settled; then
-delete a vertex of degree 6 or more; harvest isolated vertices; contract
-an edge at a degree-<=2 vertex (vertex to S, then simplify, so the
-working graph stays simple); delete a vertex of a 3-regular component;
-delete a degree-5 vertex; delete a degree-4 vertex adjacent to a
-degree-3 vertex; delete a vertex of a 4-regular component.  Vertices a
-step isolates join S inside that step.
+delete a vertex of degree 6 or more; contract an edge at a degree-<=2
+vertex (vertex to S, then simplify, so the working graph stays simple);
+delete a vertex of a 3-regular component; delete a degree-5 vertex;
+delete a degree-4 vertex adjacent to a degree-3 vertex; delete a vertex
+of a 4-regular component.  An isolated input vertex is a component that
+is accepted at charge 0; vertices a step isolates join S in that step.
 
-The ledger replays the amortized analysis exactly: every removed edge
-unit is +1 and every deleted vertex -(5+epsilon).  Debts are issued
-lazily: when a step would otherwise go negative, vertices whose degree
-dropped in that step are raised toward the credit cap of their new
-degree, in id order, until the step is solvent; the whole-component
-debt tau is issued the same way by the 4-regular case.  Debts are
-cleared when their vertex leaves the working graph, and tau when a
-component loses its last degree-3 vertex or is accepted.  Every
-recorded step charge must be non-negative; a violation raises
-NegativeCharge.
+Every case is a step of one executor (``_Run._take``), and the ledger
+replays the amortized analysis exactly: every removed edge unit is +1,
+every deleted vertex -(5+epsilon), less the debts and the tau the step
+clears.  Debts are issued lazily: when a step would otherwise go
+negative, vertices whose degree dropped in that step are raised toward
+the credit cap of their new degree, in id order, until the step is
+solvent; the whole-component debt tau is issued the same way by the
+4-regular case.  Debts are cleared when their vertex leaves the working
+graph, and tau when a component loses its last degree-3 vertex or is
+accepted.  Every recorded step charge must be non-negative; a violation
+raises NegativeCharge.
 
 Dispatch is incremental rather than a rescan of the graph.  A component
 table keeps, per component, its members, degree counts, vertices of
@@ -54,7 +55,6 @@ from .multigraph import MultiGraph
 from .solution import ReductionSolution, TraceStep, check_result, require_simple
 
 PREPROCESS = "Preprocess"
-HARVEST = "HarvestIsolated"
 DEG2_CONTRACT = "Deg2Contract"
 PLANAR_ACCEPT = "PlanarAccept"
 THREE_REG_DELETE = "ThreeRegularDelete"
@@ -230,7 +230,8 @@ class _Table:
         return self.comps[self.comp_of[v]]
 
     def remove(self, v: int) -> None:
-        """Drop v, which has left the graph (its debt already cleared)."""
+        """Drop v from its record; its debt, still in the ledger, leaves
+        the record's total."""
         c = self.of(v)
         self._leave(c, v)
         if not c.size:
@@ -264,8 +265,8 @@ class _Table:
 
 
 # Ranks are positions in this table: the case priority of the module
-# docstring.  Ranks 0, 4 and 7 are component cases, the others vertex cases.
-_LABELS = (PLANAR_ACCEPT, PREPROCESS, HARVEST, DEG2_CONTRACT, THREE_REG_DELETE,
+# docstring.  Ranks 0, 3 and 6 are component cases, the others vertex cases.
+_LABELS = (PLANAR_ACCEPT, PREPROCESS, DEG2_CONTRACT, THREE_REG_DELETE,
            DEG5_DELETE, MIXED_DELETE, FOUR_REG_DELETE)
 
 
@@ -301,23 +302,21 @@ class _Run:
         d = g.degree(v)
         if d >= 6:
             return 1
-        if d == 0:
-            return 2
         if d == 1 or (d == 2 and g.loops(v) == 0):
-            return 3
+            return 2
         if d == 5:
-            return 5
+            return 4
         if d == 4 and any(g.degree(u) == 3 for u in g.neighbor_view(v)):
-            return 6
+            return 5
         return None
 
     def _comp_rank(self, c: _Comp) -> int | None:
         if c.acceptable and self._acceptance_charge(c) >= 0:
             return 0
         if c.degrees[3] == c.size:
-            return 4
+            return 3
         if c.degrees[4] == c.size:
-            return 7
+            return 6
         return None
 
     def _match(self, anchor: tuple[int, int]) -> tuple[int, _Comp | None] | None:
@@ -371,22 +370,17 @@ class _Run:
 
     # -- ledger plumbing ---------------------------------------------
 
-    def _clear_debt(self, v: int) -> Fraction:
-        d = self.ledger.debt.pop(v, _ZERO)
-        if d:
-            self.table.of(v).debt -= d
-        return d
-
     def _greedy_raise(self, base: Fraction, dropped: dict[int, int]) -> Fraction:
         """Issue just enough debt to make the step solvent.
 
         Survivors whose degree dropped this step are raised toward the
-        cap of their new degree in id order; the last raise is partial,
-        so no more debt is borrowed than the step needs.
+        cap of their new degree in id order (the order of ``dropped``,
+        which maps them to their degrees before the step); the last raise
+        is partial, so no more debt is borrowed than the step needs.
         """
         g = self.g
         charge = base
-        for v in sorted(dropped):
+        for v in dropped:
             if charge >= 0:
                 break
             if not g.has_vertex(v):
@@ -402,146 +396,100 @@ class _Run:
                     self.table.of(v).debt += raise_by
         return charge
 
-    @staticmethod
-    def _update_tau(flagged: bool, children: list[_Comp]) -> tuple[int, list[_Comp]]:
-        """Re-attach a flagged component's tau to its children that keep a
-        degree-3 vertex; returns (cleared, children_with_degree_3)."""
-        kids3 = [c for c in children if c.degrees[3]]
-        if not flagged:
-            return 0, kids3
-        for c in children:
-            c.tau = c.degrees[3] > 0
-        return (0 if kids3 else 1), kids3
+    # -- the step --------------------------------------------------------
 
-    def _remove(self, v: int) -> tuple[Fraction, int]:
-        """Take v out of the graph; returns (its cleared debt, edge units)."""
-        cleared = self._clear_debt(v)
-        units = self.g.delete_vertex(v)
-        self.table.remove(v)
-        return cleared, units
+    def _take(self, label: str, comp: _Comp, deleted: tuple[int, ...] = (),
+              contracted: tuple[tuple[int, int, int], ...] = (), accepted: Iterable[int] = ()) -> None:
+        """Take one step in ``comp``, in the order ``solution.replay`` runs
+        it: delete, then contract each (v, u, u) and simplify at u, then
+        accept, and with the accepted vertices every watched vertex left
+        at degree 0.  Then split or keep ``comp``, charge the step, issue
+        debt (and on the 4-regular case tau) if it runs short, and record
+        it.  With ``strict``, a negative charge raises NegativeCharge
+        before the step is recorded.
 
-    def _harvest_isolated(self, among) -> tuple[list[int], list[int], Fraction]:
+        The watched vertices are the neighbours of the vertices that are
+        deleted or contracted away, less those vertices: the only ones
+        whose degree can drop.  Contracting v into u moves v's edges to
+        u, so u's other neighbours keep theirs; ``accepted`` is a whole
+        component, so it adds none.
+        """
         g = self.g
-        accepted: list[int] = []
-        origins: list[int] = []
-        cleared = _ZERO
-        for y in sorted(set(among)):
-            if g.has_vertex(y) and g.degree(y) == 0:
-                origins.append(g.origin(y))
-                cleared += self._remove(y)[0]
-                accepted.append(y)
-        return accepted, origins, cleared
+        table = self.table
+        flagged = comp.tau
+        gone = list(deleted) + [v for v, _, _ in contracted]
+        watch: set[int] = set()
+        for v in gone:
+            watch.update(g.neighbor_view(v))
+        watch.difference_update(gone)
+        degree = g.degree_map()
+        pre_deg = {y: degree[y] for y in sorted(watch)}
 
-    def _record(self, label: str, charge: Fraction, step: TraceStep, changed=()) -> None:
+        # A vertex that leaves takes its debt off its component's total
+        # (``_Table.remove``) and then out of the ledger.
+        debt = self.ledger.debt
+        units = 0
+        cleared = 0  # an int until a debt appears
+        s_added = []
+        for v in deleted:
+            table.remove(v)
+            cleared += debt.pop(v, 0)
+            units += g.delete_vertex(v)
+        for v, u, _ in contracted:
+            table.remove(v)
+            cleared += debt.pop(v, 0)
+            s_added.append(g.origin(v))
+            g.contract_edge(v, u, u)
+            units += 1 + g.simplify_at(u)
+        accepted = list(accepted) + [y for y in pre_deg if degree[y] == 0]
+        for v in accepted:
+            table.remove(v)
+            cleared += debt.pop(v, 0)
+            s_added.append(g.origin(v))
+            units += g.delete_vertex(v)
+
+        survivors = self._touched(pre_deg)
+        if deleted:
+            children = table.split(comp, survivors)
+        else:
+            # Contracting at a degree-<=2 vertex and merging the parallel
+            # copy is one of the residue rules, so the verdict stands.
+            children = [comp] if comp.size else []
+        # A flagged component's tau passes to its children that keep a
+        # degree-3 vertex, and is cleared when none does.
+        kids3 = [c for c in children if c.degrees[3]]
+        if flagged:
+            for c in children:
+                c.tau = c.degrees[3] > 0
+
+        # +1 per edge unit, -(5+epsilon) per deleted vertex, less the
+        # debts and the tau the step clears.
+        charge = Fraction(units)
+        if deleted:
+            charge -= (5 + self.params.epsilon) * len(deleted)
+        if cleared:
+            charge -= cleared
+        if flagged and not kids3:
+            charge -= self.params.tau
+        charge = self._greedy_raise(charge, pre_deg)
+        if charge < 0 and label == FOUR_REG_DELETE and kids3:
+            charge += self.params.tau
+            for c in kids3:
+                c.tau = True
+
         entry = LedgerEntry(len(self.sol.trace), label, charge)
         self.ledger.entries.append(entry)
         if charge < 0:
             self.ledger.negative_steps.append(entry)
             if self.strict:
                 raise NegativeCharge(f"step {entry.index} ({label}) charged {charge}")
-        self.sol.trace.append(step)
-        for orig in step.s_added:
-            self.sol.s.add(orig)
+        self.sol.trace.append(TraceStep(label, tuple(deleted), tuple(contracted), tuple(accepted),
+                                        units, tuple(s_added), simplified=bool(contracted)))
+        self.sol.s.update(s_added)
         # Only the vertices whose degree or debt changed can break a cap.
-        self.ledger.audit_caps(self.g, changed)
-
-    # -- step kinds ----------------------------------------------------
-
-    def delete_step(self, label: str, target: int, may_issue_tau: bool = False) -> None:
-        g = self.g
-        p = self.params
-        comp = self.table.of(target)
-        flagged = comp.tau
-        pre_deg = {y: g.degree(y) for y in g.neighbors(target)}
-        cleared, units = self._remove(target)
-        accepted, origins, cleared_harvest = self._harvest_isolated(pre_deg)
-        survivors = self._touched(pre_deg)
-        children = self.table.split(comp, survivors)
-        tau_cleared, kids3 = self._update_tau(flagged, children)
-        base = (
-            Fraction(units)
-            - (5 + p.epsilon)
-            - cleared
-            - cleared_harvest
-            - p.tau * tau_cleared
-        )
-        charge = self._greedy_raise(base, pre_deg)
-        if charge < 0 and may_issue_tau and kids3:
-            charge += p.tau
-            for c in kids3:
-                c.tau = True
-        step = TraceStep(
-            label,
-            deleted=(target,),
-            accepted=tuple(accepted),
-            removed_edges=units,
-            s_added=tuple(origins),
-        )
-        self._record(label, charge, step, survivors)
+        self.ledger.audit_caps(g, survivors)
         for c in children:
-            self._assess(c)
-
-    def contract_step(self, v: int) -> None:
-        g = self.g
-        p = self.params
-        comp = self.table.of(v)
-        flagged = comp.tau
-        u = g.neighbors(v)[0]
-        watch = {u} | set(g.neighbors(u)) | set(g.neighbors(v))
-        watch.discard(v)
-        pre_deg = {y: g.degree(y) for y in watch}
-        orig = g.origin(v)
-        cleared = self._clear_debt(v)
-        g.contract_edge(v, u, u)
-        self.table.remove(v)
-        cleaned = g.simplify_at(u)
-        units = 1 + cleaned
-        accepted, origins, cleared_harvest = self._harvest_isolated(watch)
-        survivors = self._touched(watch)
-        children = [comp] if comp.size else []  # a contraction never splits
-        tau_cleared, _ = self._update_tau(flagged, children)
-        base = Fraction(units) - cleared - cleared_harvest - p.tau * tau_cleared
-        charge = self._greedy_raise(base, pre_deg)
-        step = TraceStep(
-            DEG2_CONTRACT,
-            contracted=((v, u, u),),
-            accepted=tuple(accepted),
-            removed_edges=units,
-            s_added=(orig,) + tuple(origins),
-            simplified=True,
-        )
-        self._record(DEG2_CONTRACT, charge, step, survivors)
-        # Contracting at a degree-<=2 vertex and merging the parallel copy
-        # is one of the residue rules, so the verdict stands.
-        for c in children:
-            self._assess(c, inherit=True)
-
-    def accept_step(self, comp: _Comp) -> None:
-        g = self.g
-        p = self.params
-        members = self.table.members(comp)
-        origins = [g.origin(v) for v in members]
-        cleared = _ZERO
-        units = 0
-        for v in members:
-            d, k = self._remove(v)
-            cleared += d
-            units += k
-        charge = Fraction(units) - cleared - (p.tau if comp.tau else _ZERO)
-        step = TraceStep(
-            PLANAR_ACCEPT,
-            accepted=tuple(members),
-            removed_edges=units,
-            s_added=tuple(origins),
-        )
-        self._record(PLANAR_ACCEPT, charge, step)
-
-    def harvest_step(self, v: int) -> None:
-        g = self.g
-        orig = g.origin(v)
-        cleared = self._remove(v)[0]
-        step = TraceStep(HARVEST, accepted=(v,), s_added=(orig,))
-        self._record(HARVEST, -cleared, step)
+            self._assess(c, inherit=not deleted)
 
     # -- dispatch -------------------------------------------------------
 
@@ -564,14 +512,14 @@ class _Run:
             )
         rank, (v, _), comp = found
         label = _LABELS[rank]
+        comp = comp or self.table.of(v)  # the component of a vertex case
         if label == PLANAR_ACCEPT:
-            self.accept_step(comp)
-        elif label == HARVEST:
-            self.harvest_step(v)
+            self._take(label, comp, accepted=self.table.members(comp))
         elif label == DEG2_CONTRACT:
-            self.contract_step(v)
+            u = g.neighbors(v)[0]
+            self._take(label, comp, contracted=((v, u, u),))
         else:
-            self.delete_step(label, v, may_issue_tau=label == FOUR_REG_DELETE)
+            self._take(label, comp, deleted=(v,))
         return True
 
 

@@ -216,6 +216,12 @@ def test_gen_unknown_fixture_exit_one(capsys):
                    "'k5', 'mcgee', 'petersen', 'tuttecoxeter']\n")
 
 
+def test_gen_negative_size_exit_one(capsys):
+    code, out, err = run_cli(capsys, "gen", "complete", "--n", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: sizes must be non-negative, got -1\n"
+
+
 def test_gen_k33xt(tmp_path, capsys):
     out_path = tmp_path / "g.txt"
     code, _, _ = run_cli(capsys, "gen", "k33xt", "--t", "3", "-o", str(out_path))

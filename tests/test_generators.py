@@ -31,6 +31,15 @@ def test_random_regular_determinism():
     assert write_graph_text(a) != write_graph_text(c)
 
 
+def test_negative_sizes_rejected():
+    for build in (lambda: gen.complete(-1), lambda: gen.empty(-1), lambda: gen.path(-2),
+                  lambda: gen.complete_bipartite(-1, 3), lambda: gen.complete_bipartite(3, -1)):
+        with pytest.raises(InvalidSpec, match="sizes must be non-negative"):
+            build()
+    assert (gen.complete(0).n, gen.empty(0).n, gen.path(0).n) == (0, 0, 0)
+    assert gen.complete_bipartite(0, 3).n == 3
+
+
 def test_random_regular_rejects_bad_specs():
     with pytest.raises(InvalidSpec):
         gen.random_regular(5, 3, seed=0)  # odd n*d

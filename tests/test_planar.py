@@ -70,6 +70,28 @@ def test_k5_deletes_one_vertex():
     _check_run(g, sol, ledger)
 
 
+def test_isolated_vertices_leave_by_acceptance():
+    # An isolated input vertex is a component accepted on its own at
+    # charge 0; the leaves 8 and 9 that deleting 0 isolates join S in
+    # that same step.  No step harvests an isolated vertex by itself.
+    g = gen.complete(5)
+    for v in (5, 6, 7, 8, 9):
+        g.add_vertex(v)
+    g.add_edge(0, 8)
+    g.add_edge(0, 9)
+    sol, ledger = reduce_planar(g)
+    assert [(s.label, s.deleted, s.accepted) for s in sol.trace] == [
+        ("PlanarAccept", (), (5,)),
+        ("PlanarAccept", (), (6,)),
+        ("PlanarAccept", (), (7,)),
+        ("Preprocess", (0,), (8, 9)),
+        ("PlanarAccept", (), (1, 2, 3, 4)),
+    ]
+    assert [e.charge for e in ledger.entries[:3]] == [0, 0, 0]
+    assert "HarvestIsolated" not in {e.label for e in ledger.entries}
+    _check_run(g, sol, ledger)
+
+
 def test_debt_free_contraction_charges_plus_one():
     # Subdivide one K33 edge: the graph is not residue-legal, so the
     # degree-2 subdivision vertex is contracted first, debt-free.

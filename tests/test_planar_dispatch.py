@@ -28,7 +28,6 @@ from planarize.planar import (
     DEG2_CONTRACT,
     DEG5_DELETE,
     FOUR_REG_DELETE,
-    HARVEST,
     MIXED_DELETE,
     PLANAR_ACCEPT,
     PREPROCESS,
@@ -41,6 +40,9 @@ from planarize.solution import ReductionSolution, TraceStep
 from test_casequeue import check_invariant
 
 _ZERO = Fraction(0)
+# The scan's label for its degree-0 case, which ``planar`` no longer has:
+# the component of an isolated vertex is always accepted first.
+HARVEST = "HarvestIsolated"
 
 
 def _acceptable_component(g: MultiGraph, comp: list[int]) -> bool:
