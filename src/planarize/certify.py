@@ -80,12 +80,11 @@ def _reduce(g: MultiGraph, seeds: Iterable[int] | None = None) -> MultiGraph:
             touched = h.neighbors(v)
             h.delete_vertex(v)
         elif deg == 2:
-            # The graph is simple, so a != b and the new edge can only be
-            # a parallel copy.
-            a, b = _smooth(h, v)
-            if h.multiplicity(a, b) > 1:
-                h.remove_edge(a, b)
-            touched = (a, b)
+            # The graph is simple: smooth v, merging a-b if it is there.
+            a, b = touched = sorted(h.neighbor_view(v))
+            h.delete_vertex(v)
+            if b not in h.neighbor_view(a):
+                h.add_edge(a, b)
         else:
             continue
         for u in touched:
@@ -93,21 +92,6 @@ def _reduce(g: MultiGraph, seeds: Iterable[int] | None = None) -> MultiGraph:
                 queued.add(u)
                 work.append(u)
     return h
-
-
-def _smooth(h: MultiGraph, v: int) -> tuple[int, int]:
-    """Replace a degree-2, loop-free vertex by an edge between its
-    neighbors (a parallel edge or a loop when they coincide); return the
-    new edge's ends."""
-    inc = [(u, c) for u, c in h.incidences(v) if u != v]
-    ends: list[int] = []
-    for u, c in inc:
-        ends.extend([u] * c)
-    assert len(ends) == 2
-    a, b = ends
-    h.delete_vertex(v)
-    h.add_edge(a, b)
-    return a, b
 
 
 def is_partial_2_tree(g: MultiGraph) -> bool:

@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import certify, generators, graphio, lp as lpmod, minors, oracle
 from .errors import GraphError, LedgerError, BoundViolation, CaseAnalysisIncomplete, CertificateFailure
@@ -39,18 +40,19 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     sol, ledger = run(g, args.params)
     wall = time.perf_counter() - t0
 
-    # The report recomputes the bound from n, m, |S| rather than trusting
-    # the reducer's own verdict.
-    satisfied = sol.bound_den * len(sol.s) >= sol.bound_den * sol.n - sol.bound_num * sol.m
+    # The report recomputes the bound from the input's n and m and from
+    # |S| rather than trusting the reducer's own record or verdict.
+    bound = Fraction(sol.bound_den * g.n - sol.bound_num * g.m, sol.bound_den)
+    satisfied = len(sol.s) >= bound
     verdicts = certificates(args.alg, g, sol.s)
     report = {
         "algorithm": args.alg,
-        "n": sol.n,
-        "m": sol.m,
+        "n": g.n,
+        "m": g.m,
         "s": sorted(sol.s),
         "s_size": len(sol.s),
         "bound_ratio": f"{sol.bound_num}/{sol.bound_den}",
-        "bound_value": lpmod.format_rational(sol.bound_value()),
+        "bound_value": lpmod.format_rational(bound),
         "bound_satisfied": satisfied,
         "certificates": verdicts,
         "steps": len(sol.trace),

@@ -52,7 +52,7 @@ from . import certify, lp as lpmod
 from .casequeue import CaseQueue
 from .errors import CaseAnalysisIncomplete, DebtCapExceeded, InfeasibleParams, NegativeCharge
 from .multigraph import MultiGraph
-from .solution import ReductionSolution, TraceStep, check_result, require_simple
+from .solution import ReductionSolution, check_result, require_simple, take
 
 PREPROCESS = "Preprocess"
 DEG2_CONTRACT = "Deg2Contract"
@@ -400,13 +400,13 @@ class _Run:
 
     def _take(self, label: str, comp: _Comp, deleted: tuple[int, ...] = (),
               contracted: tuple[tuple[int, int, int], ...] = (), accepted: Iterable[int] = ()) -> None:
-        """Take one step in ``comp``, in the order ``solution.replay`` runs
-        it: delete, then contract each (v, u, u) and simplify at u, then
-        accept, and with the accepted vertices every watched vertex left
-        at degree 0.  Then split or keep ``comp``, charge the step, issue
-        debt (and on the 4-regular case tau) if it runs short, and record
-        it.  With ``strict``, a negative charge raises NegativeCharge
-        before the step is recorded.
+        """Take one step in ``comp`` with ``solution.take``, which keeps the
+        order (delete, then contract each (v, u, u) and simplify at u, then
+        accept); with the accepted vertices it accepts every watched vertex
+        left at degree 0.  Then split or keep ``comp``, charge the step,
+        issue debt (and on the 4-regular case tau) if it runs short, and
+        enter the charge in the ledger.  With ``strict``, a negative charge
+        raises NegativeCharge, after the step is in the trace.
 
         The watched vertices are the neighbours of the vertices that are
         deleted or contracted away, less those vertices: the only ones
@@ -424,29 +424,16 @@ class _Run:
         watch.difference_update(gone)
         degree = g.degree_map()
         pre_deg = {y: degree[y] for y in sorted(watch)}
+        step = take(g, self.sol, label, deleted, contracted,
+                    itertools.chain(accepted, (y for y in pre_deg if degree[y] == 0)), simplify=True)
 
-        # A vertex that leaves takes its debt off its component's total
-        # (``_Table.remove``) and then out of the ledger.
+        # A vertex that left takes its debt off its record's total
+        # (``_Table.remove`` reads only the record) and out of the ledger.
         debt = self.ledger.debt
-        units = 0
         cleared = 0  # an int until a debt appears
-        s_added = []
-        for v in deleted:
+        for v in itertools.chain(gone, step.accepted):
             table.remove(v)
             cleared += debt.pop(v, 0)
-            units += g.delete_vertex(v)
-        for v, u, _ in contracted:
-            table.remove(v)
-            cleared += debt.pop(v, 0)
-            s_added.append(g.origin(v))
-            g.contract_edge(v, u, u)
-            units += 1 + g.simplify_at(u)
-        accepted = list(accepted) + [y for y in pre_deg if degree[y] == 0]
-        for v in accepted:
-            table.remove(v)
-            cleared += debt.pop(v, 0)
-            s_added.append(g.origin(v))
-            units += g.delete_vertex(v)
 
         survivors = self._touched(pre_deg)
         if deleted:
@@ -464,7 +451,7 @@ class _Run:
 
         # +1 per edge unit, -(5+epsilon) per deleted vertex, less the
         # debts and the tau the step clears.
-        charge = Fraction(units)
+        charge = Fraction(step.removed_edges)
         if deleted:
             charge -= (5 + self.params.epsilon) * len(deleted)
         if cleared:
@@ -477,15 +464,12 @@ class _Run:
             for c in kids3:
                 c.tau = True
 
-        entry = LedgerEntry(len(self.sol.trace), label, charge)
+        entry = LedgerEntry(len(self.sol.trace) - 1, label, charge)
         self.ledger.entries.append(entry)
         if charge < 0:
             self.ledger.negative_steps.append(entry)
             if self.strict:
                 raise NegativeCharge(f"step {entry.index} ({label}) charged {charge}")
-        self.sol.trace.append(TraceStep(label, tuple(deleted), tuple(contracted), tuple(accepted),
-                                        units, tuple(s_added), simplified=bool(contracted)))
-        self.sol.s.update(s_added)
         # Only the vertices whose degree or debt changed can break a cap.
         self.ledger.audit_caps(g, survivors)
         for c in children:

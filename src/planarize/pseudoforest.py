@@ -9,7 +9,8 @@ working graph by contraction or acceptance; the result satisfies
 ``_match_at`` is the one place a case condition is written, and what it
 returns is the step itself (``CaseDescriptor``): the vertices to delete,
 the edges to contract and the vertices to accept.  ``apply_case`` takes
-any such step the same way.
+any such step with ``solution.take``, ``simplify`` off: no pseudoforest
+contraction makes a loop or a parallel edge.
 
 Two dispatchers produce identical runs, both built on ``_match_at``.
 The reference scan ``first_applicable_case`` matches every vertex and
@@ -46,7 +47,7 @@ from itertools import combinations
 from .casequeue import CaseQueue
 from .errors import CaseAnalysisIncomplete, GraphError, StaleDescriptor
 from .multigraph import MultiGraph
-from .solution import ReductionSolution, TraceStep, check_result, require_simple
+from .solution import ReductionSolution, TraceStep, check_result, require_simple, take
 
 PREPROCESS = "Preprocess"
 HARVEST = "HarvestIsolated"
@@ -342,7 +343,7 @@ def first_applicable_case(g: MultiGraph) -> CaseDescriptor | None:
 
 
 def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> tuple[TraceStep, set[int]]:
-    """Take the step ``desc`` names, updating the graph, S and the trace.
+    """Take the step ``desc`` names with ``solution.take``.
 
     Raises StaleDescriptor, before any change, when a vertex it names or
     an edge it contracts is gone.  The case conditions themselves are not
@@ -376,20 +377,7 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
                 f"DeltaB fired with deg({d}) = {g.degree(d)}; earlier cases missed it"
             )
 
-    units = 0
-    s_added = []
-    for v in desc.deleted:
-        units += g.delete_vertex(v)
-    for u, v, survivor in desc.contracted:
-        s_added.append(g.origin(v if survivor == u else u))
-        g.contract_edge(u, v, survivor)
-        units += 1
-    for v in desc.accepted:
-        s_added.append(g.origin(v))
-        units += g.delete_vertex(v)
-    step = TraceStep(desc.label, desc.deleted, desc.contracted, desc.accepted, units, tuple(s_added))
-    sol.s.update(s_added)
-    sol.trace.append(step)
+    step = take(g, sol, desc.label, desc.deleted, desc.contracted, desc.accepted)
     touched &= adj.keys()
     return step, touched
 

@@ -5,17 +5,18 @@ Every reducer takes a simple graph (``require_simple``) and returns a
 ``check_result`` asserts that bound and the edge accounting before the
 solution leaves the reducer.
 
-A trace records every mutation a reducer performed.  Replaying a trace
-against a fresh copy of the input both validates the recording (any
-divergence raises TraceMismatch) and recomputes the amortized charges
-from scratch, so the accounting asserted in tests does not trust any
-state the reducer kept.
+A trace records every mutation a reducer performed, each step taken
+by ``take``.  Replaying a trace against a fresh copy of the input both validates the
+recording (any divergence raises TraceMismatch) and recomputes the
+amortized charges from scratch, so the accounting asserted in tests does
+not trust any state the reducer kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import (
     BoundViolation,
@@ -39,7 +40,8 @@ class TraceStep:
     removed_edges: total edge units consumed by this step, including
         units removed by simplification when the step simplifies.
     s_added: original vertex ids added to the output set.
-    simplified: True when the step ends with a simplification pass.
+    simplified: True when the step contracted with ``take``'s ``simplify``
+        on, merging loops and parallel copies at each survivor (tw2, planar).
     """
 
     label: str
@@ -98,6 +100,37 @@ class ChargeReport:
     @property
     def nonnegative(self) -> bool:
         return self.scaled_charge >= 0
+
+
+def take(g: MultiGraph, sol: ReductionSolution, label: str, deleted: tuple[int, ...] = (),
+         contracted: tuple[tuple[int, int, int], ...] = (), accepted: Iterable[int] = (),
+         simplify: bool = False) -> TraceStep:
+    """Take one step on g and record it in sol: delete, then contract each
+    (u, v, survivor), the original of the end that vanishes joining S
+    (with ``simplify``, then merge at the survivor), then accept.
+    ``accepted`` is read only after the contractions, so it may name the
+    vertices they isolated.  The one producer of trace steps: ``replay``
+    keeps its own copy of these rules so that a fault here cannot vouch
+    for itself."""
+    units = 0
+    s_added = []
+    for v in deleted:
+        units += g.delete_vertex(v)
+    for u, v, survivor in contracted:
+        s_added.append(g.origin(v if survivor == u else u))
+        g.contract_edge(u, v, survivor)
+        units += 1
+        if simplify:
+            units += g.simplify_at(survivor)
+    accepted = tuple(accepted)
+    for v in accepted:
+        s_added.append(g.origin(v))
+        units += g.delete_vertex(v)
+    step = TraceStep(label, deleted, contracted, accepted, units, tuple(s_added),
+                     simplify and bool(contracted))
+    sol.s.update(s_added)
+    sol.trace.append(step)
+    return step
 
 
 def replay(g: MultiGraph, sol: ReductionSolution) -> ChargeReport:

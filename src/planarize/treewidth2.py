@@ -25,7 +25,7 @@ from __future__ import annotations
 from .casequeue import CaseQueue
 from .errors import CaseAnalysisIncomplete
 from .multigraph import MultiGraph
-from .solution import ReductionSolution, TraceStep, check_result, require_simple
+from .solution import ReductionSolution, check_result, require_simple, take
 
 PREPROCESS = "Preprocess"
 CONTRACT_DEG12 = "ContractDeg12"
@@ -91,28 +91,11 @@ class _Run:
         label = _LABELS[rank]
         nbrs = g.neighbors(x)
         if label == HARVEST:
-            orig = g.origin(x)
-            g.delete_vertex(x)
-            sol.s.add(orig)
-            sol.trace.append(TraceStep(HARVEST, accepted=(x,), s_added=(orig,)))
+            take(g, sol, label, accepted=(x,))
         elif label == CONTRACT_DEG12:
-            u = nbrs[0]
-            orig = g.origin(x)
-            g.contract_edge(x, u, u)
-            cleaned = g.simplify_at(u)
-            sol.s.add(orig)
-            sol.trace.append(
-                TraceStep(
-                    CONTRACT_DEG12,
-                    contracted=((x, u, u),),
-                    removed_edges=1 + cleaned,
-                    s_added=(orig,),
-                    simplified=True,
-                )
-            )
+            take(g, sol, label, contracted=((x, nbrs[0], nbrs[0]),), simplify=True)
         else:
-            units = g.delete_vertex(x)
-            sol.trace.append(TraceStep(label, deleted=(x,), removed_edges=units))
+            take(g, sol, label, deleted=(x,))
         # x need not be the anchor (DeleteAdjDeg3 removes a neighbour of
         # it), so its own entry may still be live.
         self.queue.discard(x)

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 
 from planarize import cli
+from planarize.reducers import REDUCERS
 from planarize.graphio import write_graph_text, parse_graph
 from planarize import generators as gen
 
@@ -43,6 +45,28 @@ def test_reduce_tw2_empty_graph(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["s_size"] == 4
+
+
+def test_reduce_bound_read_from_the_input(tmp_path, capsys, monkeypatch):
+    # A reducer whose solution understates n, by as many vertices as it
+    # drops from S, passes its own record's bound; the report reads n and
+    # m from the input, so the bound fails.  G[S] stays a partial 2-tree.
+    run, certs = REDUCERS["tw2"]
+
+    def understating(g, params=None):
+        sol, ledger = run(g, params)
+        return dataclasses.replace(sol, n=sol.n - len(sol.s), s=set()), ledger
+
+    monkeypatch.setitem(REDUCERS, "tw2", (understating, certs))
+    path = tmp_path / "k33.txt"
+    path.write_text(write_graph_text(gen.complete_bipartite(3, 3)))
+    code, out, _ = run_cli(capsys, "reduce", "--alg", "tw2", "-i", str(path))
+    assert code == 2
+    report = json.loads(out)
+    assert (report["n"], report["m"], report["s_size"]) == (6, 9, 0)
+    assert report["bound_value"] == "21/5"
+    assert report["bound_satisfied"] is False
+    assert report["certificates"] == {"partial_2_tree": True}
 
 
 def test_reduce_with_custom_params(tmp_path, capsys):

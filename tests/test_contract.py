@@ -1,8 +1,9 @@
 """The reducer contract shared by all three reducers.
 
-``solution.require_simple`` is the one input check and
-``solution.check_result`` the one post-condition block; each reducer
-calls both, so a tampered solution fails the same way for every one.
+``solution.require_simple`` is the one input check,
+``solution.check_result`` the one post-condition block and
+``solution.take`` the one step executor; each reducer calls all three,
+so a tampered solution fails the same way for every one.
 """
 
 import dataclasses
@@ -11,9 +12,9 @@ import pytest
 
 from planarize import generators as gen
 from planarize.errors import BoundViolation, CaseAnalysisIncomplete, GraphError
-from planarize.multigraph import MultiGraph
+from planarize.multigraph import MultiGraph, from_edge_list
 from planarize.reducers import REDUCERS
-from planarize.solution import TraceStep, check_result
+from planarize.solution import ReductionSolution, TraceStep, check_result, replay, take
 
 
 def _empty_output(sol):
@@ -52,3 +53,29 @@ def test_check_result_rejects_tampered_solution(algorithm, tamper, error, messag
     tamper(sol)
     with pytest.raises(error, match=message):
         check_result(sol)
+
+
+def test_take_records_a_step_in_replay_order():
+    # 5 is deleted; contracting 1 into 0 doubles the edge 0-2, which
+    # ``simplify`` merges; contracting the lone edge 3-4 into 3 leaves 3 at
+    # degree 0, which the generator reads only after the contractions.
+    g = from_edge_list([(0, 1), (0, 2), (1, 2), (3, 4), (5, 0), (5, 4)])
+    work = g.copy()
+    degree = work.degree_map()
+    sol = ReductionSolution("handbuilt", g.n, g.m, set(), 1, 5)
+    step = take(work, sol, "HandBuilt", deleted=(5,), contracted=((0, 1, 0), (3, 4, 3)),
+                accepted=(y for y in (2, 3) if degree[y] == 0), simplify=True)
+    assert step == TraceStep("HandBuilt", deleted=(5,), contracted=((0, 1, 0), (3, 4, 3)),
+                             accepted=(3,), removed_edges=5, s_added=(1, 4, 3), simplified=True)
+    assert sol.s == {1, 3, 4} and sol.trace == [step]
+    assert sorted(work.vertices()) == [0, 2] and work.m == 1
+    rest = take(work, sol, "Rest", accepted=(0, 2), simplify=True)
+    assert (rest.removed_edges, rest.s_added, rest.simplified) == (1, (0, 2), False)
+    assert replay(g, sol).edge_events == g.m == 6
+
+    # Without ``simplify`` the parallel copy stays and is not counted.
+    work = g.copy()
+    plain = take(work, ReductionSolution("handbuilt", g.n, g.m, set(), 1, 5), "Plain",
+                 contracted=((0, 1, 0),))
+    assert (plain.removed_edges, plain.s_added, plain.simplified) == (1, (1,), False)
+    assert work.multiplicity(0, 2) == 2
