@@ -5,14 +5,15 @@ predicates are run against the induced subgraph of the *original* input,
 so a reducer bug cannot vouch for itself.
 
 The residue certificates share one worklist rewriting engine,
-``_reduce`` (delete degree <= 1, smooth degree 2, drop loops, merge
-parallels), which decides treewidth <= 2 and the planar residue shapes.
+``_reduce``, which reads the graph as plain neighbour sets (so loops and
+parallel edges vanish as they are read), deletes degree <= 1 and smooths
+degree 2; it decides treewidth <= 2 and the planar residue shapes.
 Every check here runs in near-linear time.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .multigraph import MultiGraph, from_rows
 
@@ -38,90 +39,92 @@ def is_pseudoforest(g: MultiGraph) -> bool:
     return all(sum(g.degree(v) for v in comp) <= 2 * len(comp) for comp in g.components())
 
 
-def _reduce(g: MultiGraph, seeds: Iterable[int] | None = None) -> MultiGraph:
+def _reduce(
+    adj: Mapping[int, Iterable[int]], work: Iterable[int]
+) -> tuple[dict[int, set[int]], int]:
     """The rewriting engine behind every residue certificate.
 
-    Works on a copy of g and returns the irreducible residue.  The rules:
+    Reads ``adj``, a mapping from each vertex to its neighbours, and never
+    writes to it.  A row is copied the first time it is read, as a set
+    without the vertex itself, so loops and parallel edges vanish as they
+    are read.  On that simple graph the rules are: delete a vertex of
+    degree <= 1; delete a vertex of degree 2 and join its two neighbours
+    (a set add, so an edge already there stays one edge).
 
-    - delete a vertex of degree <= 1;
-    - smooth a vertex of degree 2 (its two edge ends join into one
-      edge);
-    - drop loops and merge parallel bundles down to one edge.  The copy
-      is simplified once up front and every smoothing merges the edge it
-      creates at once, so the graph stays simple and the other two rules
-      see only degrees.
+    The worklist starts at ``work`` (the caller vouches that no other
+    vertex is reducible) and a rewrite re-queues only its endpoints, so
+    the run is linear (the series-parallel reduction of Valdes, Tarjan and
+    Lawler) and costs what it rewrites, however large ``adj`` is.  The
+    residue is unique up to isomorphism, so no verdict depends on the
+    order.  Deleting v reads the row of every live neighbour of v to
+    discard v, so a row not yet read has never changed and a lazy read is
+    never stale.
 
-    A worklist holds the vertices whose degree may have changed; a rewrite
-    re-queues only its endpoints, so the engine runs in linear time (the
-    series-parallel reduction of Valdes, Tarjan and Lawler).  The residue
-    is unique up to isomorphism, so the verdicts built on it do not depend
-    on the order.
-
-    With ``seeds`` the caller vouches that g is simple and no other vertex
-    of it is reducible: the worklist starts from the seeds only and the
-    rules write to ``g.overlay()``, so the run costs what it rewrites,
-    however large g is.
+    Returns the rows read that are still left, and how many vertices were
+    deleted.
     """
-    if seeds is None:
-        h = g.copy()
-        h.simplify()
-        work = list(h.vertices())
-    else:
-        h = g.overlay()
-        work = list(seeds)
+    rows: dict[int, set[int]] = {}
+
+    def row(v: int) -> set[int]:
+        r = rows.get(v)
+        if r is None:
+            r = rows[v] = set(adj[v])
+            r.discard(v)
+        return r
+
     queued = set(work)
-    while work:
-        v = work.pop()
+    stack = list(queued)
+    deleted = 0
+    while stack:
+        v = stack.pop()
         queued.discard(v)
-        if not h.has_vertex(v):
+        nbrs = row(v)
+        if len(nbrs) > 2:
             continue
-        deg = h.degree(v)
-        if deg <= 1:
-            touched = h.neighbors(v)
-            h.delete_vertex(v)
-        elif deg == 2:
-            # The graph is simple: smooth v, merging a-b if it is there.
-            a, b = touched = sorted(h.neighbor_view(v))
-            h.delete_vertex(v)
-            if b not in h.neighbor_view(a):
-                h.add_edge(a, b)
-        else:
-            continue
-        for u in touched:
+        del rows[v]
+        deleted += 1
+        for u in nbrs:
+            row(u).discard(v)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            rows[a].add(b)
+            rows[b].add(a)
+        for u in nbrs:
             if u not in queued:
                 queued.add(u)
-                work.append(u)
-    return h
+                stack.append(u)
+    return rows, deleted
 
 
 def is_partial_2_tree(g: MultiGraph) -> bool:
     """True iff g has treewidth at most 2.
 
-    Characterized by the simplifying rewriting (``_reduce`` with all four
-    rules) emptying the graph.
+    Characterized by the rewriting of ``_reduce`` emptying the graph.
     """
-    return _reduce(g).n == 0
+    return not _reduce(g.adjacency_map(), g.vertices())[0]
 
 
 def accepts_planar_residue(g: MultiGraph) -> bool:
     """Structural certificate for planar-reducer outputs.
 
-    Runs ``_reduce`` with all four rules: delete degree-<=1 vertices,
-    smooth loop-free degree-2 vertices, drop loop edges (a completed
-    cycle glued at a cut vertex), and merge parallel bundles down to a
-    single edge (cycles glued along a pair of attachment points, the
-    dipole included).  Accepts iff every component empties or ends as K4.
-    The residue is simple with minimum degree 3, so a residue component
-    is K4 exactly when it has 4 vertices, each of degree 3.
+    Runs ``_reduce`` from every vertex: loops (a completed cycle glued at
+    a cut vertex) and parallel edges (cycles glued along a pair of
+    attachment points, the dipole included) vanish as rows are read,
+    degree-<=1 vertices are deleted and degree-2 vertices smoothed.
+    Accepts iff every component empties or ends as K4.  The residue is
+    simple with minimum degree 3, so that holds exactly when every vertex
+    left has three neighbours and the two ends of every edge have the same
+    closed neighbourhood.  Every vertex was seeded, so every row left has
+    been read.
 
     Every accepted graph is planar with treewidth at most 3: undoing the
     rules only subdivides edges, duplicates edges, or attaches pendant
     vertices and cycles, all of which preserve planarity and never push
     treewidth past the K4 core's 3.
     """
-    h = _reduce(g)
+    rows = _reduce(g.adjacency_map(), g.vertices())[0]
     return all(
-        len(comp) == 4 and all(h.degree(v) == 3 for v in comp) for comp in h.components()
+        len(r) == 3 and all(rows[u] | {u} == r | {v} for u in r) for v, r in rows.items()
     )
 
 

@@ -105,14 +105,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_lp(args: argparse.Namespace) -> int:
     problem = lpmod.default_lp()
-    if args.lp_cmd == "solve" and args.params:
+    if args.lp_cmd == "solve" and args.params is not None:
         raise GraphError("lp solve takes no --params; they apply to lp check only")
     if args.lp_cmd == "check" and args.drop:
         raise GraphError("lp check takes no --drop; it applies to lp solve only")
     if args.lp_cmd == "check":
         point = (
             ChargeParams.parse(args.params).as_assignment()
-            if args.params
+            if args.params is not None
             else lpmod.paper_point()
         )
         rows = lpmod.check_feasible(problem, point)

@@ -16,65 +16,10 @@ move between threads or to share read-only.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import MutableMapping
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, KeysView, Mapping
+from typing import Iterable, Iterator, KeysView, Mapping
 
 from .errors import GraphError, LoopInInput, NoSuchEdge, UnknownVertex
-
-
-class _CopyOnWrite(MutableMapping):
-    """A mapping layered over ``base`` that never writes to it.
-
-    A value is copied (with ``copy``) the first time it is read, a
-    deletion is recorded, and the length is kept as a count, so the cost
-    is that of the keys used, not the size of ``base``.
-    """
-
-    __slots__ = ("_base", "_own", "_gone", "_copy", "_len")
-
-    def __init__(self, base: dict, copy: Callable = lambda value: value) -> None:
-        self._base = base
-        self._own: dict = {}
-        self._gone: set = set()
-        self._copy = copy
-        self._len = len(base)
-
-    def __contains__(self, key) -> bool:
-        return key in self._own or (key in self._base and key not in self._gone)
-
-    def __getitem__(self, key):
-        own = self._own
-        if key in own:
-            return own[key]
-        if key in self._gone:
-            raise KeyError(key)
-        value = own[key] = self._copy(self._base[key])
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        if key not in self:
-            self._len += 1
-        self._own[key] = value
-        self._gone.discard(key)
-
-    def __delitem__(self, key) -> None:
-        if key not in self:
-            raise KeyError(key)
-        self._own.pop(key, None)
-        self._gone.add(key)
-        self._len -= 1
-
-    def __iter__(self) -> Iterator:
-        for key in self._base:
-            if key not in self._gone:
-                yield key
-        for key in self._own:
-            if key not in self._base:
-                yield key
-
-    def __len__(self) -> int:
-        return self._len
 
 
 def _unknown(v: int) -> UnknownVertex:
@@ -476,18 +421,6 @@ class MultiGraph:
         g._deg = dict(self._deg)
         g._m = self._m
         g._origin = dict(self._origin)
-        return g
-
-    def overlay(self) -> "MultiGraph":
-        """A copy-on-write working copy: a vertex's adjacency is copied the
-        first time the overlay reads it, so rewriting k vertices costs
-        O(k) and not a copy of the whole graph.  This graph must not
-        change while the overlay is in use."""
-        g = MultiGraph()
-        g._adj = _CopyOnWrite(self._adj, dict.copy)
-        g._deg = _CopyOnWrite(self._deg)
-        g._m = self._m
-        g._origin = _CopyOnWrite(self._origin)
         return g
 
     def check_invariants(self) -> None:

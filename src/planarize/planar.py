@@ -33,7 +33,9 @@ breadth-first searches run side by side from the surviving neighbours
 (``MultiGraph.split_off``).
 A component's verdict is inherited across a contraction, read off its
 degree counts when it has no vertex of degree <= 2, and otherwise
-recomputed by ``certify._reduce`` seeded at those vertices.
+recomputed by ``certify._reduce`` seeded at those vertices; the engine
+reads the working graph's rows and writes none, so the check costs what
+it rewrites.
 ``tests/test_planar_dispatch.py`` keeps the whole-graph scan this
 replaced and checks that the two agree step by step.
 """
@@ -302,7 +304,7 @@ class _Run:
         d = g.degree(v)
         if d >= 6:
             return 1
-        if d == 1 or (d == 2 and g.loops(v) == 0):
+        if d in (1, 2):
             return 2
         if d == 5:
             return 4
@@ -351,12 +353,14 @@ class _Run:
 
     def _residue_ok(self, c: _Comp) -> bool:
         """accepts_planar_residue on the component alone.  Only its
-        degree-<=2 vertices are reducible, and the rules keep it connected,
-        so its residue is what is left of it; that residue is simple with
-        minimum degree 3, so four vertices make a K4."""
+        degree-<=2 vertices are reducible, so ``_reduce`` runs from those
+        and reports how many vertices it deleted; the rules keep the
+        component connected, so its residue is what is left of it, and
+        that residue is simple with minimum degree 3, so four vertices
+        make a K4."""
         left = c.size
         if c.low:
-            left -= self.g.n - certify._reduce(self.g, seeds=c.low).n
+            left -= certify._reduce(self.g.adjacency_map(), c.low)[1]
         return left in (0, 4)
 
     def _assess(self, c: _Comp, inherit: bool = False) -> None:

@@ -20,7 +20,7 @@ from .treewidth2 import reduce_treewidth2
 
 def _without_params(algorithm: str, reducer):
     def run(g: MultiGraph, params: str | None = None):
-        if params:
+        if params is not None:
             raise GraphError(f"{algorithm} takes no parameters; they apply to planar only")
         return reducer(g), None
 
@@ -28,7 +28,7 @@ def _without_params(algorithm: str, reducer):
 
 
 def _planar(g: MultiGraph, params: str | None = None):
-    return reduce_planar(g, ChargeParams.parse(params) if params else None)
+    return reduce_planar(g, ChargeParams.parse(params) if params is not None else None)
 
 
 REDUCERS = {

@@ -80,8 +80,9 @@ def test_reduce_with_custom_params(tmp_path, capsys):
 
 def test_bad_params_exit_one(tmp_path, capsys):
     # Infeasible or malformed rationals, in reduce and in lp check, any
-    # params at all for a reducer that takes none, and an lp option given
-    # to the subcommand it does not apply to.
+    # params at all (an empty string too) for a reducer that takes none,
+    # an empty string where params are taken, and an lp option given to
+    # the subcommand it does not apply to.
     path = tmp_path / "k4.txt"
     path.write_text(write_graph_text(gen.complete(4)))
     reduce = ("reduce", "-i", str(path), "--alg")
@@ -90,8 +91,11 @@ def test_bad_params_exit_one(tmp_path, capsys):
         cases += [(reduce + ("planar", "--params", f"{bad},1,1,1"), repr(bad)),
                   (("lp", "check", "--params", f"{bad},1,1,1"), repr(bad))]
     for alg in ("pseudoforest", "tw2"):
-        cases += [(reduce + (alg, "--params", p), "planar only") for p in ("garbage", "0,1/4,0,1")]
-    cases += [(("lp", "solve", "--params", "1/5,1/5,1/23,1/2"), "check only"),
+        cases += [(reduce + (alg, "--params", p), "planar only") for p in ("garbage", "0,1/4,0,1", "")]
+    cases += [(reduce + ("planar", "--params", ""), "expected"),
+              (("lp", "check", "--params", ""), "expected"),
+              (("lp", "solve", "--params", "1/5,1/5,1/23,1/2"), "check only"),
+              (("lp", "solve", "--params", ""), "check only"),
               (("lp", "check", "--drop", "foo"), "solve only")]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)

@@ -66,8 +66,7 @@ def test_delete_unknown_vertex():
     lambda g, v: g.incidences(v),
 ], ids=["degree", "neighbors", "neighbor_view", "loops", "origin",
         "multiplicity_first", "multiplicity_second", "incidences"])
-@pytest.mark.parametrize("make", [lambda g: g, lambda g: g.copy(), lambda g: g.overlay()],
-                         ids=["graph", "copy", "overlay"])
+@pytest.mark.parametrize("make", [lambda g: g, lambda g: g.copy()], ids=["graph", "copy"])
 def test_query_on_absent_vertex_raises_unknown_vertex(query, make):
     g = from_edge_list([(0, 1), (1, 2)])
     g.delete_vertex(2)
@@ -404,7 +403,7 @@ def _scramble(h, rng):
             h.add_vertex(100 + rng.randrange(50))
 
 
-@pytest.mark.parametrize("working_copy", [MultiGraph.copy, MultiGraph.overlay])
+@pytest.mark.parametrize("working_copy", [MultiGraph.copy])
 def test_working_copies_never_change_their_source(working_copy):
     for seed in range(100):
         rng = random.Random(seed)

@@ -8,7 +8,8 @@ debt after every step.  The tests drive it in lockstep with the
 incremental ``planar._Run`` and compare each trace step, ledger entry,
 debt and tau flag, and check the facts the incremental dispatcher relies
 on: a contraction at a degree-<=2 vertex keeps the residue verdict, and
-the seeded, copy-on-write ``certify._reduce`` gives the full verdict.
+``certify._reduce`` seeded at a component's degree-<=2 vertices gives the
+full verdict, reading only the rows it rewrites.
 """
 
 import importlib.util
@@ -442,32 +443,34 @@ def test_contraction_at_low_degree_keeps_the_residue_verdict():
     assert checked > 1000
 
 
-def test_seeded_overlay_reduce_matches_full_verdict_on_graph_atlas():
+def test_seeded_reduce_matches_full_verdict_on_graph_atlas():
     atlas = nx.graph_atlas_g()
     for gx in atlas:
         g = _from_nx(gx)
         edges = list(g.iter_edges())
         for comp in g.components():
             low = [v for v in comp if g.degree(v) <= 2]
-            removed = g.n - certify._reduce(g, seeds=low).n
+            removed = certify._reduce(g.adjacency_map(), low)[1]
             full = certify.accepts_planar_residue(certify.induced_subgraph(g, set(comp)))
             assert (len(comp) - removed in (0, 4)) == full
-            assert list(g.iter_edges()) == edges  # the overlay left g alone
+            assert list(g.iter_edges()) == edges  # the engine left g alone
         run = planar._Run(g.copy(), ChargeParams.paper(), True)
         _check_table(run)
 
 
-def test_overlay_reads_through_and_writes_aside():
-    g = gen.complete(5)
-    h = g.overlay()
-    h.delete_vertex(0)
-    h.add_edge(1, 2)
-    h.remove_edge(3, 4)
-    assert (h.n, h.m) == (4, 6)
-    assert h.multiplicity(1, 2) == 2 and not h.has_vertex(0)
-    assert sorted(h.vertices()) == [1, 2, 3, 4]
-    assert (g.n, g.m) == (5, 10) and g.multiplicity(1, 2) == 1 and g.multiplicity(3, 4) == 1
-    g.check_invariants()
+def test_seeded_reduce_costs_only_what_it_rewrites():
+    # A 3-vertex path hangs off vertex 0 of K5 x 2000.  Seeded at the
+    # path's far end, the engine deletes the path and reads one more row,
+    # vertex 0's, however large the graph; it writes nothing to g.
+    g = gen.disjoint_copies(gen.complete(5), 2000)
+    a, b, c = 10000, 10001, 10002
+    for u, v in ((0, a), (a, b), (b, c)):
+        g.add_edge(u, v)
+    edges = list(g.iter_edges())
+    rows, deleted = certify._reduce(g.adjacency_map(), [c])
+    assert deleted == 3
+    assert len(rows) <= 1
+    assert list(g.iter_edges()) == edges
 
 
 def test_split_off_returns_the_cut_off_sides():
