@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Sweep the three reducers over a seeded corpus and summarize margins.
 
-Reports, per algorithm: worst bound slack (|S| minus the exact bound
-ceiling), certificate failures (should be zero), and for the planar
-reducer the minimum ledger step charge observed.
+Each run is one ``reducers.checked_run``.  Reports, per algorithm: worst
+bound slack (|S| minus the exact bound from the input's n and m); the
+runs whose trace did not replay or whose certificates failed (should be
+none); and for the planar reducer the minimum ledger step charge
+observed.
 """
 
 import argparse
 import random
-from fractions import Fraction
 
 from planarize import generators as gen
 from planarize.multigraph import from_edge_list
-from planarize.reducers import REDUCERS, certificates
+from planarize.reducers import REDUCERS, checked_run
 
 
 def corpus(seed: int, count: int):
@@ -32,11 +33,11 @@ def corpus(seed: int, count: int):
     return out
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--count", type=int, default=400)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     graphs = corpus(args.seed, args.count)
     worst_slack = dict.fromkeys(REDUCERS)
@@ -44,16 +45,17 @@ def main() -> int:
     failures = []
 
     for tag, g in graphs:
-        for alg, (run, _) in REDUCERS.items():
-            sol, ledger = run(g)
-            slack = Fraction(len(sol.s)) - sol.bound_value()
-            if worst_slack[alg] is None or slack < worst_slack[alg]:
-                worst_slack[alg] = slack
-            low = ledger.min_charge() if ledger is not None else None
+        for alg in REDUCERS:
+            run = checked_run(g, alg)
+            if worst_slack[alg] is None or run.slack < worst_slack[alg]:
+                worst_slack[alg] = run.slack
+            low = run.ledger.min_charge() if run.ledger is not None else None
             if low is not None and (min_charge is None or low < min_charge):
                 min_charge = low
-            if not all(certificates(alg, g, sol.s).values()):
-                failures.append((tag, alg))
+            if not run.replayed:
+                failures.append((tag, alg, "replay"))
+            if not all(run.certificates.values()):
+                failures.append((tag, alg, "certificates"))
 
     print(f"graphs checked: {len(graphs)}")
     for alg, slack in worst_slack.items():

@@ -4,7 +4,8 @@ Subcommands: reduce, certify, oracle, lp, minor, gen.  Reports
 are JSON on stdout with rationals serialized as "p/q" strings and
 vertex sets as sorted arrays.  Exit codes: 0 success, 1 input or usage
 error, 2 failed internal assertion (bound violation, negative ledger
-charge, failed certificate); assertions are never downgraded.
+charge, failed certificate, a trace that does not replay, a reducer
+fault); assertions are never downgraded.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import certify, generators, graphio, lp as lpmod, minors, oracle
-from .errors import GraphError, LedgerError, BoundViolation, CaseAnalysisIncomplete, CertificateFailure
+from .errors import ASSERTION_ERRORS, BoundViolation, CertificateFailure, GraphError, ReducerFault
 from .planar import ChargeParams
-from .reducers import REDUCERS, certificates
-
-_ASSERTION_ERRORS = (LedgerError, BoundViolation, CaseAnalysisIncomplete, CertificateFailure)
+from .reducers import REDUCERS, checked_run
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -35,16 +33,12 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     g = graphio.read_graph(args.input)
-    run, _ = REDUCERS[args.alg]
     t0 = time.perf_counter()
-    sol, ledger = run(g, args.params)
+    run = checked_run(g, args.alg, args.params)
     wall = time.perf_counter() - t0
 
-    # The report recomputes the bound from the input's n and m and from
-    # |S| rather than trusting the reducer's own record or verdict.
-    bound = Fraction(sol.bound_den * g.n - sol.bound_num * g.m, sol.bound_den)
-    satisfied = len(sol.s) >= bound
-    verdicts = certificates(args.alg, g, sol.s)
+    sol, ledger = run.solution, run.ledger
+    satisfied = run.slack >= 0
     report = {
         "algorithm": args.alg,
         "n": g.n,
@@ -52,9 +46,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         "s": sorted(sol.s),
         "s_size": len(sol.s),
         "bound_ratio": f"{sol.bound_num}/{sol.bound_den}",
-        "bound_value": lpmod.format_rational(bound),
+        "bound_value": lpmod.format_rational(run.bound),
         "bound_satisfied": satisfied,
-        "certificates": verdicts,
+        "replayed": run.replayed,
+        "certificates": run.certificates,
         "steps": len(sol.trace),
         "wall_time_s": round(wall, 6),
     }
@@ -70,10 +65,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             "min_charge": lpmod.format_rational(ledger.min_charge()) if ledger.entries else None,
         }
     _emit(report, args.output)
+    if not run.replayed:
+        raise ReducerFault(f"{args.alg}: its trace does not replay: {run.mismatch}")
     if not satisfied:
         raise BoundViolation(f"{args.alg}: |S|={len(sol.s)} below bound")
-    if not all(verdicts.values()):
-        raise CertificateFailure(f"{args.alg}: certificate verdicts {verdicts}")
+    if not all(run.certificates.values()):
+        raise CertificateFailure(f"{args.alg}: certificate verdicts {run.certificates}")
     return 0
 
 
@@ -250,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _ASSERTION_ERRORS as exc:
+    except ASSERTION_ERRORS as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 2
     except (GraphError, OSError) as exc:

@@ -73,6 +73,10 @@ class CertificateFailure(GraphError):
     """An output subgraph failed its structural certificate."""
 
 
+class ReducerFault(GraphError):
+    """A reducer raised a toolkit error past its input checks, or its trace does not replay."""
+
+
 class Infeasible(GraphError):
     """Linear program has no feasible point."""
 
@@ -83,3 +87,8 @@ class Unbounded(GraphError):
 
 class MissingVariable(GraphError):
     """An assignment does not cover every LP variable."""
+
+
+# Failed internal assertions: the CLI exits 2 on these and never downgrades them.
+ASSERTION_ERRORS = (LedgerError, BoundViolation, CaseAnalysisIncomplete, CertificateFailure,
+                    ReducerFault)

@@ -12,15 +12,15 @@ the edges to contract and the vertices to accept.  ``apply_case`` takes
 any such step with ``solution.take``, ``simplify`` off: no pseudoforest
 contraction makes a loop or a parallel edge.
 
-Two dispatchers produce identical runs, both built on ``_match_at``.
-The reference scan ``first_applicable_case`` matches every vertex and
-takes the minimum (rank, anchor).  ``reduce_pseudoforest`` dispatches
-from a ``CaseQueue`` instead: each vertex is keyed by a lower bound on
-its rank and is matched only when it reaches the top, where it either
-fires (its rank equals its key) or goes back at its exact rank.  The key
-is the bound its degree gives, except at degree 3, where it is the exact
-rank read from the neighbours: Deg3AdjDeg4 when one has degree 4 or
-more, ThreeRegular otherwise.
+The case that fires is the minimum (rank, anchor) over the graph; the
+reference scan in ``tests/test_pseudoforest.py`` matches every vertex
+to find it.  ``reduce_pseudoforest`` dispatches from a ``CaseQueue``
+instead: each vertex is keyed by a lower bound on its rank and is
+matched only when it reaches the top, where it either fires (its rank
+equals its key) or goes back at its exact rank.  The key is the bound
+its degree gives, except at degree 3, where it is the exact rank read
+from the neighbours: Deg3AdjDeg4 when one has degree 4 or more,
+ThreeRegular otherwise.
 
 A key stays a lower bound until a step touches its vertex.  No case
 raises a degree: every deletion and contraction lowers the degrees it
@@ -318,27 +318,6 @@ def _find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
     return None
 
 
-def first_applicable_case(g: MultiGraph) -> CaseDescriptor | None:
-    """Reference dispatcher: scan every vertex, return the minimum-rank
-    case with ties by anchor id; None when the graph is fully reduced."""
-    best: CaseDescriptor | None = None
-    best_key = (len(_RANKS), -1)
-    for v in g.sorted_vertices():
-        d = _match_at(g, v)
-        if d is None:
-            continue
-        key = (d.rank, v)
-        if key < best_key:
-            best, best_key = d, key
-    if best is None:
-        if g.m > 0:
-            raise CaseAnalysisIncomplete(f"{g.m} edges left but no case matches")
-        return None
-    if best.label == FOUR_REG_C4:
-        return _c4_payload(g, best_key[1])
-    return best
-
-
 # -- case application --------------------------------------------------
 
 
@@ -404,10 +383,9 @@ class _Run:
 
     A vertex is queued at a lower bound on its rank (``_key``) and matched
     only when it reaches the top (``CaseQueue.pop``), so the case that
-    fires is the minimum (rank, v) over the graph, the step
-    ``first_applicable_case`` takes.  ``raised`` holds the vertices
-    matched and not pushed since.  ``keyed`` counts the vertices keyed
-    again after steps and ``matched`` the ``_match_at`` calls: work
+    fires is the minimum (rank, v) over the graph.  ``raised`` holds the
+    vertices matched and not pushed since.  ``keyed`` counts the vertices
+    keyed again after steps and ``matched`` the ``_match_at`` calls: work
     counters, independent of the host.
     """
 

@@ -1,27 +1,34 @@
-"""The one reducer table: algorithm name -> (run, certificates).
+"""The one reducer table, and the one checked run over it.
 
+``REDUCERS`` maps an algorithm name to ``(run, certificates)``.
 ``run(g, params=None)`` returns ``(solution, ledger or None)``; only the
 planar reducer keeps a ledger and takes params, as the text
 ``ChargeParams.parse`` reads.  The certificates are ordered ``(report
 key, predicate on G[S])`` pairs from ``certify``, which imports no
 reducer, so a reducer never vouches for itself.  Bound ratios live in
-each solution's ``bound_num/bound_den``.
+each solution's ``bound_num/bound_den``.  The CLI and the corpus script
+run a reducer only through ``checked_run``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
+
 from . import certify
-from .errors import GraphError
+from .errors import (ASSERTION_ERRORS, GraphError, InfeasibleParams, ParseError, ReducerFault,
+                     TraceMismatch)
 from .multigraph import MultiGraph
-from .planar import ChargeParams, reduce_planar
+from .planar import ChargeParams, LedgerState, reduce_planar
 from .pseudoforest import reduce_pseudoforest
+from .solution import ReductionSolution, replay, require_simple
 from .treewidth2 import reduce_treewidth2
 
 
 def _without_params(algorithm: str, reducer):
     def run(g: MultiGraph, params: str | None = None):
         if params is not None:
-            raise GraphError(f"{algorithm} takes no parameters; they apply to planar only")
+            raise InfeasibleParams(f"{algorithm} takes no parameters; they apply to planar only")
         return reducer(g), None
 
     return run
@@ -41,7 +48,51 @@ REDUCERS = {
 }
 
 
-def certificates(algorithm: str, g: MultiGraph, s: set[int]) -> dict[str, bool]:
-    """The certificate verdicts for a reducer's output set S, on G[S]."""
-    sub = certify.induced_subgraph(g, s)
-    return {key: holds(sub) for key, holds in REDUCERS[algorithm][1]}
+@dataclass(frozen=True)
+class CheckedRun:
+    """A reducer's output and the verdicts of the checks made apart from
+    it.  ``bound`` is (den * n - num * m) / den over the input's n and m;
+    ``mismatch`` is why the trace did not replay, None when it did."""
+
+    solution: ReductionSolution
+    ledger: LedgerState | None
+    bound: Fraction
+    mismatch: TraceMismatch | None
+    certificates: dict[str, bool]
+
+    @property
+    def replayed(self) -> bool:
+        return self.mismatch is None
+
+    @property
+    def slack(self) -> Fraction:
+        return len(self.solution.s) - self.bound
+
+
+def checked_run(g: MultiGraph, algorithm: str, params: str | None = None) -> CheckedRun:
+    """Run ``REDUCERS[algorithm]`` on g, then the checks that share no code
+    with it: replay its trace on g, the bound from g's n and m, and the
+    certificates on G_in[S].  A failed check is a verdict, not an error.
+
+    What the input causes raises as it is: a g that is not simple, and
+    params the reducer rejects (ParseError or InfeasibleParams).  Any other
+    toolkit error the reducer raises, or an S that names a vertex not in g,
+    is re-raised as ReducerFault.
+    """
+    run, certificates = REDUCERS[algorithm]
+    require_simple(g)
+    try:
+        sol, ledger = run(g, params)
+        sub = certify.induced_subgraph(g, sol.s)
+    except (ParseError, InfeasibleParams, *ASSERTION_ERRORS):
+        raise
+    except GraphError as exc:
+        raise ReducerFault(f"{algorithm}: {type(exc).__name__}: {exc}") from exc
+    try:
+        replay(g, sol)
+        mismatch = None
+    except TraceMismatch as exc:
+        mismatch = exc
+    bound = Fraction(sol.bound_den * g.n - sol.bound_num * g.m, sol.bound_den)
+    return CheckedRun(sol, ledger, bound, mismatch,
+                      {key: holds(sub) for key, holds in certificates})

@@ -6,16 +6,16 @@ Every reducer takes a simple graph (``require_simple``) and returns a
 solution leaves the reducer.
 
 A trace records every mutation a reducer performed, each step taken
-by ``take``.  Replaying a trace against a fresh copy of the input both validates the
-recording (any divergence raises TraceMismatch) and recomputes the
-amortized charges from scratch, so the accounting asserted in tests does
-not trust any state the reducer kept.
+by ``take``.  ``replay`` re-executes a trace on a copy of the input with
+its own copy of ``take``'s rules; any divergence, a step's edge-unit
+count included, raises TraceMismatch.  So once it returns, the trace's
+counts are the input's, whatever state the reducer kept.
+``reducers.checked_run`` replays every run it makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import (
@@ -68,9 +68,6 @@ class ReductionSolution:
     bound_den: int
     trace: list[TraceStep] = field(default_factory=list)
 
-    def bound_value(self) -> Fraction:
-        return Fraction(self.bound_den * self.n - self.bound_num * self.m, self.bound_den)
-
     def bound_holds(self) -> bool:
         return self.bound_den * len(self.s) >= self.bound_den * self.n - self.bound_num * self.m
 
@@ -81,25 +78,6 @@ class ReductionSolution:
     @property
     def edge_events(self) -> int:
         return sum(step.removed_edges for step in self.trace)
-
-
-@dataclass(frozen=True)
-class ChargeReport:
-    """Aggregate charges recovered from a replay.
-
-    The scheme charges +1 per consumed edge unit and den/num per deleted
-    vertex (4.5 for the pseudoforest ratio 2/9, 5 for 1/5); the total is
-    non-negative iff num * edge_events >= den * deletions, stored here
-    scaled by num so everything stays integral.
-    """
-
-    edge_events: int
-    deletions: int
-    scaled_charge: int  # num * edge_events - den * deletions
-
-    @property
-    def nonnegative(self) -> bool:
-        return self.scaled_charge >= 0
 
 
 def take(g: MultiGraph, sol: ReductionSolution, label: str, deleted: tuple[int, ...] = (),
@@ -133,7 +111,7 @@ def take(g: MultiGraph, sol: ReductionSolution, label: str, deleted: tuple[int, 
     return step
 
 
-def replay(g: MultiGraph, sol: ReductionSolution) -> ChargeReport:
+def replay(g: MultiGraph, sol: ReductionSolution) -> None:
     """Re-execute a trace on a copy of g, verifying every recorded step.
 
     Raises TraceMismatch if the trace does not apply cleanly, if any
@@ -149,14 +127,12 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> ChargeReport:
     dirty = {u for u, row in rows.items() if degree[u] != len(row)}
     s: set[int] = set()
     total_units = 0
-    deletions = 0
     for idx, step in enumerate(sol.trace):
         units = 0
         s_added = set(step.s_added)
         try:
             for v in step.deleted:
                 units += work.delete_vertex(v)
-                deletions += 1
             for u, v, survivor in step.contracted:
                 orig = work.origin(u if survivor == v else v)
                 work.contract_edge(u, v, survivor)
@@ -194,8 +170,6 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> ChargeReport:
         raise TraceMismatch("replayed output set differs from recorded set")
     if total_units != sol.m:
         raise TraceMismatch(f"replay consumed {total_units} units, input had {sol.m}")
-    scaled = sol.bound_num * total_units - sol.bound_den * deletions
-    return ChargeReport(total_units, deletions, scaled)
 
 
 def aggregate_charge_ok(sol: ReductionSolution) -> bool:

@@ -9,7 +9,7 @@ vertices are harvested into S immediately.  The output satisfies
 
 The amortized accounting charges -5 per deleted vertex and +1 per edge
 unit consumed (contracted, removed by simplification, or deleted with a
-vertex); ``solution.replay`` recomputes it from the trace.
+vertex); ``check_result`` sums it over the trace, which replay checks.
 
 Dispatch runs through a ``CaseQueue``: each vertex is queued at a lower
 bound on its rank read from its degree, ``_match`` (the one place the

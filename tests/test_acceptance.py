@@ -13,9 +13,9 @@ from planarize.minors import level_contract
 from planarize.multigraph import from_edge_list
 from planarize.planar import reduce_planar
 from planarize.pseudoforest import reduce_pseudoforest
-from planarize.reducers import REDUCERS, certificates
+from planarize.reducers import REDUCERS, checked_run
 from planarize.treewidth2 import reduce_treewidth2
-from planarize.solution import aggregate_charge_ok, replay
+from planarize.solution import aggregate_charge_ok
 from test_pseudoforest import _new_run, _tetra_ring
 
 
@@ -95,17 +95,20 @@ PAPER_SPEC = {
 
 
 def _checked_runs(g, tag):
-    """Every reducer on g, yielding (solution, ledger or None) once the
-    paper's bound and every certificate on G[S] hold; the planar ledger
-    is strict, so a negative charge raises."""
+    """Every reducer on g through ``reducers.checked_run``, yielding
+    (solution, ledger or None) once the paper's bound, recomputed here,
+    holds, the trace replays and every certificate on G[S] holds; the
+    planar ledger is strict, so a negative charge raises."""
     assert set(REDUCERS) == set(PAPER_SPEC)
-    for alg, (run, _) in REDUCERS.items():
-        sol, ledger = run(g)
+    for alg in REDUCERS:
+        run = checked_run(g, alg)
+        sol = run.solution
         (num, den), keys, _ = PAPER_SPEC[alg]
         assert (sol.algorithm, sol.bound_num, sol.bound_den) == (alg, num, den), tag
         assert den * len(sol.s) >= den * g.n - num * g.m, (tag, alg)
-        assert certificates(alg, g, sol.s) == dict.fromkeys(keys, True), (tag, alg)
-        yield sol, ledger
+        assert run.replayed, (tag, alg, run.mismatch)
+        assert run.certificates == dict.fromkeys(keys, True), (tag, alg)
+        yield sol, run.ledger
 
 
 def test_criterion_4_and_7_bounds_certificates_ledger():
@@ -141,7 +144,7 @@ def test_criterion_5_oracle_cross_check():
         for sol, _ in _checked_runs(g, edges):
             prop = PAPER_SPEC[sol.algorithm][2]
             best, _ = oracle.max_induced(g, prop)
-            assert sol.bound_value() <= len(sol.s) <= best
+            assert len(sol.s) <= best
             assert oracle.PREDICATES[prop](certify.induced_subgraph(g, sol.s)), (edges, prop)
     _ok(5, f"{checked} graphs with n <= 9: bound <= |S| <= oracle optimum, certifiers agree")
 
@@ -292,13 +295,13 @@ def test_criterion_10_out_of_scope_statement():
 def test_trace_replays_for_all_three():
     g = gen.random_regular(16, 4, 3)
     for sol, _ in _checked_runs(g, "rr(16,4,3)"):
-        assert replay(g, sol).nonnegative and aggregate_charge_ok(sol), sol.algorithm
+        assert aggregate_charge_ok(sol), sol.algorithm
 
 
 def test_exhaustive_all_graphs_up_to_five_vertices():
     # Every labeled graph on at most 5 vertices, all three reducers,
-    # exact bounds, certificates, and the strict ledger.  (The same
-    # sweep passes for n = 6 as well; kept at 5 to stay fast.)
+    # exact bounds, trace replay, certificates, and the strict ledger.
+    # (The same sweep passes for n = 6 as well; kept at 5 to stay fast.)
     from itertools import combinations
 
     count = 0
@@ -321,6 +324,5 @@ def test_graph_atlas_all_three_reducers():
     assert len(atlas) == 1253
     for i, gx in enumerate(atlas):
         g = from_edge_list(list(gx.edges()), gx.number_of_nodes())
-        for sol, _ in _checked_runs(g, i):
-            replay(g, sol)
+        list(_checked_runs(g, i))
     print(f"graph atlas: {len(atlas)} graphs clean for all three reducers")

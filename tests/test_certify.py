@@ -149,11 +149,11 @@ def test_networkx_loads_only_for_the_planarity_test():
 import sys
 import planarize.cli
 from planarize import generators as gen
-from planarize.reducers import REDUCERS, certificates
+from planarize.reducers import checked_run
 g = gen.random_regular(60, 4, 3)
 for alg in ("tw2", "pseudoforest"):
-    sol, _ = REDUCERS[alg][0](g)
-    assert all(certificates(alg, g, sol.s).values()), alg
+    run = checked_run(g, alg)
+    assert run.replayed and all(run.certificates.values()), alg
 assert "networkx" not in sys.modules
 """
     src = str(Path(certify.__file__).resolve().parent.parent)

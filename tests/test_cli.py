@@ -1,9 +1,13 @@
 import dataclasses
 import json
 
+import pytest
+
 from planarize import cli
+from planarize.errors import StaleDescriptor, UnknownVertex
 from planarize.reducers import REDUCERS
 from planarize.graphio import write_graph_text, parse_graph
+from planarize.solution import check_result
 from planarize import generators as gen
 
 
@@ -67,6 +71,72 @@ def test_reduce_bound_read_from_the_input(tmp_path, capsys, monkeypatch):
     assert report["bound_value"] == "21/5"
     assert report["bound_satisfied"] is False
     assert report["certificates"] == {"partial_2_tree": True}
+
+
+def moving_an_edge_unit(run):
+    """``run`` with one edge unit moved from the first step that has one
+    to the step after it.  The total is kept, so the tampered solution
+    still passes ``check_result``; only a replay, step by step, sees it.
+    A trace with no such pair of steps is left as it is."""
+
+    def moved(g, params=None):
+        sol, ledger = run(g, params)
+        i = next((i for i, step in enumerate(sol.trace[:-1]) if step.removed_edges), None)
+        if i is not None:
+            a, b = sol.trace[i], sol.trace[i + 1]
+            sol.trace[i] = dataclasses.replace(a, removed_edges=a.removed_edges - 1)
+            sol.trace[i + 1] = dataclasses.replace(b, removed_edges=b.removed_edges + 1)
+            assert check_result(sol) is sol
+        return sol, ledger
+
+    return moved
+
+
+@pytest.mark.parametrize("algorithm", sorted(REDUCERS))
+def test_reduce_replays_the_reducers_own_trace(tmp_path, capsys, monkeypatch, algorithm):
+    run, certs = REDUCERS[algorithm]
+    monkeypatch.setitem(REDUCERS, algorithm, (moving_an_edge_unit(run), certs))
+    path = tmp_path / "rr4.txt"
+    path.write_text(write_graph_text(gen.random_regular(40, 4, 3)))
+    code, out, err = run_cli(capsys, "reduce", "--alg", algorithm, "-i", str(path))
+    assert code == 2
+    report = json.loads(out)
+    assert report["replayed"] is False
+    assert report["bound_satisfied"] is True and all(report["certificates"].values())
+    assert err.startswith("assertion failure:") and "edge units" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", [StaleDescriptor, UnknownVertex])
+def test_reducer_fault_exit_two(tmp_path, capsys, monkeypatch, fault):
+    # A toolkit error a reducer raises past its input checks is the
+    # reducer's fault, not the input's.
+    def faulty(g, params=None):
+        raise fault("raised mid-run")
+
+    monkeypatch.setitem(REDUCERS, "tw2", (faulty, REDUCERS["tw2"][1]))
+    path = tmp_path / "k33.txt"
+    path.write_text(write_graph_text(gen.complete_bipartite(3, 3)))
+    code, out, err = run_cli(capsys, "reduce", "--alg", "tw2", "-i", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("assertion failure:") and fault.__name__ in err
+    assert "Traceback" not in err
+
+
+def test_output_set_naming_a_vertex_not_in_the_input_exit_two(tmp_path, capsys, monkeypatch):
+    run, certs = REDUCERS["tw2"]
+
+    def stranger(g, params=None):
+        sol, ledger = run(g, params)
+        return dataclasses.replace(sol, s=sol.s | {99}), ledger
+
+    monkeypatch.setitem(REDUCERS, "tw2", (stranger, certs))
+    path = tmp_path / "k33.txt"
+    path.write_text(write_graph_text(gen.complete_bipartite(3, 3)))
+    code, out, err = run_cli(capsys, "reduce", "--alg", "tw2", "-i", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("assertion failure:") and "vertex 99 not in graph" in err
+    assert "Traceback" not in err
 
 
 def test_reduce_with_custom_params(tmp_path, capsys):

@@ -11,9 +11,9 @@ import dataclasses
 import pytest
 
 from planarize import generators as gen
-from planarize.errors import BoundViolation, CaseAnalysisIncomplete, GraphError
+from planarize.errors import BoundViolation, CaseAnalysisIncomplete, GraphError, ReducerFault
 from planarize.multigraph import MultiGraph, from_edge_list
-from planarize.reducers import REDUCERS
+from planarize.reducers import REDUCERS, checked_run
 from planarize.solution import ReductionSolution, TraceStep, check_result, replay, take
 
 
@@ -43,6 +43,10 @@ def test_require_simple_rejects_multigraphs(algorithm):
     g.add_edge(0, 1, 2)
     with pytest.raises(GraphError, match="must be simple"):
         REDUCERS[algorithm][0](g)
+    # The input's fault, so the checked run does not call it the reducer's.
+    with pytest.raises(GraphError, match="must be simple") as info:
+        checked_run(g, algorithm)
+    assert not isinstance(info.value, ReducerFault)
 
 
 @pytest.mark.parametrize("tamper, error, message", TAMPERS)
@@ -71,7 +75,8 @@ def test_take_records_a_step_in_replay_order():
     assert sorted(work.vertices()) == [0, 2] and work.m == 1
     rest = take(work, sol, "Rest", accepted=(0, 2), simplify=True)
     assert (rest.removed_edges, rest.s_added, rest.simplified) == (1, (0, 2), False)
-    assert replay(g, sol).edge_events == g.m == 6
+    replay(g, sol)
+    assert sol.edge_events == g.m == 6
 
     # Without ``simplify`` the parallel copy stays and is not counted.
     work = g.copy()

@@ -19,7 +19,8 @@ import pytest
 
 from planarize import generators as gen
 from planarize.reducers import REDUCERS
-from test_planar_dispatch import _corpus_recipe
+from test_cli import moving_an_edge_unit
+from test_planar_dispatch import _corpus_recipe, _run_corpus_script
 from test_pseudoforest import _shared_triangle_pair, _tetra_ring, _two_k4s_matched
 
 PINNED = {
@@ -105,6 +106,19 @@ def test_run_corpus_script_summary_is_pinned():
     proc = subprocess.run([sys.executable, str(CORPUS_SCRIPT)], cwd=ROOT, capture_output=True,
                           env={**os.environ, "PYTHONPATH": path}, text=True, timeout=600)
     assert (proc.returncode, proc.stdout) == (0, CORPUS_SUMMARY), proc.stderr[-2000:]
+
+
+def test_run_corpus_counts_a_trace_that_does_not_replay(monkeypatch, capsys):
+    # Every reducer's trace gets one edge unit moved between two steps,
+    # which only a replay sees; the script lists those runs and exits 1.
+    for alg, (run, certs) in list(REDUCERS.items()):
+        monkeypatch.setitem(REDUCERS, alg, (moving_an_edge_unit(run), certs))
+    assert _run_corpus_script().main(["--count", "0"]) == 1
+    failures = capsys.readouterr().out.splitlines()[-1]
+    assert failures.startswith("certificate failures: [")
+    for alg in REDUCERS:
+        assert f"'{alg}', 'replay')" in failures, alg
+    assert "'certificates')" not in failures
 
 
 if __name__ == "__main__":

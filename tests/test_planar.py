@@ -8,6 +8,7 @@ from planarize import certify, generators as gen, lp as lpmod, oracle, planar
 from planarize.errors import InfeasibleParams
 from planarize.multigraph import from_edge_list
 from planarize.planar import ChargeParams, reduce_planar
+from planarize.reducers import checked_run
 from planarize.solution import replay
 
 
@@ -216,10 +217,10 @@ def test_ledger_nonnegative_on_randoms(seed):
 @given(st.integers(0, 10 ** 6))
 def test_oracle_dominance_small(seed):
     g = _random_graph(seed, n_max=8)
-    sol, _ = reduce_planar(g)
+    run = checked_run(g, "planar")
     best, _ = oracle.max_induced(g, oracle.PropertyId.PLANAR)
-    assert len(sol.s) <= best
-    assert best >= sol.bound_value()
+    assert len(run.solution.s) <= best
+    assert best >= run.bound
 
 
 def test_regular_graph_sweep():

@@ -358,15 +358,20 @@ def _check_table(run: planar._Run) -> None:
     check_invariant(run.queue, anchors, run._match)
 
 
-def _corpus_recipe():
-    """The ``scripts/run_corpus.py`` recipe (seed 0, 400 graphs) as (tag,
-    graph) pairs: the one copy the lockstep tests and the pinned digests
-    read."""
+def _run_corpus_script():
+    """``scripts/run_corpus.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
     spec = importlib.util.spec_from_file_location("run_corpus", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.corpus(0, 400)
+    return module
+
+
+def _corpus_recipe():
+    """The ``scripts/run_corpus.py`` recipe (seed 0, 400 graphs) as (tag,
+    graph) pairs: the one copy the lockstep tests and the pinned digests
+    read."""
+    return _run_corpus_script().corpus(0, 400)
 
 
 def _from_nx(gx) -> MultiGraph:

