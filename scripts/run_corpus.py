@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     for alg, slack in worst_slack.items():
         print(f"{alg:13s} worst bound slack: {slack}")
     print(f"planar min ledger charge: {min_charge}")
-    print(f"certificate failures: {failures or 'none'}")
+    print(f"failures: {failures or 'none'}")
     return 1 if failures else 0
 
 

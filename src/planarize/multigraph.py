@@ -4,10 +4,10 @@ Adjacency is multiplicity keyed: each vertex has a row, a plain ``dict``
 in which ``adj[u][v]`` is the number of parallel u-v edges (a missing
 key means none), and a self loop is stored once at ``adj[v][v]``.  A loop
 contributes 2 to the degree of its vertex but only 1 to the edge count.
-Vertex ids are stable for the lifetime of a graph and never reused after
-deletion.  Every surviving vertex carries the id of the original input
-vertex it represents, so vertex sets computed on a mutated working copy
-can be mapped back to the input graph.
+Vertex ids are the only names: they are stable for the lifetime of a
+graph, never reused after deletion, and contraction keeps the survivor's
+id, so a vertex of a mutated working copy is the input vertex of the same
+id and a vertex set computed on it is already a set of input vertices.
 
 Instances are single-owner: not safe for concurrent mutation, fine to
 move between threads or to share read-only.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import Iterable, Iterator, KeysView, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphError, LoopInInput, NoSuchEdge, UnknownVertex
 
@@ -27,23 +27,21 @@ def _unknown(v: int) -> UnknownVertex:
 
 
 class MultiGraph:
-    __slots__ = ("_adj", "_deg", "_m", "_origin")
+    __slots__ = ("_adj", "_deg", "_m")
 
     def __init__(self) -> None:
         self._adj: dict[int, dict[int, int]] = {}
         self._deg: dict[int, int] = {}
         self._m: int = 0
-        self._origin: dict[int, int] = {}
 
     # -- construction -------------------------------------------------
 
-    def add_vertex(self, v: int, origin: int | None = None) -> None:
+    def add_vertex(self, v: int) -> None:
         if v < 0:
             raise GraphError(f"vertex ids must be non-negative, got {v}")
         if v not in self._adj:
             self._adj[v] = {}
             self._deg[v] = 0
-            self._origin[v] = v if origin is None else origin
 
     def add_edge(self, u: int, v: int, count: int = 1) -> None:
         """Add ``count`` parallel u-v edges (or loops when u == v)."""
@@ -119,13 +117,6 @@ class MultiGraph:
             nbrs.remove(v)
         return nbrs
 
-    def neighbor_view(self, v: int) -> KeysView[int]:
-        """Live, unordered view of v's neighbors; v itself is in it when v has a loop."""
-        try:
-            return self._adj[v].keys()
-        except KeyError:
-            raise _unknown(v) from None
-
     def degree_map(self) -> Mapping[int, int]:
         """Live read-only map from each vertex to its degree.  Unlike
         ``degree`` it does not check the vertex: for hot loops that visit
@@ -160,15 +151,6 @@ class MultiGraph:
 
     def max_degree(self) -> int:
         return max(self._deg.values(), default=0)
-
-    def origin(self, v: int) -> int:
-        try:
-            return self._origin[v]
-        except KeyError:
-            raise _unknown(v) from None
-
-    def origin_map(self) -> dict[int, int]:
-        return dict(self._origin)
 
     # -- mutation -----------------------------------------------------
 
@@ -207,7 +189,6 @@ class MultiGraph:
                 deg[u] -= c
         self._m -= removed
         del deg[v]
-        del self._origin[v]
         return removed
 
     def contract_edge(self, u: int, v: int, survivor: int) -> None:
@@ -216,7 +197,7 @@ class MultiGraph:
         The non-survivor's other incident edges re-attach to the survivor;
         extra parallel (u, v) copies become loops at the survivor, and loops
         of the non-survivor move to the survivor.  Exactly one edge unit
-        disappears.  The survivor keeps its own origin.
+        disappears.  The survivor keeps its own id.
         """
         self._require(u)
         self._require(v)
@@ -254,22 +235,10 @@ class MultiGraph:
                 keep[w] = keep.get(w, 0) + c
                 deg[survivor] += c
         del deg[gone]
-        del self._origin[gone]
 
     def simplify(self) -> int:
         """Remove all loops and surplus parallel copies; return removed units."""
-        removed = 0
-        for v in list(self._adj):
-            loops = self._adj[v].get(v, 0)
-            if loops:
-                self.remove_edge(v, v, loops)
-                removed += loops
-        for u in list(self._adj):
-            for v, c in list(self._adj[u].items()):
-                if u < v and c > 1:
-                    self.remove_edge(u, v, c - 1)
-                    removed += c - 1
-        return removed
+        return sum(self.simplify_at(v) for v in list(self._adj))
 
     def simplify_at(self, v: int) -> int:
         """Remove loops at v and surplus copies on v's incident pairs.
@@ -420,11 +389,10 @@ class MultiGraph:
         g._adj = dict(zip(self._adj, map(dict.copy, self._adj.values())))
         g._deg = dict(self._deg)
         g._m = self._m
-        g._origin = dict(self._origin)
         return g
 
     def check_invariants(self) -> None:
-        """Debug audit: symmetry, degree and edge-count consistency, origins."""
+        """Debug audit: symmetry, degree and edge-count consistency."""
         total = 0
         for v, adj in self._adj.items():
             deg = 0
@@ -443,11 +411,6 @@ class MultiGraph:
                 raise GraphError(f"cached degree wrong at {v}")
         if total != 2 * self._m:
             raise GraphError("edge count inconsistent with degrees")
-        if set(self._origin) != set(self._adj):
-            raise GraphError("origin map does not cover the vertex set")
-        origins = list(self._origin.values())
-        if len(set(origins)) != len(origins):
-            raise GraphError("two working vertices share an original")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MultiGraph(n={self.n}, m={self.m})"
@@ -459,8 +422,7 @@ def from_rows(rows: dict[int, dict[int, int]]) -> MultiGraph:
     ``rows`` maps each vertex (a non-negative id) to its row, neighbour to
     positive multiplicity, a loop stored once under the vertex itself,
     and must be symmetric.  Vertices and rows keep the order they have in
-    ``rows``; degrees, the edge count and the (identity) origins are
-    filled in one pass.
+    ``rows``; degrees and the edge count are filled in one pass.
     """
     g = MultiGraph()
     g._adj = rows
@@ -470,7 +432,6 @@ def from_rows(rows: dict[int, dict[int, int]]) -> MultiGraph:
         d = deg[v] = sum(row.values()) + row.get(v, 0)
         ends += d
     g._m = ends // 2
-    g._origin = dict(zip(rows, rows))
     return g
 
 

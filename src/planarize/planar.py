@@ -308,7 +308,7 @@ class _Run:
             return 2
         if d == 5:
             return 4
-        if d == 4 and any(g.degree(u) == 3 for u in g.neighbor_view(v)):
+        if d == 4 and any(g.degree(u) == 3 for u in g.adjacency_map()[v]):
             return 5
         return None
 
@@ -342,12 +342,13 @@ class _Run:
         """Recount and re-queue the surviving vertices of vs, and the
         neighbours of those at degree 3, which may now meet the mixed case."""
         g = self.g
+        adj = g.adjacency_map()
         alive = [v for v in vs if g.has_vertex(v)]
         for v in alive:
             self.table.refresh(v)
             self._push(v)
             if g.degree(v) == 3:
-                for u in g.neighbor_view(v):
+                for u in adj[v]:
                     self._push(u)
         return alive
 
@@ -422,9 +423,10 @@ class _Run:
         table = self.table
         flagged = comp.tau
         gone = list(deleted) + [v for v, _, _ in contracted]
+        adj = g.adjacency_map()
         watch: set[int] = set()
         for v in gone:
-            watch.update(g.neighbor_view(v))
+            watch.update(adj[v])
         watch.difference_update(gone)
         degree = g.degree_map()
         pre_deg = {y: degree[y] for y in sorted(watch)}

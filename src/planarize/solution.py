@@ -33,13 +33,17 @@ from .multigraph import MultiGraph
 class TraceStep:
     """One reduction step.
 
-    deleted: working vertices removed without joining the output set.
-    contracted: (u, v, survivor) edge contractions, in order.
-    accepted: working vertices whose originals joined the output set and
-        which left the working graph (their incident edges removed).
+    Every id is an input vertex id: the working graph keeps the input's
+    ids, and a contraction keeps the survivor's.
+
+    deleted: vertices removed without joining the output set.
+    contracted: (u, v, survivor) edge contractions, in order; the end
+        that vanishes joins the output set.
+    accepted: vertices that joined the output set and left the working
+        graph (their incident edges removed).
     removed_edges: total edge units consumed by this step, including
         units removed by simplification when the step simplifies.
-    s_added: original vertex ids added to the output set.
+    s_added: the vertices this step added to the output set.
     simplified: True when the step contracted with ``take``'s ``simplify``
         on, merging loops and parallel copies at each survivor (tw2, planar).
     """
@@ -55,7 +59,7 @@ class TraceStep:
 
 @dataclass
 class ReductionSolution:
-    """Output set S over original vertex ids plus the exact bound ratio.
+    """Output set S of input vertex ids plus the exact bound ratio.
 
     The guarantee is den * |S| >= den * n - num * m, checked in integers.
     """
@@ -84,8 +88,9 @@ def take(g: MultiGraph, sol: ReductionSolution, label: str, deleted: tuple[int, 
          contracted: tuple[tuple[int, int, int], ...] = (), accepted: Iterable[int] = (),
          simplify: bool = False) -> TraceStep:
     """Take one step on g and record it in sol: delete, then contract each
-    (u, v, survivor), the original of the end that vanishes joining S
-    (with ``simplify``, then merge at the survivor), then accept.
+    (u, v, survivor), the end that vanishes joining S (with
+    ``simplify``, then merge at the survivor), then accept, each accepted
+    vertex joining S.
     ``accepted`` is read only after the contractions, so it may name the
     vertices they isolated.  The one producer of trace steps: ``replay``
     keeps its own copy of these rules so that a fault here cannot vouch
@@ -95,14 +100,14 @@ def take(g: MultiGraph, sol: ReductionSolution, label: str, deleted: tuple[int, 
     for v in deleted:
         units += g.delete_vertex(v)
     for u, v, survivor in contracted:
-        s_added.append(g.origin(v if survivor == u else u))
+        s_added.append(v if survivor == u else u)
         g.contract_edge(u, v, survivor)
         units += 1
         if simplify:
             units += g.simplify_at(survivor)
     accepted = tuple(accepted)
+    s_added.extend(accepted)
     for v in accepted:
-        s_added.append(g.origin(v))
         units += g.delete_vertex(v)
     step = TraceStep(label, deleted, contracted, accepted, units, tuple(s_added),
                      simplify and bool(contracted))
@@ -134,23 +139,22 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> None:
             for v in step.deleted:
                 units += work.delete_vertex(v)
             for u, v, survivor in step.contracted:
-                orig = work.origin(u if survivor == v else v)
+                gone = u if survivor == v else v
                 work.contract_edge(u, v, survivor)
                 dirty.add(survivor)
-                if orig not in s_added:
+                if gone not in s_added:
                     raise TraceMismatch(
-                        f"step {idx}: contracted-away original {orig} missing from s_added"
+                        f"step {idx}: contracted-away original {gone} missing from s_added"
                     )
-                s.add(orig)
+                s.add(gone)
                 units += 1
             for v in step.accepted:
-                orig = work.origin(v)
                 units += work.delete_vertex(v)
-                if orig not in s_added:
+                if v not in s_added:
                     raise TraceMismatch(
-                        f"step {idx}: accepted original {orig} missing from s_added"
+                        f"step {idx}: accepted original {v} missing from s_added"
                     )
-                s.add(orig)
+                s.add(v)
         except (UnknownVertex, NoSuchEdge) as exc:
             raise TraceMismatch(f"step {idx} ({step.label}): {exc}") from exc
         if step.simplified:
@@ -188,8 +192,8 @@ def check_result(sol: ReductionSolution) -> ReductionSolution:
     """The post-conditions every reducer asserts on its finished run.
 
     The integer bound, every input edge unit consumed exactly once, and
-    the aggregate charge.  Each working vertex leaves either deleted or
-    with its original in S, so n = |S| + deletions; once edge_events == m
+    the aggregate charge.  Each vertex leaves either deleted or into S
+    (accepted, or contracted away), so n = |S| + deletions; once edge_events == m
     the aggregate charge is the bound itself, restated over the trace.
     """
     num, den = sol.bound_num, sol.bound_den

@@ -11,7 +11,13 @@ import dataclasses
 import pytest
 
 from planarize import generators as gen
-from planarize.errors import BoundViolation, CaseAnalysisIncomplete, GraphError, ReducerFault
+from planarize.errors import (
+    BoundViolation,
+    CaseAnalysisIncomplete,
+    GraphError,
+    ReducerFault,
+    TraceMismatch,
+)
 from planarize.multigraph import MultiGraph, from_edge_list
 from planarize.reducers import REDUCERS, checked_run
 from planarize.solution import ReductionSolution, TraceStep, check_result, replay, take
@@ -84,3 +90,25 @@ def test_take_records_a_step_in_replay_order():
                  contracted=((0, 1, 0),))
     assert (plain.removed_edges, plain.s_added, plain.simplified) == (1, (1,), False)
     assert work.multiplicity(0, 2) == 2
+
+
+def _contracted_away(step):
+    return [v if survivor == u else u for u, v, survivor in step.contracted]
+
+
+@pytest.mark.parametrize("algorithm, ends, what", [
+    ("pseudoforest", _contracted_away, "contracted-away"),
+    ("planar", lambda step: list(step.accepted), "accepted"),
+], ids=["contracted", "accepted"])
+def test_replay_rejects_a_step_whose_s_added_omits_a_vertex(algorithm, ends, what):
+    # Only the step's s_added loses the vertex; S keeps it, so the
+    # replayed output set still equals the recorded one and the step's
+    # own check is what catches the omission.
+    g = gen.complete_bipartite(3, 3)
+    sol, _ = REDUCERS[algorithm][0](g)
+    idx, v = next((i, ends(step)[0]) for i, step in enumerate(sol.trace) if ends(step))
+    step = sol.trace[idx]
+    sol.trace[idx] = dataclasses.replace(step, s_added=tuple(x for x in step.s_added if x != v))
+    message = rf"^step {idx}: {what} original {v} missing from s_added$"
+    with pytest.raises(TraceMismatch, match=message):
+        replay(g, sol)

@@ -58,13 +58,11 @@ def test_delete_unknown_vertex():
 @pytest.mark.parametrize("query", [
     lambda g, v: g.degree(v),
     lambda g, v: g.neighbors(v),
-    lambda g, v: g.neighbor_view(v),
     lambda g, v: g.loops(v),
-    lambda g, v: g.origin(v),
     lambda g, v: g.multiplicity(v, 0),
     lambda g, v: g.multiplicity(0, v),
     lambda g, v: g.incidences(v),
-], ids=["degree", "neighbors", "neighbor_view", "loops", "origin",
+], ids=["degree", "neighbors", "loops",
         "multiplicity_first", "multiplicity_second", "incidences"])
 @pytest.mark.parametrize("make", [lambda g: g, lambda g: g.copy()], ids=["graph", "copy"])
 def test_query_on_absent_vertex_raises_unknown_vertex(query, make):
@@ -130,8 +128,8 @@ def test_contract_missing_edge():
 def test_contract_survivor_keeps_origin():
     g = from_edge_list([(0, 1), (1, 2)])
     g.contract_edge(0, 1, 1)
-    assert g.origin(1) == 1
-    assert 0 not in g.origin_map()
+    assert g.has_vertex(1)
+    assert not g.has_vertex(0)
 
 
 def test_simplify_counts_units():
@@ -243,8 +241,6 @@ def test_invariants_hold_under_random_mutation(data):
         else:
             g.simplify()
         g.check_invariants()
-    origins = list(g.origin_map().values())
-    assert len(set(origins)) == len(origins)
 
 
 # -- the bulk constructors against one-edge-at-a-time references --------
@@ -252,14 +248,13 @@ def test_invariants_hold_under_random_mutation(data):
 
 def _layout(g):
     """Everything iteration order can expose: vertex order, each row in
-    order with its multiplicities, degrees, m and origins."""
+    order with its multiplicities, degrees and m."""
     rows = g.adjacency_map()
     return (
         list(g.vertices()),
         [(v, list(rows[v].items())) for v in g.vertices()],
         list(g.degree_map().items()),
         g.m,
-        list(g.origin_map().items()),
     )
 
 

@@ -97,7 +97,7 @@ pseudoforest  worst bound slack: 0
 tw2           worst bound slack: 0
 planar        worst bound slack: 0
 planar min ledger charge: 0
-certificate failures: none
+failures: none
 """
 
 
@@ -115,7 +115,7 @@ def test_run_corpus_counts_a_trace_that_does_not_replay(monkeypatch, capsys):
         monkeypatch.setitem(REDUCERS, alg, (moving_an_edge_unit(run), certs))
     assert _run_corpus_script().main(["--count", "0"]) == 1
     failures = capsys.readouterr().out.splitlines()[-1]
-    assert failures.startswith("certificate failures: [")
+    assert failures.startswith("failures: [")
     for alg in REDUCERS:
         assert f"'{alg}', 'replay')" in failures, alg
     assert "'certificates')" not in failures

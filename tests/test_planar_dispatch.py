@@ -128,7 +128,7 @@ class ReferenceRun:
         cleared = _ZERO
         for y in sorted(set(among)):
             if g.has_vertex(y) and g.degree(y) == 0:
-                origins.append(g.origin(y))
+                origins.append(y)
                 cleared += self._clear_debt(y)
                 g.delete_vertex(y)
                 accepted.append(y)
@@ -187,7 +187,7 @@ class ReferenceRun:
         watch = {u} | set(g.neighbors(u)) | set(g.neighbors(v))
         watch.discard(v)
         pre_deg = {y: g.degree(y) for y in watch}
-        orig = g.origin(v)
+        orig = v
         cleared = self._clear_debt(v)
         g.contract_edge(v, u, u)
         cleaned = g.simplify_at(u)
@@ -209,7 +209,6 @@ class ReferenceRun:
     def accept_step(self, comp: list[int]) -> None:
         g = self.g
         p = self.params
-        origins = [g.origin(v) for v in comp]
         cleared = _ZERO
         units = 0
         for v in comp:
@@ -221,13 +220,13 @@ class ReferenceRun:
             PLANAR_ACCEPT,
             accepted=tuple(comp),
             removed_edges=units,
-            s_added=tuple(origins),
+            s_added=tuple(comp),
         )
         self._record(PLANAR_ACCEPT, charge, step)
 
     def harvest_step(self, v: int) -> None:
         g = self.g
-        orig = g.origin(v)
+        orig = v
         cleared = self._clear_debt(v)
         g.delete_vertex(v)
         step = TraceStep(HARVEST, accepted=(v,), s_added=(orig,))

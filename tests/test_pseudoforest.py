@@ -414,9 +414,9 @@ def test_requeue_work_per_step_on_k33_copies():
 
 
 def _state(g, sol):
-    """What apply_case may change: the rows, the origins, S and the trace."""
+    """What apply_case may change: the rows, S and the trace."""
     rows = {v: dict(row) for v, row in g.adjacency_map().items()}
-    return rows, g.origin_map(), set(sol.s), list(sol.trace)
+    return rows, set(sol.s), list(sol.trace)
 
 
 def test_stale_descriptor_rejected():

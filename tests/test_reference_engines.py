@@ -162,7 +162,7 @@ def ref_replay(g: MultiGraph, sol: ReductionSolution) -> tuple[int, int]:
                 units += work.delete_vertex(v)
                 deletions += 1
             for u, v, survivor in step.contracted:
-                orig = work.origin(u if survivor == v else v)
+                orig = u if survivor == v else v
                 work.contract_edge(u, v, survivor)
                 if orig not in step.s_added:
                     raise TraceMismatch(
@@ -171,7 +171,7 @@ def ref_replay(g: MultiGraph, sol: ReductionSolution) -> tuple[int, int]:
                 s.add(orig)
                 units += 1
             for v in step.accepted:
-                orig = work.origin(v)
+                orig = v
                 units += work.delete_vertex(v)
                 if orig not in step.s_added:
                     raise TraceMismatch(

@@ -254,7 +254,7 @@ class ReferenceRun:
 
         v = bk.peek(bk.h0, lambda x: g.degree(x) == 0)
         if v is not None:
-            orig = g.origin(v)
+            orig = v
             g.delete_vertex(v)
             sol.s.add(orig)
             sol.trace.append(TraceStep(HARVEST, accepted=(v,), s_added=(orig,)))
@@ -264,7 +264,7 @@ class ReferenceRun:
         if v is not None:
             u = g.neighbors(v)[0]
             affected = set(g.neighbors(v)) | set(g.neighbors(u)) | {u}
-            orig = g.origin(v)
+            orig = v
             g.contract_edge(v, u, u)
             cleaned = g.simplify_at(u)
             sol.s.add(orig)
