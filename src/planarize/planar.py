@@ -354,14 +354,14 @@ class _Run:
 
     def _residue_ok(self, c: _Comp) -> bool:
         """accepts_planar_residue on the component alone.  Only its
-        degree-<=2 vertices are reducible, so ``_reduce`` runs from those
-        and reports how many vertices it deleted; the rules keep the
-        component connected, so its residue is what is left of it, and
-        that residue is simple with minimum degree 3, so four vertices
-        make a K4."""
+        degree-<=2 vertices are reducible, so ``_reduce`` runs from those,
+        and its deletion log has one entry per vertex deleted; the rules
+        keep the component connected, so its residue is what is left of
+        it, and that residue is simple with minimum degree 3, so four
+        vertices make a K4."""
         left = c.size
         if c.low:
-            left -= certify._reduce(self.g.adjacency_map(), c.low)[1]
+            left -= len(certify._reduce(self.g.adjacency_map(), c.low)[1])
         return left in (0, 4)
 
     def _assess(self, c: _Comp, inherit: bool = False) -> None:

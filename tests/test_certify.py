@@ -4,12 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarize import certify, generators as gen, oracle
-from planarize.errors import UnknownVertex
+from planarize import certify, cli, generators as gen, graphio, oracle
+from planarize.errors import CertificateFailure, UnknownVertex
 from planarize.multigraph import MultiGraph, from_edge_list
+from planarize.planar import reduce_planar
+from planarize.reducers import checked_run
+from test_planar_dispatch import _corpus_recipe
+from test_reference_engines import _random_multigraph
 
 
 def _random_graph(seed, n_max=9, p_choices=(0.2, 0.35, 0.5, 0.7)):
@@ -143,21 +148,136 @@ def test_is_planar_agrees_with_kuratowski_search():
 
 
 def test_networkx_loads_only_for_the_planarity_test():
-    # The CLI, tw2 and pseudoforest with their certificates never call
-    # is_planar, so a process that runs only them never imports networkx.
+    # The CLI and all three reducers with their certificates never reach
+    # the left-right test: tw2 and pseudoforest never call is_planar, and
+    # every planar output's residue accepts, so its witness answers.  Only
+    # a graph whose residue does not accept, such as K5 handed to
+    # `planarize certify`, loads networkx.
     script = """
-import sys
+import io, json, os, sys, tempfile
+from contextlib import redirect_stdout
 import planarize.cli
-from planarize import generators as gen
+from planarize import generators as gen, graphio
 from planarize.reducers import checked_run
 g = gen.random_regular(60, 4, 3)
-for alg in ("tw2", "pseudoforest"):
+for alg in ("tw2", "pseudoforest", "planar"):
     run = checked_run(g, alg)
     assert run.replayed and all(run.certificates.values()), alg
+run = checked_run(gen.disjoint_copies(gen.complete(5), 3), "planar")
+assert run.replayed and all(run.certificates.values()), "K5 x 3"
 assert "networkx" not in sys.modules
+fd, path = tempfile.mkstemp(suffix=".txt")
+with os.fdopen(fd, "w") as fh:
+    fh.write(graphio.write_graph_text(gen.complete(5)))
+out = io.StringIO()
+with redirect_stdout(out):
+    code = planarize.cli.main(["certify", "-i", path])
+os.unlink(path)
+assert code == 0 and json.loads(out.getvalue())["planar"] is False
+assert "networkx" in sys.modules
 """
     src = str(Path(certify.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def _nx_planar(g: MultiGraph) -> bool:
+    gx = nx.Graph()
+    gx.add_nodes_from(g.vertices())
+    gx.add_edges_from((u, v) for u, v, _ in g.iter_edges() if u != v)
+    return nx.check_planarity(gx)[0]
+
+
+def _agreement_graphs():
+    """The atlas, the seeded multigraphs of test_reference_engines, and
+    every planar output of the corpus recipe at seed 0."""
+    for gx in nx.graph_atlas_g():
+        yield from_edge_list(list(gx.edges()), gx.number_of_nodes())
+    rng = random.Random(2014)
+    for _ in range(1500):
+        yield _random_multigraph(rng)
+    for _, g in _corpus_recipe():
+        yield certify.induced_subgraph(g, reduce_planar(g)[0].s)
+
+
+def test_is_planar_agrees_with_networkx_and_every_witness_checks():
+    graphs = witnesses = 0
+    for g in _agreement_graphs():
+        graphs += 1
+        assert certify.is_planar(g) == _nx_planar(g)
+        rotation = certify.rotation_system(g)
+        assert (rotation is not None) == certify.accepts_planar_residue(g)
+        if rotation is not None:
+            witnesses += 1
+            assert certify.is_embedding(g, rotation)
+    assert graphs == 1253 + 1500 + 400 and witnesses > 1500
+
+
+def test_checker_rejects_every_non_planar_graph_under_any_witness():
+    # A rotation system of K5, K33 or Petersen has genus > 0, whatever the
+    # order at each vertex; try the sorted one and seeded shuffles.
+    rng = random.Random(3)
+    for g in (gen.complete(5), gen.complete_bipartite(3, 3), gen.petersen()):
+        rotation = {v: sorted(g.neighbors(v)) for v in g.vertices()}
+        for _ in range(50):
+            assert not certify.is_embedding(g, rotation)
+            for order in rotation.values():
+                rng.shuffle(order)
+
+
+def _mutants(g: MultiGraph, rotation: dict[int, list[int]]):
+    """The checker mutants: (name, mutated rotation) pairs."""
+    v = max(rotation, key=lambda u: len(rotation[u]))
+    order = rotation[v]
+    outside = max(rotation) + 1
+    for name, cyc in (("dropped", order[1:]), ("repeated", order + order[:1]),
+                      ("outside", order[:-1] + [outside])):
+        yield name, {**rotation, v: cyc}
+    yield "no rotation", {u: r for u, r in rotation.items() if u != v}
+    # A residue vertex with three neighbours in g: its rotation holds one
+    # direction along each of the three paths of a subdivided K4, which
+    # embeds in the plane only as itself or its mirror, so one swap there
+    # leaves no planar embedding.  (A swap at a cut vertex can.)
+    rows = certify._reduce(g.adjacency_map(), g.vertices())[0]
+    for u in rows:
+        if len(rotation[u]) == 3:
+            a, b, c = rotation[u]
+            yield "core swap", {**rotation, u: [b, a, c]}
+            break
+
+
+def test_checker_rejects_mutated_witnesses():
+    killed = {}
+    for g in _agreement_graphs():
+        rotation = certify.rotation_system(g)
+        if rotation is None or not any(rotation.values()):
+            continue
+        for name, mutant in _mutants(g, rotation):
+            assert not certify.is_embedding(g, mutant), name
+            killed[name] = killed.get(name, 0) + 1
+    assert set(killed) == {"dropped", "repeated", "outside", "no rotation", "core swap"}
+    assert killed["core swap"] > 100
+
+
+def _reverse_first(rotation):
+    v = min(rotation)
+    return {**rotation, v: rotation[v][::-1]}
+
+
+def test_rejected_witness_fails_loudly(monkeypatch, tmp_path, capsys):
+    # K5 x 3 leaves three K4s, so reversing one vertex's order is a swap
+    # in a K4 core.
+    g = gen.disjoint_copies(gen.complete(5), 3)
+    real = certify.rotation_system
+    monkeypatch.setattr(certify, "rotation_system", lambda h: _reverse_first(real(h)))
+    with pytest.raises(CertificateFailure, match="V=12 E=18 F=10 C=3"):
+        checked_run(g, "planar")
+    path = tmp_path / "k5x3.txt"
+    path.write_text(graphio.write_graph_text(g))
+    code = cli.main(["reduce", "--alg", "planar", "-i", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("assertion failure: planar witness rejected: V=12 E=18")
+    assert "Traceback" not in err
