@@ -27,12 +27,13 @@ def _unknown(v: int) -> UnknownVertex:
 
 
 class MultiGraph:
-    __slots__ = ("_adj", "_deg", "_m")
+    __slots__ = ("_adj", "_deg", "_m", "split_visits")
 
     def __init__(self) -> None:
         self._adj: dict[int, dict[int, int]] = {}
         self._deg: dict[int, int] = {}
         self._m: int = 0
+        self.split_visits = 0  # vertices ``split_off`` visited: a work counter
 
     # -- construction -------------------------------------------------
 
@@ -303,7 +304,8 @@ class MultiGraph:
         not.  The rounds end when the last returned search does, so the
         cost is at most len(starts) times the size of the largest
         returned component: the side that is cut off pays for the cut
-        (Even and Shiloach).
+        (Even and Shiloach).  Each visit, one vertex taken off a search's
+        queue, adds 1 to ``split_visits``.
         """
         adj = self._adj
         owner = {s: i for i, s in enumerate(starts)}
@@ -313,10 +315,12 @@ class MultiGraph:
         live = list(root)
         dry: list[int] = []
         owned = owner.get
+        visits = 0
         while len(live) > 1:
             for i in live:
                 if root[i] != i:
                     continue
+                visits += 1
                 queue, mine = queues[i], found[i]
                 for y in adj[queue.popleft()]:
                     j = owned(y)
@@ -338,6 +342,7 @@ class MultiGraph:
             running = [i for i in live if root[i] == i]
             live = [i for i in running if queues[i]]
             dry.extend(i for i in running if not queues[i])
+        self.split_visits += visits
         if not live and dry:
             dry.remove(max(dry, key=lambda i: len(found[i])))
         return [found[i] for i in dry]

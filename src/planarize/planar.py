@@ -22,6 +22,14 @@ graph, and tau when a component loses its last degree-3 vertex or is
 accepted.  Every recorded step charge must be non-negative; a violation
 raises NegativeCharge.
 
+The ledger runs in integers: every charge, debt, cap and tau is kept
+times L, the least common multiple of the parameters' denominators
+(``ChargeParams.scaled``).  At the paper point L = 46, so an edge unit
+is +46, a deleted vertex -240, the caps of degrees 2, 3 and 4 are 46, 9
+and 2, and tau is 30.  A value becomes a ``Fraction`` only where it
+leaves the run: each ``LedgerEntry.charge``, made once with its entry,
+and the numbers in the NegativeCharge and DebtCapExceeded messages.
+
 Dispatch is incremental rather than a rescan of the graph.  A component
 table keeps, per component, its members, degree counts, vertices of
 degree <= 2, debt total, tau flag and residue verdict, and one
@@ -45,6 +53,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,8 +78,27 @@ _ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
+class ScaledParams:
+    """A parameter set in the ledger's integer units: each quantity times
+    ``unit``, the L of the module docstring, so one edge unit is ``unit``."""
+
+    unit: int
+    delete: int  # 5 + epsilon: what one deleted vertex costs
+    tau: int
+    caps: tuple[int, ...]  # the credit limit by degree 0-4; 0 from degree 5
+
+    def cap(self, degree: int) -> int:
+        return self.caps[degree] if degree < len(self.caps) else 0
+
+
+@dataclass(frozen=True)
 class ChargeParams:
-    """Credit limits and the amortization margin; c2 is pinned to 1."""
+    """Credit limits and the amortization margin; c2 is pinned to 1.
+
+    The fields are exact rationals, as parsed and validated; the ledger
+    reads them as integers times L through ``scaled``, which each
+    parameter set computes once.
+    """
 
     epsilon: Fraction
     c3: Fraction
@@ -88,6 +116,20 @@ class ChargeParams:
         if degree == 4:
             return self.c4
         return _ZERO
+
+    @functools.cached_property
+    def scaled(self) -> ScaledParams:
+        """These parameters times L, the least common multiple of their
+        denominators; integer arithmetic only, so each product is exact."""
+        fields = (self.epsilon, self.c2, self.c3, self.c4, self.tau)
+        unit = math.lcm(*(x.denominator for x in fields))
+
+        def up(x: Fraction) -> int:
+            return x.numerator * (unit // x.denominator)
+
+        c2 = up(self.c2)
+        return ScaledParams(unit, 5 * unit + up(self.epsilon), up(self.tau),
+                            (c2, c2, c2, up(self.c3), up(self.c4)))
 
     def as_assignment(self) -> dict[str, Fraction]:
         return {"epsilon": self.epsilon, "c3": self.c3, "c4": self.c4, "tau": self.tau}
@@ -136,10 +178,15 @@ class LedgerEntry:
 @dataclass
 class LedgerState:
     """Per-vertex debts and recorded charges; the tau flags live on the
-    dispatcher's components."""
+    dispatcher's components.
+
+    ``debt`` holds integers times L (``params.scaled.unit``).  Each entry
+    holds its charge as the exact ``Fraction``, so ``entries``,
+    ``negative_steps`` and ``min_charge`` read in the paper's units.
+    """
 
     params: ChargeParams
-    debt: dict[int, Fraction] = field(default_factory=dict)
+    debt: dict[int, int] = field(default_factory=dict)
     entries: list[LedgerEntry] = field(default_factory=list)
     negative_steps: list[LedgerEntry] = field(default_factory=list)
 
@@ -152,12 +199,14 @@ class LedgerState:
         """Every debt lies in [0, cap of its vertex's degree]; with
         ``vertices``, only theirs are checked."""
         debt = self.debt
+        scaled = self.params.scaled
         for v in debt if vertices is None else [v for v in vertices if v in debt]:
             d = debt[v]
-            cap = self.params.cap(g.degree(v))
-            if d < 0 or d > cap:
+            degree = g.degree(v)
+            if d < 0 or d > scaled.cap(degree):
                 raise DebtCapExceeded(
-                    f"debt {d} on vertex {v} outside [0, {cap}] at degree {g.degree(v)}"
+                    f"debt {Fraction(d, scaled.unit)} on vertex {v} outside "
+                    f"[0, {self.params.cap(degree)}] at degree {degree}"
                 )
 
 
@@ -168,8 +217,8 @@ class _Comp:
     ``heap`` holds its members as a lazy min-heap (an entry counts while
     the table maps the vertex to this id); ``degrees`` counts its members
     by degree, ``low`` is its members of degree <= 2, ``debt`` the sum of
-    their debts, ``tau`` its tau flag, and ``acceptable`` whether its
-    residue is a legal output core.
+    their debts (times L), ``tau`` its tau flag, and ``acceptable`` whether
+    its residue is a legal output core.
     """
 
     id: int
@@ -177,7 +226,7 @@ class _Comp:
     size: int = 0
     degrees: Counter = field(default_factory=Counter)
     low: set[int] = field(default_factory=set)
-    debt: Fraction = _ZERO
+    debt: int = 0
     tau: bool = False
     acceptable: bool = False
 
@@ -186,7 +235,7 @@ class _Table:
     """The component table: the component of each working vertex and the
     records above, updated only at the vertices a step touched."""
 
-    def __init__(self, g: MultiGraph, debt: dict[int, Fraction]) -> None:
+    def __init__(self, g: MultiGraph, debt: dict[int, int]) -> None:
         self.g = g
         self.debt = debt
         self.comps: dict[int, _Comp] = {}
@@ -282,16 +331,23 @@ class _Run:
     whose degree or neighbourhood a step changed is queued again, with
     the neighbours of those left at degree 3 (the mixed case), and every
     component the step left behind is assessed again.
+
+    ``matched`` counts the ``_match`` calls and ``pushed`` the queue
+    pushes: work counters, independent of the host, like pseudoforest's.
+    ``g.split_visits`` counts the vertices the split searches visit.
     """
 
     def __init__(self, g: MultiGraph, params: ChargeParams, strict: bool) -> None:
         self.g = g
         self.params = params
         self.strict = strict
+        self.scaled = params.scaled
         self.ledger = LedgerState(params)
         self.sol = ReductionSolution("planar", g.n, g.m, set(), bound_num=23, bound_den=120)
         self.table = _Table(g, self.ledger.debt)
         self.queue = CaseQueue()
+        self.matched = 0
+        self.pushed = 0
         for v in g.vertices():
             self._push(v)
         for c in list(self.table.comps.values()):
@@ -323,6 +379,7 @@ class _Run:
 
     def _match(self, anchor: tuple[int, int]) -> tuple[int, _Comp | None] | None:
         """(rank, component or None) of the case at a queued anchor."""
+        self.matched += 1
         v, cid = anchor
         if cid < 0:
             rank = self._vertex_rank(v) if self.g.has_vertex(v) else None
@@ -336,6 +393,7 @@ class _Run:
     def _push(self, v: int) -> None:
         rank = self._vertex_rank(v)
         if rank is not None:
+            self.pushed += 1
             self.queue.push((v, -1), rank)
 
     def _touched(self, vs) -> list[int]:
@@ -371,12 +429,13 @@ class _Run:
             c.acceptable = self._residue_ok(c)
         rank = self._comp_rank(c)
         if rank is not None:
+            self.pushed += 1
             self.queue.push((self.table.min_member(c), c.id), rank)
 
     # -- ledger plumbing ---------------------------------------------
 
-    def _greedy_raise(self, base: Fraction, dropped: dict[int, int]) -> Fraction:
-        """Issue just enough debt to make the step solvent.
+    def _greedy_raise(self, base: int, dropped: dict[int, int]) -> int:
+        """Issue just enough debt to make the step solvent (times L).
 
         Survivors whose degree dropped this step are raised toward the
         cap of their new degree in id order (the order of ``dropped``,
@@ -384,6 +443,7 @@ class _Run:
         is partial, so no more debt is borrowed than the step needs.
         """
         g = self.g
+        debt = self.ledger.debt
         charge = base
         for v in dropped:
             if charge >= 0:
@@ -392,12 +452,12 @@ class _Run:
                 continue
             post = g.degree(v)
             if post < dropped[v] and post >= 1:
-                cap = self.params.cap(post)
-                cur = self.ledger.debt.get(v, _ZERO)
+                cap = self.scaled.cap(post)
+                cur = debt.get(v, 0)
                 if cur < cap:
                     raise_by = min(cap - cur, -charge)
                     charge += raise_by
-                    self.ledger.debt[v] = cur + raise_by
+                    debt[v] = cur + raise_by
                     self.table.of(v).debt += raise_by
         return charge
 
@@ -409,9 +469,10 @@ class _Run:
         order (delete, then contract each (v, u, u) and simplify at u, then
         accept); with the accepted vertices it accepts every watched vertex
         left at degree 0.  Then split or keep ``comp``, charge the step,
-        issue debt (and on the 4-regular case tau) if it runs short, and
-        enter the charge in the ledger.  With ``strict``, a negative charge
-        raises NegativeCharge, after the step is in the trace.
+        issue debt (and on the 4-regular case tau) if it runs short, all
+        times L, and enter the charge in the ledger as a ``Fraction``.
+        With ``strict``, a negative charge raises NegativeCharge, after the
+        step is in the trace.
 
         The watched vertices are the neighbours of the vertices that are
         deleted or contracted away, less those vertices: the only ones
@@ -436,7 +497,7 @@ class _Run:
         # A vertex that left takes its debt off its record's total
         # (``_Table.remove`` reads only the record) and out of the ledger.
         debt = self.ledger.debt
-        cleared = 0  # an int until a debt appears
+        cleared = 0
         for v in itertools.chain(gone, step.accepted):
             table.remove(v)
             cleared += debt.pop(v, 0)
@@ -456,26 +517,23 @@ class _Run:
                 c.tau = c.degrees[3] > 0
 
         # +1 per edge unit, -(5+epsilon) per deleted vertex, less the
-        # debts and the tau the step clears.
-        charge = Fraction(step.removed_edges)
-        if deleted:
-            charge -= (5 + self.params.epsilon) * len(deleted)
-        if cleared:
-            charge -= cleared
+        # debts and the tau the step clears; all times L.
+        scaled = self.scaled
+        charge = step.removed_edges * scaled.unit - scaled.delete * len(deleted) - cleared
         if flagged and not kids3:
-            charge -= self.params.tau
+            charge -= scaled.tau
         charge = self._greedy_raise(charge, pre_deg)
         if charge < 0 and label == FOUR_REG_DELETE and kids3:
-            charge += self.params.tau
+            charge += scaled.tau
             for c in kids3:
                 c.tau = True
 
-        entry = LedgerEntry(len(self.sol.trace) - 1, label, charge)
+        entry = LedgerEntry(len(self.sol.trace) - 1, label, Fraction(charge, scaled.unit))
         self.ledger.entries.append(entry)
         if charge < 0:
             self.ledger.negative_steps.append(entry)
             if self.strict:
-                raise NegativeCharge(f"step {entry.index} ({label}) charged {charge}")
+                raise NegativeCharge(f"step {entry.index} ({label}) charged {entry.charge}")
         # Only the vertices whose degree or debt changed can break a cap.
         self.ledger.audit_caps(g, survivors)
         for c in children:
@@ -483,9 +541,10 @@ class _Run:
 
     # -- dispatch -------------------------------------------------------
 
-    def _acceptance_charge(self, c: _Comp) -> Fraction:
+    def _acceptance_charge(self, c: _Comp) -> int:
+        """What accepting c would charge, times L."""
         units = sum(d * k for d, k in c.degrees.items()) // 2
-        return Fraction(units) - c.debt - (self.params.tau if c.tau else _ZERO)
+        return units * self.scaled.unit - c.debt - (self.scaled.tau if c.tau else 0)
 
     def dispatch(self) -> bool:
         """Perform the least (rank, anchor) case; False when the graph is

@@ -8,10 +8,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from planarize import certify, generators as gen, lp, oracle
+from planarize import certify, generators as gen, lp, oracle, planar
 from planarize.minors import level_contract
 from planarize.multigraph import from_edge_list
-from planarize.planar import reduce_planar
+from planarize.planar import ChargeParams, reduce_planar
 from planarize.pseudoforest import reduce_pseudoforest
 from planarize.reducers import REDUCERS, checked_run
 from planarize.treewidth2 import reduce_treewidth2
@@ -226,6 +226,20 @@ def test_criterion_9_scaling_smoke():
             work.append(run.keyed + run.matched)
         return [b / a for a, b in zip(work, work[1:])]
 
+    def planar_work(sizes, make):
+        # The planar work counters (matcher calls plus queue pushes) are
+        # deterministic too.  The split-search visits are recorded, not
+        # gated: they grow as about n^1.5 until the planar reducer is
+        # linear (ROADMAP direction 8).
+        work, visits = [], []
+        for size in sizes:
+            run = planar._Run(make(size), ChargeParams.paper(), True)
+            while run.dispatch():
+                pass
+            work.append(run.matched + run.pushed)
+            visits.append(run.g.split_visits)
+        return [b / a for a, b in zip(work, work[1:])], visits
+
     def k33(t):
         return gen.disjoint_copies(gen.complete_bipartite(3, 3), t)
 
@@ -261,25 +275,34 @@ def test_criterion_9_scaling_smoke():
     )
     assert all(r <= 3.0 for r in ratios_tw), ("tw2-rr4", ratios_tw, times_tw)
 
+    work_rr4, visits_rr4 = planar_work((2000, 4000), rr4)
+    assert all(r <= 2.5 for r in work_rr4), ("planar-rr4 work", work_rr4,
+                                             "split visits", visits_rr4)
     ratios_rr4, times_rr4 = ladder(
         reduce_planar,
         (2000, 4000),
         lambda n: gen.random_regular(n, 4, 11),
     )
-    assert all(r <= 3.0 for r in ratios_rr4), ("planar-rr4", ratios_rr4, times_rr4)
+    assert all(r <= 3.0 for r in ratios_rr4), ("planar-rr4", ratios_rr4, times_rr4,
+                                               "split visits", visits_rr4)
 
-    ratios_k5, times_k5 = ladder(
-        reduce_planar,
-        (1000, 2000),
-        lambda t: gen.disjoint_copies(gen.complete(5), t),
-    )
-    assert all(r <= 3.0 for r in ratios_k5), ("planar-k5", ratios_k5, times_k5)
+    def k5(t):
+        return gen.disjoint_copies(gen.complete(5), t)
+
+    work_k5, visits_k5 = planar_work((1000, 2000), k5)
+    assert all(r <= 2.5 for r in work_k5), ("planar-k5 work", work_k5,
+                                            "split visits", visits_k5)
+    ratios_k5, times_k5 = ladder(reduce_planar, (1000, 2000), k5)
+    assert all(r <= 3.0 for r in ratios_k5), ("planar-k5", ratios_k5, times_k5,
+                                              "split visits", visits_k5)
     _ok(9, f"doubling ratios pseudoforest {['%.2f' % r for r in ratios_pf]}, "
            f"pseudoforest rr4 {['%.2f' % r for r in ratios_pf_rr4]}, pseudoforest "
            f"tetra ring xt {['%.2f' % r for r in ratios_pf_tetra]}, "
            f"tw2 {['%.2f' % r for r in ratios_tw]}, planar rr4 "
            f"{['%.2f' % r for r in ratios_rr4]}, planar K5xt "
-           f"{['%.2f' % r for r in ratios_k5]} (threshold 3.0)")
+           f"{['%.2f' % r for r in ratios_k5]} (threshold 3.0); planar work rr4 "
+           f"{['%.2f' % r for r in work_rr4]}, K5xt {['%.2f' % r for r in work_k5]} "
+           f"(threshold 2.5); planar split visits rr4 {visits_rr4}, K5xt {visits_k5}")
 
 
 def test_criterion_10_out_of_scope_statement():

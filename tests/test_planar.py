@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarize import certify, generators as gen, lp as lpmod, oracle, planar
-from planarize.errors import InfeasibleParams
+from planarize.errors import DebtCapExceeded, InfeasibleParams
 from planarize.multigraph import from_edge_list
 from planarize.planar import ChargeParams, reduce_planar
 from planarize.reducers import checked_run
@@ -160,6 +161,46 @@ def test_params_checked_once_per_value(monkeypatch):
         reduce_planar(gen.complete(4))
         ChargeParams.paper().validate()
     assert len(calls) == 2
+
+
+def test_params_scale_by_the_lcm_of_their_denominators():
+    paper = ChargeParams.paper().scaled
+    assert paper.unit == 46
+    assert (paper.delete, paper.tau) == (240, 30)  # 5 + 5/23 and 15/23, times 46
+    assert [paper.cap(d) for d in range(7)] == [46, 46, 46, 9, 2, 0, 0]
+    quarter = ChargeParams.parse("0,1/4,0,1").scaled
+    assert (quarter.unit, quarter.delete, quarter.tau) == (4, 20, 4)
+    assert [quarter.cap(d) for d in range(6)] == [4, 4, 4, 1, 0, 0]
+
+
+def test_ledger_makes_one_fraction_per_entry(monkeypatch):
+    # The ledger runs in integers times L; the one Fraction a step makes
+    # is its entry's charge.  Every Fraction constructed in a run counts.
+    params = ChargeParams.paper()
+    reduce_planar(gen.complete(5), params)  # validate and scale outside the count
+    graphs = [gen.random_regular(300, 4, 11), gen.disjoint_copies(gen.complete(5), 50)]
+    made = 0
+    construct = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return construct(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for g in graphs:
+        made = 0
+        _, ledger = reduce_planar(g, params)
+        assert made <= len(ledger.entries) + 4, (made, len(ledger.entries))
+
+
+def test_debt_cap_message_reads_in_the_papers_units():
+    g = gen.complete(4)
+    ledger = planar.LedgerState(ChargeParams.paper())
+    ledger.debt[0] = 10  # 10/46 = 5/23 at degree 3, over its cap of 9/46
+    message = "debt 5/23 on vertex 0 outside [0, 9/46] at degree 3"
+    with pytest.raises(DebtCapExceeded, match=re.escape(message)):
+        ledger.audit_caps(g)
 
 
 def test_alternate_feasible_params_work():

@@ -6,8 +6,9 @@ components, checks each one with ``accepts_planar_residue`` on its induced
 subgraph, sums the acceptance charge over the edge list, and audits every
 debt after every step.  The tests drive it in lockstep with the
 incremental ``planar._Run`` and compare each trace step, ledger entry,
-debt and tau flag, and check the facts the incremental dispatcher relies
-on: a contraction at a degree-<=2 vertex keeps the residue verdict, and
+debt and tau flag (the run keeps its debts as integers times L, the
+reference as fractions), and check the facts the incremental dispatcher
+relies on: a contraction at a degree-<=2 vertex keeps the residue verdict, and
 ``certify._reduce`` seeded at a component's degree-<=2 vertices gives the
 full verdict, reading only the rows it rewrites.
 """
@@ -41,6 +42,9 @@ from planarize.solution import ReductionSolution, TraceStep
 from test_casequeue import check_invariant
 
 _ZERO = Fraction(0)
+# A feasible point other than the paper's, with its own L = 4: the point
+# ``test_cli.py::test_reduce_with_custom_params`` reduces with.
+QUARTER = ChargeParams.parse("0,1/4,0,1")
 # The scan's label for its degree-0 case, which ``planar`` no longer has:
 # the component of an isolated vertex is always accepted first.
 HARVEST = "HarvestIsolated"
@@ -328,7 +332,8 @@ def _lockstep(g: MultiGraph, params: ChargeParams | None = None, strict: bool = 
             break
         assert new.sol.trace == ref.sol.trace
         assert new.ledger.entries == ref.ledger.entries
-        assert new.ledger.debt == ref.ledger.debt
+        unit = params.scaled.unit
+        assert {v: Fraction(d, unit) for v, d in new.ledger.debt.items()} == ref.ledger.debt
         flags = {frozenset(new.table.members(c)) for c in new.table.comps.values() if c.tau}
         assert flags == {frozenset(f) for f in ref.flagged}
         new.ledger.audit_caps(new.g)
@@ -349,7 +354,7 @@ def _check_table(run: planar._Run) -> None:
         assert c.size == len(members)
         assert c.degrees == Counter(g.degree(v) for v in members)
         assert c.low == {v for v in members if g.degree(v) <= 2}
-        assert c.debt == sum((run.ledger.debt.get(v, _ZERO) for v in members), _ZERO)
+        assert c.debt == sum(run.ledger.debt.get(v, 0) for v in members)
         sub = certify.induced_subgraph(g, set(members))
         assert c.acceptable == certify.accepts_planar_residue(sub)
     anchors = [(v, -1) for v in g.vertices()]
@@ -393,18 +398,24 @@ def test_matches_reference_on_corpus_recipe():
     assert labels[DEG2_CONTRACT] and labels[PLANAR_ACCEPT]
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 6])
-def test_matches_reference_on_random_regular(d):
+@pytest.mark.parametrize(
+    "d, params",
+    [(d, None) for d in (3, 4, 5, 6)] + [(d, QUARTER) for d in (3, 4, 5, 6)],
+    ids=["3", "4", "5", "6", "3-quarter", "4-quarter", "5-quarter", "6-quarter"],
+)
+def test_matches_reference_on_random_regular(d, params):
     for n in (12, 40, 150):
         for seed in range(3):
-            _lockstep(_from_nx(nx.random_regular_graph(d, n, seed=seed)), check_table=n < 150)
+            _lockstep(_from_nx(nx.random_regular_graph(d, n, seed=seed)), params,
+                      check_table=n < 150)
 
 
 def test_matches_reference_on_disjoint_copies():
-    for t in (1, 3):
-        for inner in (gen.complete(5), gen.complete(6), gen.complete_bipartite(3, 3),
-                      gen.FIXTURES["petersen"]()):
-            _lockstep(gen.disjoint_copies(inner, t), check_table=True)
+    for params in (None, QUARTER):
+        for t in (1, 3):
+            for inner in (gen.complete(5), gen.complete(6), gen.complete_bipartite(3, 3),
+                          gen.FIXTURES["petersen"]()):
+                _lockstep(gen.disjoint_copies(inner, t), params, check_table=True)
 
 
 def test_negative_steps_collected_alike():
