@@ -27,11 +27,14 @@ class CaseQueue:
     of its case, by pushing again, after each step, every anchor whose
     rank the step may have lowered.  Then an anchor that pops with a case
     of rank equal to its key holds the least (rank, anchor) of all.
+    ``popped`` counts the entries ``pop`` takes off the heap, stale ones
+    included: a work counter.
     """
 
     def __init__(self) -> None:
         self.heap: list = []
         self.queued: dict = {}
+        self.popped = 0
 
     def push(self, anchor, key) -> None:
         """Queue anchor at key, unless its live entry is at or below it."""
@@ -58,8 +61,10 @@ class CaseQueue:
         key goes back at its rank; one ranked below its key means the
         invariant broke, and raises."""
         heap, queued = self.heap, self.queued
+        popped = 0
         while heap:
             key, anchor = heapq.heappop(heap)
+            popped += 1
             if queued.get(anchor) != key:
                 continue
             del queued[anchor]
@@ -68,6 +73,7 @@ class CaseQueue:
                 continue
             rank, case = found
             if rank == key:
+                self.popped += popped
                 return rank, anchor, case
             if rank < key:
                 raise CaseAnalysisIncomplete(
@@ -75,4 +81,5 @@ class CaseQueue:
                 )
             queued[anchor] = rank
             heapq.heappush(heap, (rank, anchor))
+        self.popped += popped
         return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Generator, Iterable, Iterator, Mapping
 
 from .errors import GraphError, LoopInInput, NoSuchEdge, UnknownVertex
 
@@ -27,13 +27,12 @@ def _unknown(v: int) -> UnknownVertex:
 
 
 class MultiGraph:
-    __slots__ = ("_adj", "_deg", "_m", "split_visits")
+    __slots__ = ("_adj", "_deg", "_m")
 
     def __init__(self) -> None:
         self._adj: dict[int, dict[int, int]] = {}
         self._deg: dict[int, int] = {}
         self._m: int = 0
-        self.split_visits = 0  # vertices ``split_off`` visited: a work counter
 
     # -- construction -------------------------------------------------
 
@@ -294,18 +293,28 @@ class MultiGraph:
         return sorted(seen)
 
     def split_off(self, starts: list[int]) -> list[list[int]]:
-        """The components cut off from the rest, found from distinct starts.
+        """The components cut off from the rest, found from distinct starts:
+        ``split_rounds`` run to its end."""
+        rounds = self.split_rounds(starts)
+        while True:
+            try:
+                next(rounds)
+            except StopIteration as done:
+                return done.value
 
-        Breadth-first searches from the starts run side by side, one
-        vertex each per round, and two searches that meet go on as one.
+    def split_rounds(self, starts: list[int]) -> Generator[int, None, list[list[int]]]:
+        """Breadth-first searches from the starts, run side by side, one
+        vertex each per round; two searches that meet go on as one.
+
         A search that runs dry while another still runs has found a whole
         component, and its vertex list is returned; the last search left
         running, or the largest if the last ones run dry together, is
         not.  The rounds end when the last returned search does, so the
         cost is at most len(starts) times the size of the largest
         returned component: the side that is cut off pays for the cut
-        (Even and Shiloach).  Each visit, one vertex taken off a search's
-        queue, adds 1 to ``split_visits``.
+        (Even and Shiloach).  Each round yields its visits, the vertices
+        taken off the searches' queues, so a caller can stop early or
+        count the work.
         """
         adj = self._adj
         owner = {s: i for i, s in enumerate(starts)}
@@ -315,8 +324,8 @@ class MultiGraph:
         live = list(root)
         dry: list[int] = []
         owned = owner.get
-        visits = 0
         while len(live) > 1:
+            visits = 0
             for i in live:
                 if root[i] != i:
                     continue
@@ -342,7 +351,7 @@ class MultiGraph:
             running = [i for i in live if root[i] == i]
             live = [i for i in running if queues[i]]
             dry.extend(i for i in running if not queues[i])
-        self.split_visits += visits
+            yield visits
         if not live and dry:
             dry.remove(max(dry, key=lambda i: len(found[i])))
         return [found[i] for i in dry]

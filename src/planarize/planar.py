@@ -36,9 +36,10 @@ degree <= 2, debt total, tau flag and residue verdict, and one
 ``CaseQueue`` holds each vertex and each component that has a case, at
 the rank of that case (``_Run._match`` and the two rank functions it
 calls are where the case conditions are written); a step updates only
-the vertices it touched.  A deletion splits its component by
-breadth-first searches run side by side from the surviving neighbours
-(``MultiGraph.split_off``).
+the vertices it touched.  A spanning tree per component
+keeps its connectivity: a deletion costs the rows of the deleted
+vertex's children when nothing is cut, and a search of the part cut off
+when something is (``_Table``).
 A component's verdict is inherited across a contraction, read off its
 degree counts when it has no vertex of degree <= 2, and otherwise
 recomputed by ``certify._reduce`` seeded at those vertices; the engine
@@ -54,7 +55,7 @@ import functools
 import heapq
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -218,11 +219,13 @@ class _Comp:
     the table maps the vertex to this id); ``degrees`` counts its members
     by degree, ``low`` is its members of degree <= 2, ``debt`` the sum of
     their debts (times L), ``tau`` its tau flag, and ``acceptable`` whether
-    its residue is a legal output core.
+    its residue is a legal output core.  ``root`` is the one member
+    without a parent in the table's spanning tree.
     """
 
     id: int
     heap: list[int]
+    root: int = -1
     size: int = 0
     degrees: Counter = field(default_factory=Counter)
     low: set[int] = field(default_factory=set)
@@ -233,7 +236,28 @@ class _Comp:
 
 class _Table:
     """The component table: the component of each working vertex and the
-    records above, updated only at the vertices a step touched."""
+    records above, updated only at the vertices a step touched.
+
+    Connectivity is kept by a spanning tree of each component: every
+    member but the record's root has a parent ``up[v]``, a neighbour, and
+    following parents from any member ends at the root.  A contraction
+    keeps the tree (``contract``).  A deletion makes each child of the
+    deleted vertex the top of a subtree cut from the rest.  Each such
+    subtree is searched breadth first down the tree for an edge that
+    leaves it, which an edge does when the parents from its far end end
+    elsewhere (``_top``), and is hung from the first one found
+    (``_hunt``); most deletions so cost the rows of the children.  A
+    subtree whose search runs dry is a component cut off.  When the
+    children's own rows have not settled a deletion, the side-by-side
+    search (``MultiGraph.split_rounds``) runs alongside, a round per
+    round, so that a small part cut off with the root in it is named at
+    the cost of that part (Even and Shiloach).
+
+    ``split_work`` counts rows read: by the subtree searches, by the
+    side-by-side search, and by planting a tree.  ``walked`` counts the
+    parent steps ``_top`` takes.  Both are work counters, independent of
+    the host.
+    """
 
     def __init__(self, g: MultiGraph, debt: dict[int, int]) -> None:
         self.g = g
@@ -241,9 +265,12 @@ class _Table:
         self.comps: dict[int, _Comp] = {}
         self.comp_of: dict[int, int] = {}
         self.deg: dict[int, int] = {}  # each vertex's degree as counted in its record
+        self.up: dict[int, int] = {}  # each member's parent, but a root's
+        self.split_work = 0
+        self.walked = 0
         self._ids = itertools.count()  # never reused, so stale heap entries stay stale
         for members in g.components():
-            self._new(members)
+            self._plant(self._new(members), members[-1])
 
     def _new(self, members: list[int], source: _Comp | None = None) -> _Comp:
         """A record for members, moved out of ``source`` when given."""
@@ -252,6 +279,26 @@ class _Table:
         for v in members:
             self._join(c, v, self.g.degree(v) if source is None else self._leave(source, v))
         return c
+
+    def _plant(self, c: _Comp, root: int) -> None:
+        """A breadth-first spanning tree of c from root.  The reducer takes
+        its anchors least first, so the largest member makes a root that
+        is seldom deleted."""
+        adj, up = self.g.adjacency_map(), self.up
+        c.root = root
+        self.split_work += c.size
+        up.pop(root, None)
+        seen = {root}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        up[y] = x
+                        nxt.append(y)
+            frontier = nxt
 
     def _join(self, c: _Comp, v: int, d: int) -> None:
         self.comp_of[v] = c.id
@@ -281,10 +328,13 @@ class _Table:
         return self.comps[self.comp_of[v]]
 
     def remove(self, v: int) -> None:
-        """Drop v from its record; its debt, still in the ledger, leaves
-        the record's total."""
+        """Drop v from its record and its tree; its debt, still in the
+        ledger, leaves the record's total."""
         c = self.of(v)
         self._leave(c, v)
+        self.up.pop(v, None)
+        if c.root == v:
+            c.root = -1
         if not c.size:
             del self.comps[c.id]
 
@@ -305,14 +355,120 @@ class _Table:
     def members(self, c: _Comp) -> list[int]:
         return sorted(v for v in c.heap if self.comp_of.get(v) == c.id)
 
-    def split(self, c: _Comp, starts: list[int]) -> list[_Comp]:
+    def children(self, x: int) -> list[int]:
+        """The neighbours whose parent is x; read before x goes."""
+        up = self.up
+        return [y for y in self.g.adjacency_map()[x] if up.get(y) == x]
+
+    def contract(self, v: int, u: int) -> None:
+        """Before v, of degree at most 2, is contracted into u: u takes v's
+        place in the tree when v is the root or u's parent, and v's other
+        children become u's.  Otherwise v is u's child, or v's one other
+        neighbour is its parent and v is a leaf; either way its children
+        may hang from u.  Connectivity does not change."""
+        up = self.up
+        parent = up.pop(v, None)
+        if parent is None:  # v is the root
+            up.pop(u, None)
+            self.of(v).root = u
+        elif up.get(u) == v:
+            up[u] = parent
+        for y in self.g.adjacency_map()[v]:
+            if up.get(y) == v:
+                up[y] = u
+
+    def _top(self, v: int) -> int:
+        """Where v's parents end: at its record's root, or at the top of a
+        subtree a deletion cut off."""
+        up = self.up
+        while v in up:
+            v = up[v]
+            self.walked += 1
+        return v
+
+    def split(self, c: _Comp, orphans: list[int], starts: list[int]) -> list[_Comp]:
         """The components left of c after a deletion, given the deleted
-        vertex's surviving neighbours: c keeps the part that
-        ``MultiGraph.split_off`` does not return, and each part it returns
-        moves to a new record."""
+        vertex's children and its surviving neighbours.  c keeps the
+        root's part; each part cut off moves to a new record."""
         if not c.size:
             return []
-        return [c] + [self._new(part, c) for part in self.g.split_off(starts)]
+        up, comp_of = self.up, self.comp_of
+        orphans = [o for o in orphans if o in comp_of]
+        for o in orphans:
+            del up[o]
+        if c.root < 0:  # the root went: the first orphan's subtree is the root's part
+            c.root = orphans.pop(0)
+        # Each cut subtree's search: its top, the queue of members whose
+        # rows are still to read, and the members found so far.
+        hunts = {o: (deque([o]), [o]) for o in orphans}
+        parts: list[_Comp] = []
+        rounds = None
+        while hunts:
+            for o in list(hunts):
+                if o in hunts:
+                    self._hunt(c, o, hunts, parts)
+            if not hunts:
+                break
+            if rounds is None:
+                rounds = self.g.split_rounds(starts)
+            elif rounds:
+                try:
+                    self.split_work += next(rounds)
+                except StopIteration as done:
+                    rounds = ()
+                    self._take_parts(c, done.value, hunts, parts)
+        return [c] + parts
+
+    def _hunt(self, c: _Comp, o: int, hunts: dict, parts: list[_Comp]) -> None:
+        """Read the next row of o's subtree: queue the children, and hang
+        the subtree from the first edge that leaves it.  When the queue
+        runs dry the subtree is a component, which moves to a new record."""
+        up, adj = self.up, self.g.adjacency_map()
+        queue, found = hunts[o]
+        y = queue.popleft()
+        self.split_work += 1
+        parent = up.get(y)
+        for z in adj[y]:
+            if z == parent:
+                continue
+            if up.get(z) == y:
+                queue.append(z)
+                found.append(z)
+                continue
+            if self._top(z) == o:
+                continue
+            # Hang o's subtree from z: reverse the parents from y up to o.
+            # If z lies in another cut subtree, that one's search has not
+            # read z's row, or it would have hung itself here, so it will
+            # find o's subtree below z.
+            del hunts[o]
+            while y != o:
+                up[y], z, y = z, y, up[y]
+            up[o] = z
+            return
+        if not queue:
+            del hunts[o]
+            d = self._new(found, c)
+            d.root = o
+            parts.append(d)
+
+    def _take_parts(self, c: _Comp, cut: list[list[int]], hunts: dict, parts: list[_Comp]) -> None:
+        """The side-by-side search named the parts first: each part it cut
+        off and no subtree search has yet moves to a new record with a new
+        tree, and the subtree searches go on in the part c keeps, whose
+        root, if it was cut off, is one of theirs."""
+        comp_of = self.comp_of
+        for part in cut:
+            if comp_of[part[0]] != c.id:
+                continue
+            d = self._new(part, c)
+            self._plant(d, max(part))
+            parts.append(d)
+            for o in [o for o in hunts if comp_of[o] == d.id]:
+                del hunts[o]
+        if comp_of[c.root] != c.id:
+            c.root = next(iter(hunts))
+            del hunts[c.root]
 
 
 # Ranks are positions in this table: the case priority of the module
@@ -334,7 +490,8 @@ class _Run:
 
     ``matched`` counts the ``_match`` calls and ``pushed`` the queue
     pushes: work counters, independent of the host, like pseudoforest's.
-    ``g.split_visits`` counts the vertices the split searches visit.
+    ``table.split_work`` and ``table.walked`` count what keeping the
+    components connected costs.
     """
 
     def __init__(self, g: MultiGraph, params: ChargeParams, strict: bool) -> None:
@@ -484,6 +641,9 @@ class _Run:
         table = self.table
         flagged = comp.tau
         gone = list(deleted) + [v for v, _, _ in contracted]
+        orphans = [y for x in deleted for y in table.children(x)]
+        for v, u, _ in contracted:
+            table.contract(v, u)
         adj = g.adjacency_map()
         watch: set[int] = set()
         for v in gone:
@@ -504,7 +664,7 @@ class _Run:
 
         survivors = self._touched(pre_deg)
         if deleted:
-            children = table.split(comp, survivors)
+            children = table.split(comp, orphans, survivors)
         else:
             # Contracting at a degree-<=2 vertex and merging the parallel
             # copy is one of the residue rules, so the verdict stands.

@@ -33,14 +33,21 @@ live key: the vertices the step touched (the closed neighbourhoods of
 the vertices it names, ``apply_case``), the anchor, and the raised
 vertices (``_Run.raised``: matched, so put back above their key or
 dropped, and not pushed since) within distance 1 of a touched vertex,
-or 2 at degree 4, since FourRegC2 and FourRegC3 read that far.  Every
-vertex with a case so holds a key at most its rank, and the popped
-minimum is the scan's minimum.  The one non-local case, FourRegC4,
-searches only the anchor's component for a cycle of tetrahedra.
+or 2 at degree 4, since FourRegC2 and FourRegC3 read that far.  They
+are found without a search: a vertex that stays raised after the step
+it was matched in is registered on the watch list of every vertex of
+that region, and a step reads the lists of the vertices it touched.
+The region of a raised vertex y cannot change unseen: that takes an
+edge change at a vertex of N[y], which touches that vertex, and the
+step then keys y again.  Every vertex with a case so holds a key at
+most its rank, and the popped minimum is the scan's minimum.  The one
+non-local case, FourRegC4, searches only the anchor's component for a
+cycle of tetrahedra.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -383,10 +390,13 @@ class _Run:
 
     A vertex is queued at a lower bound on its rank (``_key``) and matched
     only when it reaches the top (``CaseQueue.pop``), so the case that
-    fires is the minimum (rank, v) over the graph.  ``raised`` holds the
-    vertices matched and not pushed since.  ``keyed`` counts the vertices
-    keyed again after steps and ``matched`` the ``_match_at`` calls: work
-    counters, independent of the host.
+    fires is the minimum (rank, v) over the graph.  ``raised`` maps each
+    vertex matched and not pushed since to the step that registered it,
+    and ``watch[x]`` holds the (vertex, step) registrations under x; an
+    entry whose step is not its vertex's in ``raised`` is stale.
+    ``keyed`` counts the vertices keyed again after steps, ``matched``
+    the ``_match_at`` calls and ``registered`` the watch entries made:
+    work counters, independent of the host.
     """
 
     def __init__(self, g: MultiGraph, sol: ReductionSolution) -> None:
@@ -396,9 +406,12 @@ class _Run:
         self.adj = g.adjacency_map()
         self.queue = CaseQueue()
         self.queue.push_all(g.vertices(), self._key)
-        self.raised: set[int] = set()
+        self.raised: dict[int, int] = {}
+        self.watch: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        self.fresh: list[int] = []  # matched during the current step
         self.keyed = 0
         self.matched = 0
+        self.registered = 0
 
     def _key(self, v: int) -> int:
         """The degree bound of v, or at degree 3 its exact rank: Deg3AdjDeg4
@@ -411,22 +424,24 @@ class _Run:
 
     def _match(self, v: int) -> tuple[int, CaseDescriptor] | None:
         self.matched += 1
-        self.raised.add(v)
+        self.fresh.append(v)
         return _case_at(self.g, v)
 
-    def _raised_near(self, touched: set[int]) -> set[int]:
-        """The raised vertices a step may have re-ranked: those within
-        distance 1 of ``touched``, and those of degree 4 within distance 2
-        (FourRegC2 and FourRegC3 read the neighbourhoods of neighbours;
-        every other case reads only the anchor's own neighbourhood)."""
-        adj, degree = self.adj, self.degree
-        ring = touched.union(*map(adj.__getitem__, touched))
-        ball = ring.union(*map(adj.__getitem__, ring))
-        return {y for y in ball & self.raised if y in ring or degree[y] == 4}
+    def _reads(self, y: int) -> set[int]:
+        """What the cases at y read: N[y], or N2[y] at degree 4 (FourRegC2
+        and FourRegC3 read the neighbourhoods of neighbours; every other
+        case reads only the anchor's own neighbourhood)."""
+        adj = self.adj
+        row = adj[y]
+        if self.degree[y] == 4:
+            return set(row).union(*map(adj.__getitem__, row))
+        near = set(row)
+        near.add(y)
+        return near
 
     def step(self) -> bool:
         """Apply the next case; False once no vertex has one."""
-        g, queue, raised = self.g, self.queue, self.raised
+        g, queue, raised, watch = self.g, self.queue, self.raised, self.watch
         found = queue.pop(self._match)
         if found is None:
             return False
@@ -438,23 +453,44 @@ class _Run:
             y if x == keep else x for x, y, keep in step.contracted)
         for x in gone:
             queue.discard(x)
-        raised.difference_update(gone)
+            raised.pop(x, None)
+            watch.pop(x, None)
         # A vertex whose live key is at or below its ``_key`` keeps it valid
         # until a step touches it (module docstring), and once pushed it
         # holds such a key, so it leaves ``raised``.  The others are the
         # anchor, whose entry was just popped and which may lie far from
         # touched (FourRegC4 deletes from the smallest tetrahedron on a
-        # cycle, which need not be the anchor's), and the raised vertices.
-        # Touched holds the closed neighbourhood of every vertex the step
-        # deleted, contracted or contracted into, so their cases change
-        # only within distance 2 of it (``_raised_near``).
+        # cycle, which need not be the anchor's), and the raised vertices
+        # whose region holds a touched vertex: those registered under one,
+        # and those matched in this step, which are not registered yet.
         if g.has_vertex(v):
             touched.add(v)
+        near = set()
         if raised:
-            touched |= self._raised_near(touched)
+            for x in touched:
+                for y, at in watch.pop(x, ()):
+                    if raised.get(y) == at:
+                        near.add(y)
+        index = len(self.sol.trace)
+        adj = self.adj
+        for y in self.fresh:
+            if y in touched or y in raised or y not in adj:
+                continue
+            region = self._reads(y)
+            if touched.isdisjoint(region):
+                raised[y] = index
+                self.registered += len(region)
+                entry = (y, index)
+                for x in region:
+                    watch[x].append(entry)
+            else:
+                near.add(y)
+        self.fresh.clear()
+        touched |= near
         self.keyed += len(touched)
         queue.push_all(touched, self._key)
-        raised -= touched
+        for y in near:
+            raised.pop(y, None)
         return True
 
 

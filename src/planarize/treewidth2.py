@@ -69,6 +69,9 @@ class _Run:
     rank falls only at a vertex whose degree changed or that gained a
     neighbour; both are neighbours of the vertex a step removes, and they
     are queued again after it.
+
+    ``matched`` counts the ``_match`` calls and ``queue.popped`` the heap
+    pops: work counters, independent of the host.
     """
 
     def __init__(self, g: MultiGraph, sol: ReductionSolution) -> None:
@@ -76,15 +79,20 @@ class _Run:
         self.sol = sol
         self.queue = CaseQueue()
         self.queue.push_all(g.vertices(), self._key)
+        self.matched = 0
 
     def _key(self, v: int) -> int:
         d = self.g.degree(v)
         return _DEGREE_KEY[d] if d < 5 else 0
 
+    def _match(self, v: int) -> tuple[int, int] | None:
+        self.matched += 1
+        return _match(self.g, v)
+
     def step(self) -> bool:
         """Apply the next case; False once no vertex has one."""
         g, sol = self.g, self.sol
-        found = self.queue.pop(lambda v: _match(g, v))
+        found = self.queue.pop(self._match)
         if found is None:
             return False
         rank, _, x = found

@@ -8,14 +8,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from planarize import certify, generators as gen, lp, oracle, planar
+from planarize import certify, generators as gen, lp, oracle, planar, treewidth2 as tw2
 from planarize.minors import level_contract
 from planarize.multigraph import from_edge_list
 from planarize.planar import ChargeParams, reduce_planar
 from planarize.pseudoforest import reduce_pseudoforest
 from planarize.reducers import REDUCERS, checked_run
 from planarize.treewidth2 import reduce_treewidth2
-from planarize.solution import aggregate_charge_ok
+from planarize.solution import ReductionSolution, aggregate_charge_ok
 from test_pseudoforest import _new_run, _tetra_ring
 
 
@@ -215,30 +215,46 @@ def test_criterion_9_scaling_smoke():
                 times[i] = min(times[i], time.perf_counter() - t0)
         return [b / a for a, b in zip(times, times[1:])], times
 
+    def ratios(work):
+        return [b / a for a, b in zip(work, work[1:])]
+
     def work_ratios(sizes, make):
-        # The pseudoforest work counters (vertices keyed again after steps
-        # plus matcher calls) are deterministic, so this gate cannot flake.
+        # The pseudoforest work counters (vertices keyed again after steps,
+        # matcher calls and watch-list registrations) are deterministic, so
+        # this gate cannot flake.
         work = []
         for size in sizes:
             run = _new_run(make(size))
             while run.step():
                 pass
-            work.append(run.keyed + run.matched)
-        return [b / a for a, b in zip(work, work[1:])]
+            work.append(run.keyed + run.matched + run.registered)
+        return ratios(work)
 
     def planar_work(sizes, make):
         # The planar work counters (matcher calls plus queue pushes) are
-        # deterministic too.  The split-search visits are recorded, not
-        # gated: they grow as about n^1.5 until the planar reducer is
-        # linear (ROADMAP direction 8).
-        work, visits = [], []
+        # deterministic too, and so is the split work: the rows that keeping
+        # the components connected reads (ROADMAP direction 5).  The parent
+        # steps of its tree walks are recorded, not gated.
+        work, split, walked = [], [], []
         for size in sizes:
             run = planar._Run(make(size), ChargeParams.paper(), True)
             while run.dispatch():
                 pass
             work.append(run.matched + run.pushed)
-            visits.append(run.g.split_visits)
-        return [b / a for a, b in zip(work, work[1:])], visits
+            split.append(run.table.split_work)
+            walked.append(run.table.walked)
+        return ratios(work), ratios(split), (split, walked)
+
+    def tw2_work(sizes, make):
+        # The tw2 work counters: heap pops plus matcher calls.
+        work = []
+        for size in sizes:
+            g = make(size)
+            run = tw2._Run(g, ReductionSolution("tw2", g.n, g.m, set(), 1, 5))
+            while run.step():
+                pass
+            work.append(run.queue.popped + run.matched)
+        return ratios(work)
 
     def k33(t):
         return gen.disjoint_copies(gen.complete_bipartite(3, 3), t)
@@ -274,35 +290,40 @@ def test_criterion_9_scaling_smoke():
         lambda n: gen.random_regular(n, 4, 11),
     )
     assert all(r <= 3.0 for r in ratios_tw), ("tw2-rr4", ratios_tw, times_tw)
+    work_tw = tw2_work((10000, 20000), rr4)
+    assert all(r <= 2.5 for r in work_tw), ("tw2-rr4 work", work_tw)
 
-    work_rr4, visits_rr4 = planar_work((2000, 4000), rr4)
-    assert all(r <= 2.5 for r in work_rr4), ("planar-rr4 work", work_rr4,
-                                             "split visits", visits_rr4)
+    work_rr4, split_rr4, counts_rr4 = planar_work((2000, 4000), rr4)
+    assert all(r <= 2.5 for r in work_rr4), ("planar-rr4 work", work_rr4)
+    assert all(r <= 2.5 for r in split_rr4), ("planar-rr4 split work", split_rr4,
+                                              "split work, parent steps", counts_rr4)
     ratios_rr4, times_rr4 = ladder(
         reduce_planar,
         (2000, 4000),
         lambda n: gen.random_regular(n, 4, 11),
     )
-    assert all(r <= 3.0 for r in ratios_rr4), ("planar-rr4", ratios_rr4, times_rr4,
-                                               "split visits", visits_rr4)
+    assert all(r <= 3.0 for r in ratios_rr4), ("planar-rr4", ratios_rr4, times_rr4)
 
     def k5(t):
         return gen.disjoint_copies(gen.complete(5), t)
 
-    work_k5, visits_k5 = planar_work((1000, 2000), k5)
-    assert all(r <= 2.5 for r in work_k5), ("planar-k5 work", work_k5,
-                                            "split visits", visits_k5)
+    work_k5, split_k5, counts_k5 = planar_work((1000, 2000), k5)
+    assert all(r <= 2.5 for r in work_k5), ("planar-k5 work", work_k5)
+    assert all(r <= 2.5 for r in split_k5), ("planar-k5 split work", split_k5,
+                                             "split work, parent steps", counts_k5)
     ratios_k5, times_k5 = ladder(reduce_planar, (1000, 2000), k5)
-    assert all(r <= 3.0 for r in ratios_k5), ("planar-k5", ratios_k5, times_k5,
-                                              "split visits", visits_k5)
+    assert all(r <= 3.0 for r in ratios_k5), ("planar-k5", ratios_k5, times_k5)
     _ok(9, f"doubling ratios pseudoforest {['%.2f' % r for r in ratios_pf]}, "
            f"pseudoforest rr4 {['%.2f' % r for r in ratios_pf_rr4]}, pseudoforest "
            f"tetra ring xt {['%.2f' % r for r in ratios_pf_tetra]}, "
            f"tw2 {['%.2f' % r for r in ratios_tw]}, planar rr4 "
            f"{['%.2f' % r for r in ratios_rr4]}, planar K5xt "
            f"{['%.2f' % r for r in ratios_k5]} (threshold 3.0); planar work rr4 "
-           f"{['%.2f' % r for r in work_rr4]}, K5xt {['%.2f' % r for r in work_k5]} "
-           f"(threshold 2.5); planar split visits rr4 {visits_rr4}, K5xt {visits_k5}")
+           f"{['%.2f' % r for r in work_rr4]}, K5xt {['%.2f' % r for r in work_k5]}, "
+           f"planar split work rr4 {['%.2f' % r for r in split_rr4]}, K5xt "
+           f"{['%.2f' % r for r in split_k5]}, tw2 work {['%.2f' % r for r in work_tw]} "
+           f"(threshold 2.5); planar split work and parent steps rr4 {counts_rr4}, "
+           f"K5xt {counts_k5}")
 
 
 def test_criterion_10_out_of_scope_statement():

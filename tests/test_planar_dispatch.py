@@ -360,6 +360,21 @@ def _check_table(run: planar._Run) -> None:
     anchors = [(v, -1) for v in g.vertices()]
     anchors += [(table.min_member(c), c.id) for c in table.comps.values()]
     check_invariant(run.queue, anchors, run._match)
+    # The spanning trees certify each component: its root alone has no
+    # parent, every other member's parent is a neighbour, and following
+    # parents from any member reaches its record's root.
+    adj = g.adjacency_map()
+    assert sorted(c.root for c in table.comps.values()) == sorted(adj.keys() - table.up.keys())
+    for v, parent in table.up.items():
+        assert parent in adj[v], (v, parent)
+    for c in table.comps.values():
+        for v in table.members(c):
+            path = {v}
+            while v in table.up:
+                v = table.up[v]
+                assert v not in path, "a cycle of parents"
+                path.add(v)
+            assert v == c.root
 
 
 def _run_corpus_script():
@@ -499,3 +514,62 @@ def test_split_off_returns_the_cut_off_sides():
     # Two equal sides running dry together: the larger is kept, ties by order.
     h = from_edge_list([(0, 1), (2, 3)])
     assert h.split_off([0, 2]) in ([[0, 1]], [[2, 3]])
+
+
+def _block_tree(rng: random.Random, n_target: int) -> MultiGraph:
+    """Blocks (K5, K6, Petersen, random 4-regular on 10-20 vertices), each
+    joined to an earlier one at a shared cut vertex or by a bridge, with
+    the vertex ids shuffled: deleting a cut vertex or a bridge's end cuts."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    blocks: list[list[int]] = []
+    while n < n_target:
+        kind = rng.randrange(4)
+        if kind == 0:
+            block = gen.complete(5)
+        elif kind == 1:
+            block = gen.complete(6)
+        elif kind == 2:
+            block = gen.FIXTURES["petersen"]()
+        else:
+            block = _from_nx(nx.random_regular_graph(4, rng.randrange(10, 21, 2), seed=rng.randrange(10**6)))
+        ids = {v: n + i for i, v in enumerate(block.sorted_vertices())}
+        if blocks and rng.random() < 0.5:  # share a cut vertex with an earlier block
+            ids[block.sorted_vertices()[0]] = rng.choice(rng.choice(blocks))
+        elif blocks:  # or hang from one by a bridge
+            edges.append((rng.choice(rng.choice(blocks)), n))
+        edges += [(ids[u], ids[v]) for u, v, _ in block.iter_edges()]
+        blocks.append(sorted(set(ids.values())))
+        n += block.n
+    labels = sorted({v for e in edges for v in e})
+    perm = labels[:]
+    rng.shuffle(perm)
+    relabel = dict(zip(labels, perm))
+    return from_edge_list([(relabel[u], relabel[v]) for u, v in edges])
+
+
+def test_matches_reference_on_deletions_that_cut(monkeypatch):
+    # Random 4-regular graphs never cut (0 of 2581 deletions at n = 150 to
+    # 5000), so trees of blocks exercise the cut paths: the subtree search
+    # that runs dry, and the side-by-side search that names the parts.
+    cuts = Counter()
+    split, take_parts = planar._Table.split, planar._Table._take_parts
+
+    def counted_split(self, c, orphans, starts):
+        children = split(self, c, orphans, starts)
+        cuts["deletions that cut"] += len(children) > 1
+        return children
+
+    def counted_take_parts(self, c, cut, hunts, parts):
+        cuts["named by the side-by-side search"] += sum(self.comp_of[p[0]] == c.id for p in cut)
+        return take_parts(self, c, cut, hunts, parts)
+
+    monkeypatch.setattr(planar._Table, "split", counted_split)
+    monkeypatch.setattr(planar._Table, "_take_parts", counted_take_parts)
+    rng = random.Random(20261019)
+    for params in (None, QUARTER):
+        for n in (100, 200, 400):
+            for _ in range(2):
+                _lockstep(_block_tree(rng, n), params, check_table=True)
+    assert cuts["deletions that cut"] >= 100, cuts
+    assert cuts["named by the side-by-side search"] > 0, cuts

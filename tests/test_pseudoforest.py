@@ -228,13 +228,23 @@ def _c4_payload_whole_graph(g):
 
 
 def _check_keys(run):
-    """The queue invariant, and the one the requeue rests on: every live
-    vertex outside ``raised`` holds a live key at most its ``_key``."""
+    """The queue invariant, and the two the requeue rests on: every live
+    vertex outside ``raised`` holds a live key at most its ``_key``, and
+    every raised vertex y is registered, under the step ``raised`` gives
+    it, on the watch list of every vertex its cases read: N[y], or N2[y]
+    at degree 4, taken here from scratch."""
     check_invariant(run.queue, run.g.vertices(), lambda v: pf._case_at(run.g, v))
-    live = run.g.adjacency_map().keys()
-    assert run.raised <= live, run.raised - live
-    for v in live - run.raised:
+    adj = run.g.adjacency_map()
+    raised = run.raised.keys()
+    assert raised <= adj.keys(), raised - adj.keys()
+    for v in adj.keys() - raised:
         assert run.queue.queued.get(v, inf) <= run._key(v), (v, run.queue.queued.get(v))
+    for y, at in run.raised.items():
+        reads = {y, *adj[y]}
+        if run.g.degree(y) == 4:
+            reads = reads.union(*(adj[z] for z in adj[y]))
+        for x in reads:
+            assert (y, at) in run.watch.get(x, ()), (y, at, x)
 
 
 def _new_run(g):
