@@ -12,7 +12,7 @@ top.  Which anchors to push again after a step is the reducer's choice.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from math import inf
 
 from .errors import CaseAnalysisIncomplete
@@ -40,16 +40,17 @@ class CaseQueue:
         """Queue anchor at key, unless its live entry is at or below it."""
         if key < self.queued.get(anchor, inf):
             self.queued[anchor] = key
-            heapq.heappush(self.heap, (key, anchor))
+            heappush(self.heap, (key, anchor))
 
-    def push_all(self, anchors, key_fn) -> None:
-        """``push(a, key_fn(a))`` for each anchor, in one call."""
+    def push_all(self, entries) -> None:
+        """``push(anchor, key)`` for each ``(key, anchor)`` entry, in one
+        call; an entry that lowers a key goes on the heap as it is."""
         heap, queued = self.heap, self.queued
-        for a in anchors:
-            key = key_fn(a)
+        for entry in entries:
+            key, a = entry
             if key < queued.get(a, inf):
                 queued[a] = key
-                heapq.heappush(heap, (key, a))
+                heappush(heap, entry)
 
     def discard(self, anchor) -> None:
         """Forget an anchor that is gone: its entries become stale."""
@@ -63,7 +64,7 @@ class CaseQueue:
         heap, queued = self.heap, self.queued
         popped = 0
         while heap:
-            key, anchor = heapq.heappop(heap)
+            key, anchor = heappop(heap)
             popped += 1
             if queued.get(anchor) != key:
                 continue
@@ -80,6 +81,6 @@ class CaseQueue:
                     f"case at {anchor} has rank {rank} below its key {key}"
                 )
             queued[anchor] = rank
-            heapq.heappush(heap, (rank, anchor))
+            heappush(heap, (rank, anchor))
         self.popped += popped
         return None

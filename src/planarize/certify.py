@@ -47,9 +47,11 @@ def is_pseudoforest(g: MultiGraph) -> bool:
     return all(sum(g.degree(v) for v in comp) <= 2 * len(comp) for comp in g.components())
 
 
-def _reduce(
-    adj: Mapping[int, Iterable[int]], work: Iterable[int]
-) -> tuple[dict[int, set[int]], list[tuple[int, tuple[int, ...], bool]]]:
+# What ``_reduce`` returns: the residue rows and the deletion log.
+_Residue = tuple[dict[int, set[int]], list[tuple[int, tuple[int, ...], bool]]]
+
+
+def _reduce(adj: Mapping[int, Iterable[int]], work: Iterable[int]) -> _Residue:
     """The rewriting engine behind every residue certificate.
 
     Reads ``adj``, a mapping from each vertex to its neighbours, and never
@@ -157,10 +159,13 @@ def _unlink(nxt: dict[int, int], prv: dict[int, int], x: int) -> None:
     nxt[p], prv[z] = z, p
 
 
-def rotation_system(g: MultiGraph) -> dict[int, list[int]] | None:
+def rotation_system(g: MultiGraph, residue: _Residue | None = None) -> dict[int, list[int]] | None:
     """A planar embedding of g's underlying simple graph, as each vertex's
     neighbours in cyclic order, or None when ``_reduce`` does not leave
-    only K4s (the residue of ``accepts_planar_residue``).
+    only K4s (the residue of ``accepts_planar_residue``).  ``residue`` is
+    what ``_reduce`` returned when run from every vertex of g, for a
+    caller that has already run it (``planar_verdicts``); without it the
+    builder runs ``_reduce`` itself.
 
     Each K4 starts from one fixed embedding: a triangle t0 t1 t2 around a
     hub h.  The deletion log is then undone, last deletion first, so each
@@ -180,7 +185,7 @@ def rotation_system(g: MultiGraph) -> dict[int, list[int]] | None:
     = 2C holds throughout.  ``is_embedding`` checks the result; it shares
     no code with this builder.
     """
-    rows, log = _reduce(g.adjacency_map(), g.vertices())
+    rows, log = _reduce(g.adjacency_map(), g.vertices()) if residue is None else residue
     if not _all_k4(rows):
         return None
     order: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
@@ -265,7 +270,7 @@ def is_embedding(g: MultiGraph, rotation: Mapping[int, Sequence[int]]) -> bool:
     return _embedding_fault(g, rotation) is None
 
 
-def is_planar(g: MultiGraph) -> bool:
+def is_planar(g: MultiGraph, residue: _Residue | None = None) -> bool:
     """Exact planarity of the underlying simple graph.
 
     Loops and parallel edges never affect planarity, so the test sees
@@ -277,13 +282,14 @@ def is_planar(g: MultiGraph) -> bool:
     another test.  Any other graph goes to the left-right planarity test
     of networkx, imported here on first use, so that a process that meets
     only accepted residues never loads it; the brute-force side
-    (subdivision search) cross-checks it in the test suite.
+    (subdivision search) cross-checks it in the test suite.  ``residue``
+    is passed on to ``rotation_system``.
     """
     rows = g.adjacency_map()
     pairs = [(u, v) for u, row in rows.items() for v in row if u < v]
     if g.n <= 4 or len(pairs) <= 8:
         return True
-    rotation = rotation_system(g)
+    rotation = rotation_system(g, residue)
     if rotation is not None:
         fault = _embedding_fault(g, rotation)
         if fault is not None:
@@ -296,3 +302,12 @@ def is_planar(g: MultiGraph) -> bool:
     gx.add_edges_from(pairs)
     ok, _ = nx.check_planarity(gx, counterexample=False)
     return bool(ok)
+
+
+def planar_verdicts(g: MultiGraph) -> tuple[bool, bool]:
+    """``(is_planar(g), accepts_planar_residue(g))`` from one ``_reduce``
+    pass: the witness is built from the residue and deletion log that
+    the structure verdict reads.  Each function alone runs its own pass;
+    a checked planar run needs both verdicts, so it runs this instead."""
+    residue = _reduce(g.adjacency_map(), g.vertices())
+    return is_planar(g, residue), _all_k4(residue[0])

@@ -179,10 +179,13 @@ class MultiGraph:
 
     def delete_vertex(self, v: int) -> int:
         """Remove v and all incident edges; return removed edge units (loop = 1)."""
-        self._require(v)
         adj, deg = self._adj, self._deg
+        try:
+            row = adj.pop(v)
+        except KeyError:
+            raise _unknown(v) from None
         removed = 0
-        for u, c in adj.pop(v).items():
+        for u, c in row.items():
             removed += c
             if u != v:
                 del adj[u][v]
@@ -199,18 +202,20 @@ class MultiGraph:
         of the non-survivor move to the survivor.  Exactly one edge unit
         disappears.  The survivor keeps its own id.
         """
-        self._require(u)
-        self._require(v)
+        adj, deg = self._adj, self._deg
+        if u not in adj:
+            raise _unknown(u)
+        if v not in adj:
+            raise _unknown(v)
         if u == v:
             raise NoSuchEdge("cannot contract a loop")
         if survivor not in (u, v):
             raise GraphError(f"survivor {survivor} must be one of ({u}, {v})")
-        mult = self._adj[u].get(v, 0)
+        mult = adj[u].get(v, 0)
         if mult == 0:
             raise NoSuchEdge(f"no edge ({u},{v}) to contract")
         gone = u if survivor == v else v
 
-        adj, deg = self._adj, self._deg
         keep = adj[survivor]
         # Detach the (u, v) bundle first: one copy vanishes, the rest loop.
         del keep[gone]
@@ -244,19 +249,25 @@ class MultiGraph:
         """Remove loops at v and surplus copies on v's incident pairs.
 
         After contracting into v this is a full simplification, since
-        contraction can only create multiplicities at the survivor.
+        contraction can only create multiplicities at the survivor.  The
+        rows are rewritten in place, so every row keeps its order.
         """
-        self._require(v)
-        removed = 0
-        loops = self._adj[v].get(v, 0)
-        if loops:
-            self.remove_edge(v, v, loops)
-            removed += loops
-        for u, c in list(self._adj[v].items()):
-            if u != v and c > 1:
-                self.remove_edge(v, u, c - 1)
-                removed += c - 1
-        return removed
+        adj, deg = self._adj, self._deg
+        try:
+            row = adj[v]
+        except KeyError:
+            raise _unknown(v) from None
+        loops = row.pop(v, 0)
+        surplus = 0
+        for u, c in row.items():
+            if c > 1:
+                c -= 1
+                row[u] = adj[u][v] = 1
+                deg[u] -= c
+                surplus += c
+        deg[v] -= 2 * loops + surplus
+        self._m -= loops + surplus
+        return loops + surplus
 
     # -- structure ----------------------------------------------------
 

@@ -91,20 +91,36 @@ _RANKS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CaseDescriptor:
     """A matched case as the step it takes, in the order ``solution.replay``
     runs a step: delete, then contract each ``(u, v, survivor)``, then
-    accept."""
+    accept.
+
+    Immutable, and built like ``solution.TraceStep``: ``__init__`` fills
+    the slots through their descriptors, at about half the cost of a
+    frozen dataclass's generated ``__init__``."""
 
     label: str
     deleted: tuple[int, ...] = ()
     contracted: tuple[tuple[int, int, int], ...] = ()
     accepted: tuple[int, ...] = ()
 
+    def __init__(self, label: str, deleted: tuple[int, ...] = (),
+                 contracted: tuple[tuple[int, int, int], ...] = (),
+                 accepted: tuple[int, ...] = ()) -> None:
+        _set_label(self, label)
+        _set_deleted(self, deleted)
+        _set_contracted(self, contracted)
+        _set_accepted(self, accepted)
+
     @property
     def rank(self) -> int:
         return _RANKS[self.label]
+
+
+_set_label, _set_deleted, _set_contracted, _set_accepted = (
+    getattr(CaseDescriptor, name).__set__ for name in CaseDescriptor.__slots__)
 
 
 # -- local structure helpers -----------------------------------------
@@ -209,7 +225,9 @@ def _match_at(g: MultiGraph, v: int) -> CaseDescriptor | None:
     if deg == 2:
         if len(row) != 2:
             raise GraphError(f"multigraph state at {v}; the reducer requires simple inputs")
-        u, w = sorted(row)
+        u, w = row
+        if w < u:
+            u, w = w, u
         if w not in adj[u]:
             return CaseDescriptor(DEG2_NO_TRIANGLE, contracted=((v, u, u),))
         du, dw = degree[u], degree[w]
@@ -231,7 +249,10 @@ def _match_at(g: MultiGraph, v: int) -> CaseDescriptor | None:
         c = u if b == w else w
         return CaseDescriptor(DELTA_D, deleted=(b,), contracted=((v, c, c),))
     if deg == 3:
-        b = min((u for u in row if degree[u] >= 4), default=None)
+        b = None
+        for u in row:
+            if degree[u] >= 4 and (b is None or u < b):
+                b = u
         if b is not None:
             return CaseDescriptor(DEG3_ADJ_DEG4, deleted=(b,))
         return CaseDescriptor(THREE_REGULAR, deleted=(v,))
@@ -374,29 +395,32 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
 # A lower bound on the rank of any case anchored at a vertex of the given
 # degree: degree 2 matches DeltaA-D or Deg2NoTriangle (ranks 3-7), degree
 # 4 one of the FourReg cases (10-14) or none; degrees 0, 1 and >= 5 have
-# exactly one case each.  Degree 3 is keyed at its exact rank (``_Run._key``).
+# exactly one case each.  Degree 3 is keyed at its exact rank (``_Run._keyed``).
 _DEGREE_BOUND = (_RANKS[HARVEST], _RANKS[LEAF], _RANKS[DEG2_NO_TRIANGLE],
                  _RANKS[DEG3_ADJ_DEG4], _RANKS[FOUR_REG_A])
+_DEG3_ADJ_DEG4 = _RANKS[DEG3_ADJ_DEG4]
 _THREE_REGULAR = _RANKS[THREE_REGULAR]
-
-
-def _case_at(g: MultiGraph, v: int) -> tuple[int, CaseDescriptor] | None:
-    desc = _match_at(g, v)
-    return None if desc is None else (desc.rank, desc)
+_PREPROCESS = _RANKS[PREPROCESS]
 
 
 class _Run:
     """One reduction: the working graph, the solution and the case queue.
 
-    A vertex is queued at a lower bound on its rank (``_key``) and matched
-    only when it reaches the top (``CaseQueue.pop``), so the case that
-    fires is the minimum (rank, v) over the graph.  ``raised`` maps each
-    vertex matched and not pushed since to the step that registered it,
-    and ``watch[x]`` holds the (vertex, step) registrations under x; an
-    entry whose step is not its vertex's in ``raised`` is stale.
+    A vertex is queued at a lower bound on its rank (``_keyed``) and
+    matched only when it reaches the top (``CaseQueue.pop``), so the case
+    that fires is the minimum (rank, v) over the graph.  ``raised`` maps
+    each vertex matched and not pushed since to the step that registered
+    it, and ``watch[x]`` holds the (vertex, step) registrations under x;
+    an entry whose step is not its vertex's in ``raised`` is stale.
     ``keyed`` counts the vertices keyed again after steps, ``matched``
     the ``_match_at`` calls and ``registered`` the watch entries made:
     work counters, independent of the host.
+
+    A step costs its graph change and a few dictionary reads per vertex
+    it touched.  Keys are computed in one loop per step over the live
+    degree and adjacency maps and handed to ``CaseQueue.push_all`` as
+    heap entries; a match calls ``_match_at`` once and reads its rank
+    from ``_RANKS``.
     """
 
     def __init__(self, g: MultiGraph, sol: ReductionSolution) -> None:
@@ -405,7 +429,7 @@ class _Run:
         self.degree = g.degree_map()
         self.adj = g.adjacency_map()
         self.queue = CaseQueue()
-        self.queue.push_all(g.vertices(), self._key)
+        self.queue.push_all(self._keyed(g.vertices()))
         self.raised: dict[int, int] = {}
         self.watch: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         self.fresh: list[int] = []  # matched during the current step
@@ -413,19 +437,30 @@ class _Run:
         self.matched = 0
         self.registered = 0
 
-    def _key(self, v: int) -> int:
-        """The degree bound of v, or at degree 3 its exact rank: Deg3AdjDeg4
-        next to a vertex of degree 4 or more, ThreeRegular otherwise."""
-        degree = self.degree
-        deg = degree[v]
-        if deg == 3 and all(degree[u] < 4 for u in self.adj[v]):
-            return _THREE_REGULAR
-        return _DEGREE_BOUND[deg] if deg < 5 else _RANKS[PREPROCESS]
+    def _keyed(self, vertices) -> list[tuple[int, int]]:
+        """(key, v) for each of the vertices: the degree bound of v, or at
+        degree 3 its exact rank, Deg3AdjDeg4 next to a vertex of degree 4
+        or more and ThreeRegular otherwise."""
+        degree, adj = self.degree, self.adj
+        entries = []
+        for v in vertices:
+            deg = degree[v]
+            if deg == 3:
+                key = _THREE_REGULAR
+                for u in adj[v]:
+                    if degree[u] >= 4:
+                        key = _DEG3_ADJ_DEG4
+                        break
+            else:
+                key = _DEGREE_BOUND[deg] if deg < 5 else _PREPROCESS
+            entries.append((key, v))
+        return entries
 
     def _match(self, v: int) -> tuple[int, CaseDescriptor] | None:
         self.matched += 1
         self.fresh.append(v)
-        return _case_at(self.g, v)
+        desc = _match_at(self.g, v)
+        return None if desc is None else (_RANKS[desc.label], desc)
 
     def _reads(self, y: int) -> set[int]:
         """What the cases at y read: N[y], or N2[y] at degree 4 (FourRegC2
@@ -441,7 +476,7 @@ class _Run:
 
     def step(self) -> bool:
         """Apply the next case; False once no vertex has one."""
-        g, queue, raised, watch = self.g, self.queue, self.raised, self.watch
+        g, queue, raised, watch, adj = self.g, self.queue, self.raised, self.watch, self.adj
         found = queue.pop(self._match)
         if found is None:
             return False
@@ -449,21 +484,20 @@ class _Run:
         if desc.label == FOUR_REG_C4:
             desc = _c4_payload(g, v)
         step, touched = apply_case(g, desc, self.sol)
-        gone = step.deleted + step.accepted + tuple(
-            y if x == keep else x for x, y, keep in step.contracted)
-        for x in gone:
+        # The vertices that left: those deleted, and those that joined S.
+        for x in step.deleted + step.s_added:
             queue.discard(x)
             raised.pop(x, None)
             watch.pop(x, None)
-        # A vertex whose live key is at or below its ``_key`` keeps it valid
-        # until a step touches it (module docstring), and once pushed it
-        # holds such a key, so it leaves ``raised``.  The others are the
+        # A vertex whose live key is at or below its ``_keyed`` key keeps it
+        # valid until a step touches it (module docstring), and once pushed
+        # it holds such a key, so it leaves ``raised``.  The others are the
         # anchor, whose entry was just popped and which may lie far from
         # touched (FourRegC4 deletes from the smallest tetrahedron on a
         # cycle, which need not be the anchor's), and the raised vertices
         # whose region holds a touched vertex: those registered under one,
         # and those matched in this step, which are not registered yet.
-        if g.has_vertex(v):
+        if v in adj:
             touched.add(v)
         near = set()
         if raised:
@@ -472,7 +506,6 @@ class _Run:
                     if raised.get(y) == at:
                         near.add(y)
         index = len(self.sol.trace)
-        adj = self.adj
         for y in self.fresh:
             if y in touched or y in raised or y not in adj:
                 continue
@@ -488,7 +521,7 @@ class _Run:
         self.fresh.clear()
         touched |= near
         self.keyed += len(touched)
-        queue.push_all(touched, self._key)
+        queue.push_all(self._keyed(touched))
         for y in near:
             raised.pop(y, None)
         return True

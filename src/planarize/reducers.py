@@ -3,9 +3,11 @@
 ``REDUCERS`` maps an algorithm name to ``(run, certificates)``.
 ``run(g, params=None)`` returns ``(solution, ledger or None)``; only the
 planar reducer keeps a ledger and takes params, as the text
-``ChargeParams.parse`` reads.  The certificates are ordered ``(report
-key, predicate on G[S])`` pairs from ``certify``, which imports no
-reducer, so a reducer never vouches for itself.  Bound ratios live in
+``ChargeParams.parse`` reads.  ``certificates(G[S])`` maps each report
+key, in report order, to the verdict of a predicate from ``certify``,
+which imports no reducer, so a reducer never vouches for itself.  The
+planar class's two verdicts come from one residue pass
+(``certify.planar_verdicts``).  Bound ratios live in
 each solution's ``bound_num/bound_den``.  The CLI and the corpus script
 run a reducer only through ``checked_run``.
 """
@@ -38,13 +40,21 @@ def _planar(g: MultiGraph, params: str | None = None):
     return reduce_planar(g, ChargeParams.parse(params) if params is not None else None)
 
 
+def _certificate(key: str, holds):
+    return lambda sub: {key: holds(sub)}
+
+
+def _planar_certificates(sub: MultiGraph) -> dict[str, bool]:
+    planar, structure = certify.planar_verdicts(sub)
+    return {"planar": planar, "structure": structure}
+
+
 REDUCERS = {
     "pseudoforest": (_without_params("pseudoforest", reduce_pseudoforest),
-                     (("pseudoforest", certify.is_pseudoforest),)),
+                     _certificate("pseudoforest", certify.is_pseudoforest)),
     "tw2": (_without_params("tw2", reduce_treewidth2),
-            (("partial_2_tree", certify.is_partial_2_tree),)),
-    "planar": (_planar, (("planar", certify.is_planar),
-                         ("structure", certify.accepts_planar_residue))),
+            _certificate("partial_2_tree", certify.is_partial_2_tree)),
+    "planar": (_planar, _planar_certificates),
 }
 
 
@@ -94,5 +104,4 @@ def checked_run(g: MultiGraph, algorithm: str, params: str | None = None) -> Che
     except TraceMismatch as exc:
         mismatch = exc
     bound = Fraction(sol.bound_den * g.n - sol.bound_num * g.m, sol.bound_den)
-    return CheckedRun(sol, ledger, bound, mismatch,
-                      {key: holds(sub) for key, holds in certificates})
+    return CheckedRun(sol, ledger, bound, mismatch, certificates(sub))

@@ -29,7 +29,7 @@ from .errors import (
 from .multigraph import MultiGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceStep:
     """One reduction step.
 
@@ -46,6 +46,13 @@ class TraceStep:
     s_added: the vertices this step added to the output set.
     simplified: True when the step contracted with ``take``'s ``simplify``
         on, merging loops and parallel copies at each survivor (tw2, planar).
+
+    A step is immutable, because a trace is evidence: ``replay`` and the
+    ledger read it after the reducer is done.  ``__init__`` fills the
+    slots through their descriptors, once per field.  The generated
+    ``__init__`` of a frozen dataclass goes through ``object.__setattr__``
+    for every field and costs about twice as much; assignment after
+    construction still raises ``FrozenInstanceError``.
     """
 
     label: str
@@ -55,6 +62,22 @@ class TraceStep:
     removed_edges: int = 0
     s_added: tuple[int, ...] = ()
     simplified: bool = False
+
+    def __init__(self, label: str, deleted: tuple[int, ...] = (),
+                 contracted: tuple[tuple[int, int, int], ...] = (), accepted: tuple[int, ...] = (),
+                 removed_edges: int = 0, s_added: tuple[int, ...] = (),
+                 simplified: bool = False) -> None:
+        _set_label(self, label)
+        _set_deleted(self, deleted)
+        _set_contracted(self, contracted)
+        _set_accepted(self, accepted)
+        _set_removed_edges(self, removed_edges)
+        _set_s_added(self, s_added)
+        _set_simplified(self, simplified)
+
+
+(_set_label, _set_deleted, _set_contracted, _set_accepted, _set_removed_edges, _set_s_added,
+ _set_simplified) = (getattr(TraceStep, name).__set__ for name in TraceStep.__slots__)
 
 
 @dataclass
@@ -94,22 +117,28 @@ def take(g: MultiGraph, sol: ReductionSolution, label: str, deleted: tuple[int, 
     ``accepted`` is read only after the contractions, so it may name the
     vertices they isolated.  The one producer of trace steps: ``replay``
     keeps its own copy of these rules so that a fault here cannot vouch
-    for itself."""
+    for itself.
+
+    Beyond the graph changes a step makes one list, at most one tuple
+    for ``s_added`` (none when nothing is contracted, since ``s_added``
+    is then ``accepted`` itself) and one ``TraceStep``, which stays
+    frozen because the trace is what ``replay`` and the ledger check."""
     units = 0
-    s_added = []
+    delete = g.delete_vertex
     for v in deleted:
-        units += g.delete_vertex(v)
+        units += delete(v)
+    gone = []
     for u, v, survivor in contracted:
-        s_added.append(v if survivor == u else u)
+        gone.append(v if survivor == u else u)
         g.contract_edge(u, v, survivor)
         units += 1
         if simplify:
             units += g.simplify_at(survivor)
     accepted = tuple(accepted)
-    s_added.extend(accepted)
     for v in accepted:
-        units += g.delete_vertex(v)
-    step = TraceStep(label, deleted, contracted, accepted, units, tuple(s_added),
+        units += delete(v)
+    s_added = (*gone, *accepted) if gone else accepted
+    step = TraceStep(label, deleted, contracted, accepted, units, s_added,
                      simplify and bool(contracted))
     sol.s.update(s_added)
     sol.trace.append(step)
@@ -122,8 +151,14 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> None:
     Raises TraceMismatch if the trace does not apply cleanly, if any
     step's recorded edge-unit count disagrees with the replayed one, or
     if the rebuilt output set differs from the recorded one.
+
+    A step costs the graph changes it names and a set of its
+    ``s_added``, which is one to three vertices in most steps but a whole
+    component in planar's acceptance; the graph's mutators are bound once
+    for the whole trace.
     """
     work = g.copy()
+    delete_vertex, contract_edge, simplify_at = work.delete_vertex, work.contract_edge, work.simplify_at
     # Vertices that may carry a loop or a parallel copy.  Only contraction
     # creates multiplicity, and only at its survivor, so simplifying at
     # these vertices equals a whole-graph simplify.  A row has one exactly
@@ -137,10 +172,10 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> None:
         s_added = set(step.s_added)
         try:
             for v in step.deleted:
-                units += work.delete_vertex(v)
+                units += delete_vertex(v)
             for u, v, survivor in step.contracted:
                 gone = u if survivor == v else v
-                work.contract_edge(u, v, survivor)
+                contract_edge(u, v, survivor)
                 dirty.add(survivor)
                 if gone not in s_added:
                     raise TraceMismatch(
@@ -149,7 +184,7 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> None:
                 s.add(gone)
                 units += 1
             for v in step.accepted:
-                units += work.delete_vertex(v)
+                units += delete_vertex(v)
                 if v not in s_added:
                     raise TraceMismatch(
                         f"step {idx}: accepted original {v} missing from s_added"
@@ -158,7 +193,9 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> None:
         except (UnknownVertex, NoSuchEdge) as exc:
             raise TraceMismatch(f"step {idx} ({step.label}): {exc}") from exc
         if step.simplified:
-            units += sum(work.simplify_at(v) for v in dirty if work.has_vertex(v))
+            for v in dirty:
+                if v in rows:
+                    units += simplify_at(v)
             dirty.clear()
         if units != step.removed_edges:
             raise TraceMismatch(

@@ -43,25 +43,6 @@ _LABELS = (PREPROCESS, HARVEST, CONTRACT_DEG12, DELETE_ADJ_DEG3, DELETE_ADJ_DEG3
 _DEGREE_KEY = (1, 2, 2, 3, 5)
 
 
-def _match(g: MultiGraph, v: int) -> tuple[int, int] | None:
-    """(rank, the vertex the step removes) of the case anchored at v."""
-    d = g.degree(v)
-    if d >= 5:
-        return 0, v
-    if d == 0:
-        return 1, v
-    if d <= 2:
-        return 2, v
-    if d == 4:
-        return 5, v
-    # When this case fires no vertex has degree 5 or more, and none ever
-    # will again, so "degree 4 or more" reads "degree 4" there; read this
-    # way, v's rank never falls while it keeps its neighbours.
-    nbrs = g.neighbors(v)
-    big = [u for u in nbrs if g.degree(u) >= 4]
-    return (3, big[0]) if big else (4, nbrs[0])
-
-
 class _Run:
     """One reduction: the working graph, the solution and the case queue.
 
@@ -70,6 +51,12 @@ class _Run:
     neighbour; both are neighbours of the vertex a step removes, and they
     are queued again after it.
 
+    A step costs its graph change and a few dictionary reads: the keys
+    and ``_match`` read the live degree and adjacency maps, with no check
+    per read, and take the smallest neighbour they need with ``min`` over
+    a row, unsorted.  The working graph stays simple (every contraction
+    simplifies), so a row holds exactly the distinct neighbours.
+
     ``matched`` counts the ``_match`` calls and ``queue.popped`` the heap
     pops: work counters, independent of the host.
     """
@@ -77,37 +64,60 @@ class _Run:
     def __init__(self, g: MultiGraph, sol: ReductionSolution) -> None:
         self.g = g
         self.sol = sol
+        self.degree = g.degree_map()
+        self.adj = g.adjacency_map()
         self.queue = CaseQueue()
-        self.queue.push_all(g.vertices(), self._key)
+        self.queue.push_all(self._keyed(g.vertices()))
         self.matched = 0
 
-    def _key(self, v: int) -> int:
-        d = self.g.degree(v)
-        return _DEGREE_KEY[d] if d < 5 else 0
+    def _keyed(self, vertices) -> list[tuple[int, int]]:
+        """(degree key, v) for each of the vertices."""
+        degree = self.degree
+        return [(_DEGREE_KEY[d] if (d := degree[v]) < 5 else 0, v) for v in vertices]
 
     def _match(self, v: int) -> tuple[int, int] | None:
+        """(rank, the vertex the step removes) of the case anchored at v."""
         self.matched += 1
-        return _match(self.g, v)
+        degree = self.degree
+        d = degree[v]
+        if d >= 5:
+            return 0, v
+        if d == 0:
+            return 1, v
+        if d <= 2:
+            return 2, v
+        if d == 4:
+            return 5, v
+        # When this case fires no vertex has degree 5 or more, and none ever
+        # will again, so "degree 4 or more" reads "degree 4" there; read this
+        # way, v's rank never falls while it keeps its neighbours.
+        row = self.adj[v]
+        b = None
+        for u in row:
+            if degree[u] >= 4 and (b is None or u < b):
+                b = u
+        return (4, min(row)) if b is None else (3, b)
 
     def step(self) -> bool:
         """Apply the next case; False once no vertex has one."""
-        g, sol = self.g, self.sol
-        found = self.queue.pop(self._match)
+        g, sol, queue = self.g, self.sol, self.queue
+        found = queue.pop(self._match)
         if found is None:
             return False
         rank, _, x = found
         label = _LABELS[rank]
-        nbrs = g.neighbors(x)
+        nbrs = list(self.adj[x])
         if label == HARVEST:
             take(g, sol, label, accepted=(x,))
         elif label == CONTRACT_DEG12:
-            take(g, sol, label, contracted=((x, nbrs[0], nbrs[0]),), simplify=True)
+            u = min(nbrs)
+            take(g, sol, label, contracted=((x, u, u),), simplify=True)
         else:
             take(g, sol, label, deleted=(x,))
         # x need not be the anchor (DeleteAdjDeg3 removes a neighbour of
         # it), so its own entry may still be live.
-        self.queue.discard(x)
-        self.queue.push_all(nbrs, self._key)
+        queue.discard(x)
+        queue.push_all(self._keyed(nbrs))
         return True
 
 

@@ -26,7 +26,7 @@ def test_pop_takes_the_least_rank_then_the_least_anchor():
         return None if ranks[a] is None else (ranks[a], a.upper())
 
     q = CaseQueue()
-    q.push_all(ranks, lambda a: 0)
+    q.push_all((0, a) for a in ranks)
     popped = []
     while (found := q.pop(match)) is not None:
         popped.append(found)
@@ -40,7 +40,7 @@ def test_push_keeps_only_a_lower_key():
     q.push("a", 3)
     q.push("a", 5)
     assert q.queued == {"a": 3} and q.heap == [(3, "a")]
-    q.push_all(["a"], lambda a: 1)
+    q.push_all([(1, "a")])
     assert q.queued == {"a": 1} and sorted(q.heap) == [(1, "a"), (3, "a")]
     assert q.pop(lambda a: (1, None)) == (1, "a", None)
     assert q.pop(lambda a: (1, None)) is None  # the (3, "a") entry is stale

@@ -12,7 +12,7 @@ from planarize import certify, cli, generators as gen, graphio, oracle
 from planarize.errors import CertificateFailure, UnknownVertex
 from planarize.multigraph import MultiGraph, from_edge_list
 from planarize.planar import reduce_planar
-from planarize.reducers import checked_run
+from planarize.reducers import REDUCERS, checked_run
 from test_planar_dispatch import _corpus_recipe
 from test_reference_engines import _random_multigraph
 
@@ -209,6 +209,7 @@ def test_is_planar_agrees_with_networkx_and_every_witness_checks():
         assert certify.is_planar(g) == _nx_planar(g)
         rotation = certify.rotation_system(g)
         assert (rotation is not None) == certify.accepts_planar_residue(g)
+        assert certify.planar_verdicts(g) == (certify.is_planar(g), rotation is not None)
         if rotation is not None:
             witnesses += 1
             assert certify.is_embedding(g, rotation)
@@ -271,7 +272,8 @@ def test_rejected_witness_fails_loudly(monkeypatch, tmp_path, capsys):
     # in a K4 core.
     g = gen.disjoint_copies(gen.complete(5), 3)
     real = certify.rotation_system
-    monkeypatch.setattr(certify, "rotation_system", lambda h: _reverse_first(real(h)))
+    monkeypatch.setattr(certify, "rotation_system",
+                        lambda h, residue=None: _reverse_first(real(h, residue)))
     with pytest.raises(CertificateFailure, match="V=12 E=18 F=10 C=3"):
         checked_run(g, "planar")
     path = tmp_path / "k5x3.txt"
@@ -281,3 +283,23 @@ def test_rejected_witness_fails_loudly(monkeypatch, tmp_path, capsys):
     assert code == 2
     assert err.startswith("assertion failure: planar witness rejected: V=12 E=18")
     assert "Traceback" not in err
+
+
+def test_a_checked_planar_run_reads_the_residue_once(monkeypatch):
+    # Both planar verdicts come from one ``_reduce`` pass over G[S]; the
+    # witness is built from that pass's residue and log.
+    g = gen.random_regular(60, 4, 1)
+    sub = certify.induced_subgraph(g, reduce_planar(g)[0].s)
+    assert sub.n > 4 and sub.m > 8  # past is_planar's small-graph shortcut
+    real, passes = certify._reduce, []
+
+    def counted(adj, work):
+        passes.append(1)
+        return real(adj, work)
+
+    monkeypatch.setattr(certify, "_reduce", counted)
+    assert REDUCERS["planar"][1](sub) == {"planar": True, "structure": True}
+    assert len(passes) == 1
+    passes.clear()
+    assert certify.is_planar(sub) and certify.accepts_planar_residue(sub)
+    assert len(passes) == 2

@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from planarize import generators as gen
+from planarize import generators as gen, pseudoforest as pf
 from planarize.errors import (
     BoundViolation,
     CaseAnalysisIncomplete,
@@ -112,3 +112,25 @@ def test_replay_rejects_a_step_whose_s_added_omits_a_vertex(algorithm, ends, wha
     message = rf"^step {idx}: {what} original {v} missing from s_added$"
     with pytest.raises(TraceMismatch, match=message):
         replay(g, sol)
+
+
+def test_steps_and_case_descriptors_stay_frozen_dataclasses():
+    # Both are built through their slot descriptors; assignment afterwards
+    # must still raise, and ``replace`` and ``==`` must still work field by
+    # field.
+    g = gen.path(4)
+    sol = ReductionSolution("handbuilt", g.n, g.m, set(), 1, 5)
+    step = take(g.copy(), sol, "HandBuilt", deleted=(3,), contracted=((0, 1, 1),), accepted=(2,))
+    desc = pf._match_at(g, 0)
+    assert desc == pf.CaseDescriptor(pf.LEAF, contracted=((0, 1, 1),))
+    for made, field in ((step, "removed_edges"), (desc, "label"), (step, "s_added")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, field, getattr(made, field))
+    assert step == TraceStep("HandBuilt", (3,), ((0, 1, 1),), (2,), 3, (0, 2), False)
+    assert step != dataclasses.replace(step, simplified=True)
+    moved = dataclasses.replace(step, s_added=(2, 0))
+    assert (moved.s_added, moved.removed_edges) == ((2, 0), 3) and step.s_added == (0, 2)
+    assert hash(step) == hash(dataclasses.replace(moved, s_added=(0, 2)))
+    other = dataclasses.replace(desc, deleted=(0,))
+    assert (other.label, other.deleted, other.contracted) == (pf.LEAF, (0,), ((0, 1, 1),))
+    assert other != desc and dataclasses.replace(other, deleted=()) == desc

@@ -233,12 +233,16 @@ def _check_keys(run):
     every raised vertex y is registered, under the step ``raised`` gives
     it, on the watch list of every vertex its cases read: N[y], or N2[y]
     at degree 4, taken here from scratch."""
-    check_invariant(run.queue, run.g.vertices(), lambda v: pf._case_at(run.g, v))
+    def ranked(v):
+        desc = pf._match_at(run.g, v)
+        return None if desc is None else (desc.rank, desc)
+
+    check_invariant(run.queue, run.g.vertices(), ranked)
     adj = run.g.adjacency_map()
     raised = run.raised.keys()
     assert raised <= adj.keys(), raised - adj.keys()
-    for v in adj.keys() - raised:
-        assert run.queue.queued.get(v, inf) <= run._key(v), (v, run.queue.queued.get(v))
+    for key, v in run._keyed(adj.keys() - raised):
+        assert run.queue.queued.get(v, inf) <= key, (v, run.queue.queued.get(v))
     for y, at in run.raised.items():
         reads = {y, *adj[y]}
         if run.g.degree(y) == 4:

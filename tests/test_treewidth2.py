@@ -312,7 +312,7 @@ class ReferenceRun:
 
 
 def _check_keys(run):
-    check_invariant(run.queue, run.g.vertices(), lambda v: tw2._match(run.g, v))
+    check_invariant(run.queue, run.g.vertices(), run._match)
 
 
 def _lockstep(g):

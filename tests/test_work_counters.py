@@ -1,0 +1,57 @@
+"""The reducers' work counters, pinned exactly.
+
+The per-step and doubling gates elsewhere are upper bounds.  These pins
+show that a speed-up comes from the constant per step, not from a
+requeue or a match skipped: a change to any count here changes how much
+dispatch work a reducer does, and needs its own reason.
+"""
+
+import pytest
+
+from planarize import generators as gen
+from planarize import planar, pseudoforest as pf, treewidth2 as tw2
+from planarize.planar import ChargeParams
+from planarize.solution import ReductionSolution
+
+
+def _pseudoforest(g):
+    run = pf._Run(g.copy(), ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9))
+    while run.step():
+        pass
+    return run.keyed, run.matched, run.registered, run.queue.popped
+
+
+def _tw2(g):
+    run = tw2._Run(g.copy(), ReductionSolution("tw2", g.n, g.m, set(), 1, 5))
+    while run.step():
+        pass
+    return run.matched, run.queue.popped
+
+
+def _planar(g):
+    run = planar._Run(g.copy(), ChargeParams.paper(), True)
+    while run.dispatch():
+        pass
+    return run.matched, run.pushed
+
+
+GRAPHS = {
+    "rr4": lambda: gen.random_regular(4000, 4, 11),
+    "k33": lambda: gen.disjoint_copies(gen.complete_bipartite(3, 3), 1000),
+}
+
+# (keyed, matched, registered, queue.popped), (matched, queue.popped),
+# (matched, pushed)
+PINNED = {
+    "rr4": {"pseudoforest": (17457, 4232, 923, 9662), "tw2": (4804, 10705),
+            "planar": (4820, 12781)},
+    "k33": {"pseudoforest": (8000, 6000, 0, 12000), "tw2": (12000, 20000),
+            "planar": (4997, 5000)},
+}
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_work_counters_are_pinned(graph):
+    g = GRAPHS[graph]()
+    got = {"pseudoforest": _pseudoforest(g), "tw2": _tw2(g), "planar": _planar(g)}
+    assert got == PINNED[graph]
