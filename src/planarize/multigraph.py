@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import Generator, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphError, LoopInInput, NoSuchEdge, UnknownVertex
 
@@ -302,70 +302,6 @@ class MultiGraph:
                     seen.add(y)
                     queue.append(y)
         return sorted(seen)
-
-    def split_off(self, starts: list[int]) -> list[list[int]]:
-        """The components cut off from the rest, found from distinct starts:
-        ``split_rounds`` run to its end."""
-        rounds = self.split_rounds(starts)
-        while True:
-            try:
-                next(rounds)
-            except StopIteration as done:
-                return done.value
-
-    def split_rounds(self, starts: list[int]) -> Generator[int, None, list[list[int]]]:
-        """Breadth-first searches from the starts, run side by side, one
-        vertex each per round; two searches that meet go on as one.
-
-        A search that runs dry while another still runs has found a whole
-        component, and its vertex list is returned; the last search left
-        running, or the largest if the last ones run dry together, is
-        not.  The rounds end when the last returned search does, so the
-        cost is at most len(starts) times the size of the largest
-        returned component: the side that is cut off pays for the cut
-        (Even and Shiloach).  Each round yields its visits, the vertices
-        taken off the searches' queues, so a caller can stop early or
-        count the work.
-        """
-        adj = self._adj
-        owner = {s: i for i, s in enumerate(starts)}
-        root = list(range(len(starts)))
-        queues = [deque([s]) for s in starts]
-        found = [[s] for s in starts]
-        live = list(root)
-        dry: list[int] = []
-        owned = owner.get
-        while len(live) > 1:
-            visits = 0
-            for i in live:
-                if root[i] != i:
-                    continue
-                visits += 1
-                queue, mine = queues[i], found[i]
-                for y in adj[queue.popleft()]:
-                    j = owned(y)
-                    if j is None:
-                        owner[y] = i
-                        queue.append(y)
-                        mine.append(y)
-                        continue
-                    while root[j] != j:
-                        j = root[j]
-                    if j != i:
-                        # The searches met: the smaller one joins the larger.
-                        if len(mine) < len(found[j]):
-                            i, j = j, i
-                        root[j] = i
-                        queues[i].extend(queues[j])
-                        found[i].extend(found[j])
-                        queue, mine = queues[i], found[i]
-            running = [i for i in live if root[i] == i]
-            live = [i for i in running if queues[i]]
-            dry.extend(i for i in running if not queues[i])
-            yield visits
-        if not live and dry:
-            dry.remove(max(dry, key=lambda i: len(found[i])))
-        return [found[i] for i in dry]
 
     def is_d_regular(self, d: int) -> bool:
         return all(deg == d for deg in self._deg.values())

@@ -38,8 +38,9 @@ the rank of that case (``_Run._match`` and the two rank functions it
 calls are where the case conditions are written); a step updates only
 the vertices it touched.  A spanning tree per component
 keeps its connectivity: a deletion costs the rows of the deleted
-vertex's children when nothing is cut, and a search of the part cut off
-when something is (``_Table``).
+vertex's children when nothing is cut, and when something is, each
+part whose search ends pays at most its own rows times the number of
+parts (``_Table``).
 A component's verdict is inherited across a contraction, read off its
 degree counts when it has no vertex of degree <= 2, and otherwise
 recomputed by ``certify._reduce`` seeded at those vertices; the engine
@@ -75,7 +76,6 @@ MIXED_DELETE = "MixedDelete"
 FOUR_REG_DELETE = "FourRegularDelete"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,8 @@ class ScaledParams:
 
 @dataclass(frozen=True)
 class ChargeParams:
-    """Credit limits and the amortization margin; c2 is pinned to 1.
+    """Credit limits and the amortization margin; the limit at degree 2
+    and below is 1, fixed by the analysis.
 
     The fields are exact rationals, as parsed and validated; the ledger
     reads them as integers times L through ``scaled``, which each
@@ -106,12 +107,10 @@ class ChargeParams:
     c4: Fraction
     tau: Fraction
 
-    c2: Fraction = _ONE
-
     def cap(self, degree: int) -> Fraction:
-        """Credit limit by current degree; degrees below 2 share c2."""
+        """Credit limit by current degree; degrees below 2 share degree 2's."""
         if degree <= 2:
-            return self.c2
+            return Fraction(1)
         if degree == 3:
             return self.c3
         if degree == 4:
@@ -122,15 +121,14 @@ class ChargeParams:
     def scaled(self) -> ScaledParams:
         """These parameters times L, the least common multiple of their
         denominators; integer arithmetic only, so each product is exact."""
-        fields = (self.epsilon, self.c2, self.c3, self.c4, self.tau)
+        fields = (self.epsilon, self.c3, self.c4, self.tau)
         unit = math.lcm(*(x.denominator for x in fields))
 
         def up(x: Fraction) -> int:
             return x.numerator * (unit // x.denominator)
 
-        c2 = up(self.c2)
         return ScaledParams(unit, 5 * unit + up(self.epsilon), up(self.tau),
-                            (c2, c2, c2, up(self.c3), up(self.c4)))
+                            (unit, unit, unit, up(self.c3), up(self.c4)))
 
     def as_assignment(self) -> dict[str, Fraction]:
         return {"epsilon": self.epsilon, "c3": self.c3, "c4": self.c4, "tau": self.tau}
@@ -159,8 +157,6 @@ def _violation(params: ChargeParams) -> str | None:
     """Why ``params`` is infeasible, or None.  Memoized per value, since
     every ``reduce_planar`` call validates its parameters and the check
     rebuilds the whole LP."""
-    if params.c2 != 1:
-        return "c2 is pinned to 1 by the analysis"
     rows = lpmod.check_feasible(lpmod.default_lp(), params.as_assignment())
     bad = [r for r in rows if not r.satisfied]
     if bad:
@@ -241,22 +237,21 @@ class _Table:
     Connectivity is kept by a spanning tree of each component: every
     member but the record's root has a parent ``up[v]``, a neighbour, and
     following parents from any member ends at the root.  A contraction
-    keeps the tree (``contract``).  A deletion makes each child of the
-    deleted vertex the top of a subtree cut from the rest.  Each such
-    subtree is searched breadth first down the tree for an edge that
-    leaves it, which an edge does when the parents from its far end end
-    elsewhere (``_top``), and is hung from the first one found
-    (``_hunt``); most deletions so cost the rows of the children.  A
-    subtree whose search runs dry is a component cut off.  When the
-    children's own rows have not settled a deletion, the side-by-side
-    search (``MultiGraph.split_rounds``) runs alongside, a round per
-    round, so that a small part cut off with the root in it is named at
-    the cost of that part (Even and Shiloach).
+    keeps the tree (``contract``).  A deletion cuts the tree into parts:
+    a subtree under each child of the deleted vertex and, when the root
+    survives, the root's part.  Each part is searched breadth first down
+    the tree for an edge that leaves it, which an edge does when the
+    parents from its far end end elsewhere (``_top``), and is hung from
+    the first one found (``_hunt``).  A part whose search runs dry is a
+    component cut off.  The searches take one row each per round, the
+    children's first and the root's last, and stop when one is left, so
+    most deletions cost the rows of the children, and a part that is cut
+    off or settles, the root's included, pays at most its own rows times
+    the number of parts (Even and Shiloach).
 
-    ``split_work`` counts rows read: by the subtree searches, by the
-    side-by-side search, and by planting a tree.  ``walked`` counts the
-    parent steps ``_top`` takes.  Both are work counters, independent of
-    the host.
+    ``split_work`` counts rows read: by the searches and by planting a
+    tree.  ``walked`` counts the parent steps ``_top`` takes.  Both are
+    work counters, independent of the host.
     """
 
     def __init__(self, g: MultiGraph, debt: dict[int, int]) -> None:
@@ -386,43 +381,41 @@ class _Table:
             self.walked += 1
         return v
 
-    def split(self, c: _Comp, orphans: list[int], starts: list[int]) -> list[_Comp]:
+    def split(self, c: _Comp, orphans: list[int]) -> list[_Comp]:
         """The components left of c after a deletion, given the deleted
-        vertex's children and its surviving neighbours.  c keeps the
-        root's part; each part cut off moves to a new record."""
+        vertex's children.  Each child's subtree and, when the root
+        survives, the root's part are searched round robin, the root's
+        last, until one search is left; c keeps that search's part, and
+        each part cut off moves to a new record."""
         if not c.size:
             return []
         up, comp_of = self.up, self.comp_of
-        orphans = [o for o in orphans if o in comp_of]
-        for o in orphans:
+        tops = [o for o in orphans if o in comp_of]
+        for o in tops:
             del up[o]
-        if c.root < 0:  # the root went: the first orphan's subtree is the root's part
-            c.root = orphans.pop(0)
-        # Each cut subtree's search: its top, the queue of members whose
-        # rows are still to read, and the members found so far.
-        hunts = {o: (deque([o]), [o]) for o in orphans}
+        if c.root >= 0:
+            tops.append(c.root)
+        if len(tops) == 1:  # one part, so nothing to search
+            c.root = tops[0]
+            return [c]
+        # Each search: its top, the queue of members whose rows are still
+        # to read, and the members found so far.
+        hunts = {o: (deque([o]), [o]) for o in tops}
         parts: list[_Comp] = []
-        rounds = None
-        while hunts:
-            for o in list(hunts):
+        while len(hunts) > 1:
+            for o in tops:
                 if o in hunts:
                     self._hunt(c, o, hunts, parts)
-            if not hunts:
-                break
-            if rounds is None:
-                rounds = self.g.split_rounds(starts)
-            elif rounds:
-                try:
-                    self.split_work += next(rounds)
-                except StopIteration as done:
-                    rounds = ()
-                    self._take_parts(c, done.value, hunts, parts)
+                    if len(hunts) == 1:
+                        break
+        (c.root,) = hunts
         return [c] + parts
 
     def _hunt(self, c: _Comp, o: int, hunts: dict, parts: list[_Comp]) -> None:
-        """Read the next row of o's subtree: queue the children, and hang
-        the subtree from the first edge that leaves it.  When the queue
-        runs dry the subtree is a component, which moves to a new record."""
+        """Read the next row of o's part, a cut subtree or the root's:
+        queue the children, and hang the part from the first edge that
+        leaves it.  When the queue runs dry the part is a component,
+        which moves to a new record."""
         up, adj = self.up, self.g.adjacency_map()
         queue, found = hunts[o]
         y = queue.popleft()
@@ -437,10 +430,10 @@ class _Table:
                 continue
             if self._top(z) == o:
                 continue
-            # Hang o's subtree from z: reverse the parents from y up to o.
-            # If z lies in another cut subtree, that one's search has not
-            # read z's row, or it would have hung itself here, so it will
-            # find o's subtree below z.
+            # Hang o's part from z: reverse the parents from y up to o.
+            # z lies in another part, a cut subtree or the root's, whose
+            # search is still running and has not read z's row, or it
+            # would have hung itself here; so it will find o's part below z.
             del hunts[o]
             while y != o:
                 up[y], z, y = z, y, up[y]
@@ -451,24 +444,6 @@ class _Table:
             d = self._new(found, c)
             d.root = o
             parts.append(d)
-
-    def _take_parts(self, c: _Comp, cut: list[list[int]], hunts: dict, parts: list[_Comp]) -> None:
-        """The side-by-side search named the parts first: each part it cut
-        off and no subtree search has yet moves to a new record with a new
-        tree, and the subtree searches go on in the part c keeps, whose
-        root, if it was cut off, is one of theirs."""
-        comp_of = self.comp_of
-        for part in cut:
-            if comp_of[part[0]] != c.id:
-                continue
-            d = self._new(part, c)
-            self._plant(d, max(part))
-            parts.append(d)
-            for o in [o for o in hunts if comp_of[o] == d.id]:
-                del hunts[o]
-        if comp_of[c.root] != c.id:
-            c.root = next(iter(hunts))
-            del hunts[c.root]
 
 
 # Ranks are positions in this table: the case priority of the module
@@ -664,7 +639,7 @@ class _Run:
 
         survivors = self._touched(pre_deg)
         if deleted:
-            children = table.split(comp, orphans, survivors)
+            children = table.split(comp, orphans)
         else:
             # Contracting at a degree-<=2 vertex and merging the parallel
             # copy is one of the residue rules, so the verdict stands.
@@ -732,23 +707,16 @@ class _Run:
         return True
 
 
-def reduce_planar(
-    g_in: MultiGraph,
-    params: ChargeParams | None = None,
-    strict: bool = True,
-) -> tuple[ReductionSolution, LedgerState]:
+def reduce_planar(g_in: MultiGraph, params: ChargeParams | None = None) -> tuple[ReductionSolution, LedgerState]:
     """Compute S with 120 |S| >= 120 n - 23 m, G_in[S] planar with
-    treewidth <= 3, and a per-step charge ledger.
-
-    With ``strict`` (the default) any negative step charge raises
-    NegativeCharge immediately; otherwise violations are collected in
-    the ledger's ``negative_steps`` for diagnosis.
+    treewidth <= 3, and a per-step charge ledger.  A negative step charge
+    raises NegativeCharge.
     """
     require_simple(g_in)
     if params is None:
         params = ChargeParams.paper()
     params.validate()
-    run = _Run(g_in.copy(), params, strict)
+    run = _Run(g_in.copy(), params, strict=True)
     while run.dispatch():
         pass
     return check_result(run.sol), run.ledger

@@ -149,8 +149,9 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> None:
     """Re-execute a trace on a copy of g, verifying every recorded step.
 
     Raises TraceMismatch if the trace does not apply cleanly, if any
-    step's recorded edge-unit count disagrees with the replayed one, or
-    if the rebuilt output set differs from the recorded one.
+    step's recorded edge-unit count disagrees with the replayed one, if
+    it leaves an edge unit or a vertex behind, or if the rebuilt output
+    set differs from the recorded one.
 
     A step costs the graph changes it names and a set of its
     ``s_added``, which is one to three vertices in most steps but a whole
@@ -207,6 +208,8 @@ def replay(g: MultiGraph, sol: ReductionSolution) -> None:
         total_units += units
     if work.m != 0:
         raise TraceMismatch(f"{work.m} edge units left after replay")
+    if work.n != 0:
+        raise TraceMismatch(f"{work.n} vertices left after replay")
     if s != sol.s:
         raise TraceMismatch("replayed output set differs from recorded set")
     if total_units != sol.m:
@@ -230,8 +233,9 @@ def check_result(sol: ReductionSolution) -> ReductionSolution:
 
     The integer bound, every input edge unit consumed exactly once, and
     the aggregate charge.  Each vertex leaves either deleted or into S
-    (accepted, or contracted away), so n = |S| + deletions; once edge_events == m
-    the aggregate charge is the bound itself, restated over the trace.
+    (accepted, or contracted away), which ``replay`` checks, so
+    n = |S| + deletions; once edge_events == m the aggregate charge is the
+    bound itself, restated over the trace.
     """
     num, den = sol.bound_num, sol.bound_den
     if not sol.bound_holds():

@@ -114,6 +114,23 @@ def test_replay_rejects_a_step_whose_s_added_omits_a_vertex(algorithm, ends, wha
         replay(g, sol)
 
 
+@pytest.mark.parametrize("algorithm", sorted(REDUCERS))
+def test_replay_rejects_a_trace_that_leaves_a_vertex_behind(algorithm):
+    # An isolated input vertex leaves in a step of its own that removes no
+    # edge unit.  Dropping that step and the vertex's place in S keeps the
+    # edge counts and the output set consistent; only the vertex left in
+    # the replayed graph shows that the trace is short.
+    g = gen.complete_bipartite(3, 3)
+    g.add_vertex(6)
+    sol, _ = REDUCERS[algorithm][0](g)
+    idx = next(i for i, step in enumerate(sol.trace) if step.accepted == (6,))
+    assert sol.trace[idx].removed_edges == 0 and not sol.trace[idx].deleted
+    del sol.trace[idx]
+    sol.s.remove(6)
+    with pytest.raises(TraceMismatch, match=r"^1 vertices left after replay$"):
+        replay(g, sol)
+
+
 def test_steps_and_case_descriptors_stay_frozen_dataclasses():
     # Both are built through their slot descriptors; assignment afterwards
     # must still raise, and ``replace`` and ``==`` must still work field by

@@ -127,7 +127,7 @@ def test_forced_raise_to_cap_yields_paper_charge():
     # With issuance forced to the cap (no greedy stopping), the pristine
     # 3-regular deletion in K33 charges 3 - (5 + 5/23) + 3 = 18/23.
     p = ChargeParams.paper()
-    charge = Fraction(3) - (5 + p.epsilon) + 3 * (p.c2 - 0)
+    charge = Fraction(3) - (5 + p.epsilon) + 3 * (1 - 0)
     assert charge == Fraction(18, 23)
 
 

@@ -347,6 +347,18 @@ def _lockstep(g: MultiGraph, params: ChargeParams | None = None, strict: bool = 
 def _check_table(run: planar._Run) -> None:
     """The component table agrees with a from-scratch look at the graph."""
     g, table = run.g, run.table
+    _check_records(g, table)
+    for c in table.comps.values():
+        sub = certify.induced_subgraph(g, set(table.members(c)))
+        assert c.acceptable == certify.accepts_planar_residue(sub)
+    anchors = [(v, -1) for v in g.vertices()]
+    anchors += [(table.min_member(c), c.id) for c in table.comps.values()]
+    check_invariant(run.queue, anchors, run._match)
+
+
+def _check_records(g: MultiGraph, table: planar._Table) -> None:
+    """Each record holds one component of g with its counts, and its
+    spanning tree."""
     assert sorted(table.members(c) for c in table.comps.values()) == g.components()
     for c in table.comps.values():
         members = table.members(c)
@@ -354,12 +366,7 @@ def _check_table(run: planar._Run) -> None:
         assert c.size == len(members)
         assert c.degrees == Counter(g.degree(v) for v in members)
         assert c.low == {v for v in members if g.degree(v) <= 2}
-        assert c.debt == sum(run.ledger.debt.get(v, 0) for v in members)
-        sub = certify.induced_subgraph(g, set(members))
-        assert c.acceptable == certify.accepts_planar_residue(sub)
-    anchors = [(v, -1) for v in g.vertices()]
-    anchors += [(table.min_member(c), c.id) for c in table.comps.values()]
-    check_invariant(run.queue, anchors, run._match)
+        assert c.debt == sum(table.debt.get(v, 0) for v in members)
     # The spanning trees certify each component: its root alone has no
     # parent, every other member's parent is a neighbour, and following
     # parents from any member reaches its record's root.
@@ -503,17 +510,31 @@ def test_seeded_reduce_costs_only_what_it_rewrites():
     assert list(g.iter_edges()) == edges
 
 
-def test_split_off_returns_the_cut_off_sides():
-    # A path of 6 and a triangle hang off vertex 0; deleting 0 cuts them apart.
+@pytest.mark.parametrize("root, kept_root, rows", [(4, 4, 5), (8, 1, 6), (0, 1, 6)])
+def test_split_searches_every_part_and_keeps_the_last(root, kept_root, rows):
+    # A path of 6 and a triangle hang off vertex 0; deleting 0 cuts them
+    # apart.  The tree is planted with its root in the path, in the
+    # triangle, and at 0 itself.  Each time the triangle's search, the
+    # root's or a child's, runs dry after its 3 rows and moves to a new
+    # record.  The path's search is stopped then, after 3 rows, or after
+    # 2 when it is the root's, which reads last in each round; it keeps
+    # the old record, with the old root when that survives in the path,
+    # else with its own top, vertex 1.
     g = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9), (9, 7)])
+    table = planar._Table(g, {})
+    (c,) = table.comps.values()
+    table._plant(c, root)
+    orphans = table.children(0)
     g.delete_vertex(0)
-    assert g.split_off([1, 7]) == [[7, 8, 9]]
-    assert g.split_off([7, 1]) == [[7, 8, 9]]
-    assert g.split_off([1, 4]) == []  # one component: nothing is cut off
-    assert g.split_off([8]) == []
-    # Two equal sides running dry together: the larger is kept, ties by order.
-    h = from_edge_list([(0, 1), (2, 3)])
-    assert h.split_off([0, 2]) in ([[0, 1]], [[2, 3]])
+    table.remove(0)
+    for v in (1, 7):
+        table.refresh(v)
+    before = table.split_work
+    kept, cut = table.split(c, orphans)
+    assert kept is c and c.root == kept_root
+    assert (table.members(kept), table.members(cut)) == ([1, 2, 3, 4, 5, 6], [7, 8, 9])
+    assert table.split_work - before == rows
+    _check_records(g, table)
 
 
 def _block_tree(rng: random.Random, n_target: int) -> MultiGraph:
@@ -550,26 +571,24 @@ def _block_tree(rng: random.Random, n_target: int) -> MultiGraph:
 
 def test_matches_reference_on_deletions_that_cut(monkeypatch):
     # Random 4-regular graphs never cut (0 of 2581 deletions at n = 150 to
-    # 5000), so trees of blocks exercise the cut paths: the subtree search
-    # that runs dry, and the side-by-side search that names the parts.
+    # 5000), so trees of blocks exercise the cut paths: a child's subtree
+    # whose search runs dry, and the root's part whose search does, which
+    # moves the record's old root to another record.
     cuts = Counter()
-    split, take_parts = planar._Table.split, planar._Table._take_parts
+    split = planar._Table.split
 
-    def counted_split(self, c, orphans, starts):
-        children = split(self, c, orphans, starts)
+    def counted_split(self, c, orphans):
+        root = c.root
+        children = split(self, c, orphans)
         cuts["deletions that cut"] += len(children) > 1
+        cuts["the root's part cut off"] += root >= 0 and self.comp_of[root] != c.id
         return children
 
-    def counted_take_parts(self, c, cut, hunts, parts):
-        cuts["named by the side-by-side search"] += sum(self.comp_of[p[0]] == c.id for p in cut)
-        return take_parts(self, c, cut, hunts, parts)
-
     monkeypatch.setattr(planar._Table, "split", counted_split)
-    monkeypatch.setattr(planar._Table, "_take_parts", counted_take_parts)
     rng = random.Random(20261019)
     for params in (None, QUARTER):
         for n in (100, 200, 400):
             for _ in range(2):
                 _lockstep(_block_tree(rng, n), params, check_table=True)
     assert cuts["deletions that cut"] >= 100, cuts
-    assert cuts["named by the side-by-side search"] > 0, cuts
+    assert cuts["the root's part cut off"] > 0, cuts

@@ -3,7 +3,9 @@
 The per-step and doubling gates elsewhere are upper bounds.  These pins
 show that a speed-up comes from the constant per step, not from a
 requeue or a match skipped: a change to any count here changes how much
-dispatch work a reducer does, and needs its own reason.
+dispatch work a reducer does, and needs its own reason.  The planar
+pins also hold the rows its component table reads and the parent steps
+it walks to keep the components connected.
 """
 
 import pytest
@@ -32,7 +34,7 @@ def _planar(g):
     run = planar._Run(g.copy(), ChargeParams.paper(), True)
     while run.dispatch():
         pass
-    return run.matched, run.pushed
+    return run.matched, run.pushed, run.table.split_work, run.table.walked
 
 
 GRAPHS = {
@@ -41,12 +43,12 @@ GRAPHS = {
 }
 
 # (keyed, matched, registered, queue.popped), (matched, queue.popped),
-# (matched, pushed)
+# (matched, pushed, table.split_work, table.walked)
 PINNED = {
     "rr4": {"pseudoforest": (17457, 4232, 923, 9662), "tw2": (4804, 10705),
-            "planar": (4820, 12781)},
+            "planar": (4820, 12781, 6870, 27908)},
     "k33": {"pseudoforest": (8000, 6000, 0, 12000), "tw2": (12000, 20000),
-            "planar": (4997, 5000)},
+            "planar": (4997, 5000, 8000, 2000)},
 }
 
 
