@@ -74,11 +74,15 @@ def _parse_dimacs(lines: list[tuple[str, list[str]]]) -> MultiGraph:
 
 
 def _header_counts(fields: list[str], error: str) -> tuple[int, int]:
-    """The header's n and m, the first two of ``fields``."""
+    """The header's n and m, the first two of ``fields``; neither may be
+    negative."""
     try:
-        return int(fields[0]), int(fields[1])
+        n, m = int(fields[0]), int(fields[1])
     except (IndexError, ValueError) as exc:
         raise ParseError(error) from exc
+    if n < 0 or m < 0:
+        raise ParseError(error)
+    return n, m
 
 
 def _build(edges: list[tuple[int, int]], header: tuple[int, int] | None) -> MultiGraph:

@@ -56,9 +56,10 @@ import functools
 import heapq
 import itertools
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from . import certify, lp as lpmod
@@ -139,7 +140,10 @@ class ChargeParams:
             raise InfeasibleParams(problem)
 
     @staticmethod
+    @functools.cache
     def paper() -> "ChargeParams":
+        """The paper's point, one shared instance: its validation and its
+        ``scaled`` are computed once per process, not once per run."""
         pt = lpmod.paper_point()
         return ChargeParams(pt["epsilon"], pt["c3"], pt["c4"], pt["tau"])
 
@@ -165,11 +169,23 @@ def _violation(params: ChargeParams) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LedgerEntry:
+    """One step's recorded charge, in the paper's units.  Immutable, and
+    built like ``solution.TraceStep``: ``__init__`` fills the slots
+    through their descriptors."""
+
     index: int
     label: str
     charge: Fraction
+
+    def __init__(self, index: int, label: str, charge: Fraction) -> None:
+        _set_index(self, index)
+        _set_label(self, label)
+        _set_charge(self, charge)
+
+
+_set_index, _set_label, _set_charge = (getattr(LedgerEntry, name).__set__ for name in LedgerEntry.__slots__)
 
 
 @dataclass
@@ -197,8 +213,10 @@ class LedgerState:
         ``vertices``, only theirs are checked."""
         debt = self.debt
         scaled = self.params.scaled
-        for v in debt if vertices is None else [v for v in vertices if v in debt]:
-            d = debt[v]
+        for v in debt if vertices is None else vertices:
+            d = debt.get(v)
+            if d is None:
+                continue
             degree = g.degree(v)
             if d < 0 or d > scaled.cap(degree):
                 raise DebtCapExceeded(
@@ -207,15 +225,16 @@ class LedgerState:
                 )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Comp:
     """One component of the working graph.
 
     ``heap`` holds its members as a lazy min-heap (an entry counts while
     the table maps the vertex to this id); ``degrees`` counts its members
-    by degree, ``low`` is its members of degree <= 2, ``debt`` the sum of
-    their debts (times L), ``tau`` its tau flag, and ``acceptable`` whether
-    its residue is a legal output core.  ``root`` is the one member
+    by degree (a plain dict with no zero entries), ``low`` is its members
+    of degree <= 2, ``debt`` the sum of their debts (times L), ``tau`` its
+    tau flag, and ``acceptable`` whether its residue is a legal output
+    core.  ``root`` is the one member
     without a parent in the table's spanning tree.
     """
 
@@ -223,7 +242,7 @@ class _Comp:
     heap: list[int]
     root: int = -1
     size: int = 0
-    degrees: Counter = field(default_factory=Counter)
+    degrees: dict[int, int] = field(default_factory=dict)
     low: set[int] = field(default_factory=set)
     debt: int = 0
     tau: bool = False
@@ -256,6 +275,8 @@ class _Table:
 
     def __init__(self, g: MultiGraph, debt: dict[int, int]) -> None:
         self.g = g
+        self.degree = g.degree_map()  # live: the graph's degrees now
+        self.adj = g.adjacency_map()
         self.debt = debt
         self.comps: dict[int, _Comp] = {}
         self.comp_of: dict[int, int] = {}
@@ -264,42 +285,52 @@ class _Table:
         self.split_work = 0
         self.walked = 0
         self._ids = itertools.count()  # never reused, so stale heap entries stay stale
-        for members in g.components():
-            self._plant(self._new(members), members[-1])
+        # In decreasing order, the first vertex met of each component is
+        # its largest member, the root ``_plant`` takes, and one search
+        # both finds the component and plants its tree.
+        for root in sorted(self.adj, reverse=True):
+            if root not in self.comp_of:
+                c = self._new(sorted(self._tree(root)))
+                c.root = root
+                self.split_work += c.size
 
     def _new(self, members: list[int], source: _Comp | None = None) -> _Comp:
         """A record for members, moved out of ``source`` when given."""
         c = _Comp(next(self._ids), sorted(members))  # a sorted list is a heap
         self.comps[c.id] = c
         for v in members:
-            self._join(c, v, self.g.degree(v) if source is None else self._leave(source, v))
+            self._join(c, v, self.degree[v] if source is None else self._leave(source, v))
         return c
 
     def _plant(self, c: _Comp, root: int) -> None:
         """A breadth-first spanning tree of c from root.  The reducer takes
         its anchors least first, so the largest member makes a root that
         is seldom deleted."""
-        adj, up = self.g.adjacency_map(), self.up
         c.root = root
         self.split_work += c.size
+        self._tree(root)
+
+    def _tree(self, root: int) -> list[int]:
+        """Set the parents of a breadth-first tree from root over its
+        component; return the component, in the order found."""
+        adj, up = self.adj, self.up
         up.pop(root, None)
         seen = {root}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        up[y] = x
-                        nxt.append(y)
-            frontier = nxt
+        found = [root]
+        for x in found:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    up[y] = x
+                    found.append(y)
+        return found
 
     def _join(self, c: _Comp, v: int, d: int) -> None:
         self.comp_of[v] = c.id
         self.deg[v] = d
         c.size += 1
-        c.degrees[d] += 1
+        degrees = c.degrees
+        degrees[d] = degrees.get(d, 0) + 1
         if d <= 2:
             c.low.add(v)
         debt = self.debt.get(v)
@@ -310,10 +341,9 @@ class _Table:
         d = self.deg.pop(v)
         del self.comp_of[v]
         c.size -= 1
-        c.degrees[d] -= 1
-        if not c.degrees[d]:
-            del c.degrees[d]
-        c.low.discard(v)
+        _uncount(c.degrees, d)
+        if d <= 2:
+            c.low.discard(v)
         debt = self.debt.get(v)
         if debt:
             c.debt -= debt
@@ -325,7 +355,7 @@ class _Table:
     def remove(self, v: int) -> None:
         """Drop v from its record and its tree; its debt, still in the
         ledger, leaves the record's total."""
-        c = self.of(v)
+        c = self.comps[self.comp_of[v]]
         self._leave(c, v)
         self.up.pop(v, None)
         if c.root == v:
@@ -334,12 +364,20 @@ class _Table:
             del self.comps[c.id]
 
     def refresh(self, v: int) -> None:
-        """Recount v under its current degree."""
-        d = self.g.degree(v)
-        if d != self.deg[v]:
-            c = self.of(v)
-            self._leave(c, v)
-            self._join(c, v, d)
+        """Recount v under its current degree, in place: only its record's
+        degree counts and ``low`` move.  No planar step raises a degree (a
+        contraction at a degree-<=2 vertex, then the merge, keeps or drops
+        the degrees it touches), so v can only join ``low``."""
+        d = self.degree[v]
+        old = self.deg[v]
+        if d != old:
+            self.deg[v] = d
+            c = self.comps[self.comp_of[v]]
+            degrees = c.degrees
+            _uncount(degrees, old)
+            degrees[d] = degrees.get(d, 0) + 1
+            if d <= 2 < old:
+                c.low.add(v)
 
     def min_member(self, c: _Comp) -> int:
         heap = c.heap
@@ -353,7 +391,7 @@ class _Table:
     def children(self, x: int) -> list[int]:
         """The neighbours whose parent is x; read before x goes."""
         up = self.up
-        return [y for y in self.g.adjacency_map()[x] if up.get(y) == x]
+        return [y for y in self.adj[x] if up.get(y) == x]
 
     def contract(self, v: int, u: int) -> None:
         """Before v, of degree at most 2, is contracted into u: u takes v's
@@ -368,7 +406,7 @@ class _Table:
             self.of(v).root = u
         elif up.get(u) == v:
             up[u] = parent
-        for y in self.g.adjacency_map()[v]:
+        for y in self.adj[v]:
             if up.get(y) == v:
                 up[y] = u
 
@@ -416,7 +454,7 @@ class _Table:
         queue the children, and hang the part from the first edge that
         leaves it.  When the queue runs dry the part is a component,
         which moves to a new record."""
-        up, adj = self.up, self.g.adjacency_map()
+        up, adj = self.up, self.adj
         queue, found = hunts[o]
         y = queue.popleft()
         self.split_work += 1
@@ -446,10 +484,24 @@ class _Table:
             parts.append(d)
 
 
+def _uncount(degrees: dict[int, int], d: int) -> None:
+    """Take one member of degree d off the counts, leaving no zero entry."""
+    k = degrees[d]
+    if k == 1:
+        del degrees[d]
+    else:
+        degrees[d] = k - 1
+
+
 # Ranks are positions in this table: the case priority of the module
 # docstring.  Ranks 0, 3 and 6 are component cases, the others vertex cases.
 _LABELS = (PLANAR_ACCEPT, PREPROCESS, DEG2_CONTRACT, THREE_REG_DELETE,
            DEG5_DELETE, MIXED_DELETE, FOUR_REG_DELETE)
+
+# The rank of a vertex case by degree below 6, where degree alone decides:
+# contraction at degree 1 and 2, deletion at 5.  Degree 4 is the mixed
+# case's, decided by the neighbours; degree 6 and above is deletion, rank 1.
+_DEGREE_RANK = (None, 2, 2, None, None, 4)
 
 
 class _Run:
@@ -471,6 +523,8 @@ class _Run:
 
     def __init__(self, g: MultiGraph, params: ChargeParams, strict: bool) -> None:
         self.g = g
+        self.degree = g.degree_map()  # live, read-only; bound once per run
+        self.adj = g.adjacency_map()
         self.params = params
         self.strict = strict
         self.scaled = params.scaled
@@ -480,32 +534,29 @@ class _Run:
         self.queue = CaseQueue()
         self.matched = 0
         self.pushed = 0
-        for v in g.vertices():
-            self._push(v)
+        self._push_all(g.vertices())
         for c in list(self.table.comps.values()):
             self._assess(c)
 
     # -- the cases -----------------------------------------------------
 
     def _vertex_rank(self, v: int) -> int | None:
-        g = self.g
-        d = g.degree(v)
-        if d >= 6:
-            return 1
-        if d in (1, 2):
-            return 2
-        if d == 5:
-            return 4
-        if d == 4 and any(g.degree(u) == 3 for u in g.adjacency_map()[v]):
-            return 5
-        return None
+        degree = self.degree
+        d = degree[v]
+        if d == 4:
+            for u in self.adj[v]:
+                if degree[u] == 3:
+                    return 5
+            return None
+        return _DEGREE_RANK[d] if d < 6 else 1
 
     def _comp_rank(self, c: _Comp) -> int | None:
         if c.acceptable and self._acceptance_charge(c) >= 0:
             return 0
-        if c.degrees[3] == c.size:
+        degrees = c.degrees
+        if degrees.get(3) == c.size:
             return 3
-        if c.degrees[4] == c.size:
+        if degrees.get(4) == c.size:
             return 6
         return None
 
@@ -514,7 +565,7 @@ class _Run:
         self.matched += 1
         v, cid = anchor
         if cid < 0:
-            rank = self._vertex_rank(v) if self.g.has_vertex(v) else None
+            rank = self._vertex_rank(v) if v in self.degree else None
             return None if rank is None else (rank, None)
         c = self.table.comps.get(cid)
         if c is None or self.table.min_member(c) != v:
@@ -522,25 +573,26 @@ class _Run:
         rank = self._comp_rank(c)
         return None if rank is None else (rank, c)
 
-    def _push(self, v: int) -> None:
-        rank = self._vertex_rank(v)
-        if rank is not None:
-            self.pushed += 1
-            self.queue.push((v, -1), rank)
+    def _push_all(self, vs: Iterable[int]) -> None:
+        """Queue each vertex of vs at the rank of its case, if it has one."""
+        rank = self._vertex_rank
+        entries = [(r, (v, -1)) for v in vs if (r := rank(v)) is not None]
+        self.pushed += len(entries)
+        self.queue.push_all(entries)
 
-    def _touched(self, vs) -> list[int]:
+    def _touched(self, vs) -> None:
         """Recount and re-queue the surviving vertices of vs, and the
         neighbours of those at degree 3, which may now meet the mixed case."""
-        g = self.g
-        adj = g.adjacency_map()
-        alive = [v for v in vs if g.has_vertex(v)]
-        for v in alive:
-            self.table.refresh(v)
-            self._push(v)
-            if g.degree(v) == 3:
-                for u in adj[v]:
-                    self._push(u)
-        return alive
+        degree, adj, refresh = self.degree, self.adj, self.table.refresh
+        queued = []
+        for v in vs:
+            if v not in degree:
+                continue
+            refresh(v)
+            queued.append(v)
+            if degree[v] == 3:
+                queued += adj[v]
+        self._push_all(queued)
 
     def _residue_ok(self, c: _Comp) -> bool:
         """accepts_planar_residue on the component alone.  Only its
@@ -551,7 +603,7 @@ class _Run:
         vertices make a K4."""
         left = c.size
         if c.low:
-            left -= len(certify._reduce(self.g.adjacency_map(), c.low)[1])
+            left -= len(certify._reduce(self.adj, c.low)[1])
         return left in (0, 4)
 
     def _assess(self, c: _Comp, inherit: bool = False) -> None:
@@ -574,16 +626,14 @@ class _Run:
         which maps them to their degrees before the step); the last raise
         is partial, so no more debt is borrowed than the step needs.
         """
-        g = self.g
+        degree = self.degree
         debt = self.ledger.debt
         charge = base
         for v in dropped:
             if charge >= 0:
                 break
-            if not g.has_vertex(v):
-                continue
-            post = g.degree(v)
-            if post < dropped[v] and post >= 1:
+            post = degree.get(v)
+            if post is not None and 1 <= post < dropped[v]:
                 cap = self.scaled.cap(post)
                 cur = debt.get(v, 0)
                 if cur < cap:
@@ -597,47 +647,48 @@ class _Run:
 
     def _take(self, label: str, comp: _Comp, deleted: tuple[int, ...] = (),
               contracted: tuple[tuple[int, int, int], ...] = (), accepted: Iterable[int] = ()) -> None:
-        """Take one step in ``comp`` with ``solution.take``, which keeps the
-        order (delete, then contract each (v, u, u) and simplify at u, then
-        accept); with the accepted vertices it accepts every watched vertex
-        left at degree 0.  Then split or keep ``comp``, charge the step,
-        issue debt (and on the 4-regular case tau) if it runs short, all
-        times L, and enter the charge in the ledger as a ``Fraction``.
-        With ``strict``, a negative charge raises NegativeCharge, after the
-        step is in the trace.
+        """Take one step in ``comp`` with ``solution.take``: delete one
+        vertex x, contract one edge (x, u, u) and simplify at u, or accept
+        a whole component.  When x goes, every watched vertex left at
+        degree 0 is accepted with it.  Then split or keep ``comp``, charge
+        the step, issue debt (and on the 4-regular case tau) if it runs
+        short, all times L, and enter the charge in the ledger as a
+        ``Fraction``.  With ``strict``, a negative charge raises
+        NegativeCharge, after the step is in the trace.
 
-        The watched vertices are the neighbours of the vertices that are
-        deleted or contracted away, less those vertices: the only ones
-        whose degree can drop.  Contracting v into u moves v's edges to
-        u, so u's other neighbours keep theirs; ``accepted`` is a whole
-        component, so it adds none.
+        The watched vertices are x's neighbours (the working graph is
+        simple, so x is not among them): the only vertices whose degree
+        can drop.  Contracting x into u moves x's edges to u, so u's other
+        neighbours keep theirs; an accepted component watches none.
         """
         g = self.g
         table = self.table
         flagged = comp.tau
-        gone = list(deleted) + [v for v, _, _ in contracted]
-        orphans = [y for x in deleted for y in table.children(x)]
-        for v, u, _ in contracted:
-            table.contract(v, u)
-        adj = g.adjacency_map()
-        watch: set[int] = set()
-        for v in gone:
-            watch.update(adj[v])
-        watch.difference_update(gone)
-        degree = g.degree_map()
-        pre_deg = {y: degree[y] for y in sorted(watch)}
-        step = take(g, self.sol, label, deleted, contracted,
-                    itertools.chain(accepted, (y for y in pre_deg if degree[y] == 0)), simplify=True)
+        orphans: list[int] = []
+        pre_deg: dict[int, int] = {}
+        if not accepted:
+            if deleted:
+                (x,) = deleted
+                orphans = table.children(x)
+            else:
+                ((x, u, _),) = contracted
+                table.contract(x, u)
+            degree = self.degree
+            pre_deg = {y: degree[y] for y in sorted(self.adj[x])}
+            # Read lazily: a vertex is isolated only after the contraction.
+            accepted = (y for y in pre_deg if degree[y] == 0)
+        step = take(g, self.sol, label, deleted, contracted, accepted, simplify=True)
 
         # A vertex that left takes its debt off its record's total
         # (``_Table.remove`` reads only the record) and out of the ledger.
         debt = self.ledger.debt
+        remove = table.remove
         cleared = 0
-        for v in itertools.chain(gone, step.accepted):
-            table.remove(v)
+        for v in step.deleted + step.s_added:
+            remove(v)
             cleared += debt.pop(v, 0)
 
-        survivors = self._touched(pre_deg)
+        self._touched(pre_deg)
         if deleted:
             children = table.split(comp, orphans)
         else:
@@ -646,10 +697,10 @@ class _Run:
             children = [comp] if comp.size else []
         # A flagged component's tau passes to its children that keep a
         # degree-3 vertex, and is cleared when none does.
-        kids3 = [c for c in children if c.degrees[3]]
+        kids3 = [c for c in children if 3 in c.degrees]
         if flagged:
             for c in children:
-                c.tau = c.degrees[3] > 0
+                c.tau = 3 in c.degrees
 
         # +1 per edge unit, -(5+epsilon) per deleted vertex, less the
         # debts and the tau the step clears; all times L.
@@ -657,7 +708,8 @@ class _Run:
         charge = step.removed_edges * scaled.unit - scaled.delete * len(deleted) - cleared
         if flagged and not kids3:
             charge -= scaled.tau
-        charge = self._greedy_raise(charge, pre_deg)
+        if charge < 0:
+            charge = self._greedy_raise(charge, pre_deg)
         if charge < 0 and label == FOUR_REG_DELETE and kids3:
             charge += scaled.tau
             for c in kids3:
@@ -669,8 +721,9 @@ class _Run:
             self.ledger.negative_steps.append(entry)
             if self.strict:
                 raise NegativeCharge(f"step {entry.index} ({label}) charged {entry.charge}")
-        # Only the vertices whose degree or debt changed can break a cap.
-        self.ledger.audit_caps(g, survivors)
+        # Only the vertices whose degree or debt changed can break a cap;
+        # of those that left, none holds a debt now.
+        self.ledger.audit_caps(g, pre_deg)
         for c in children:
             self._assess(c, inherit=not deleted)
 
@@ -678,7 +731,8 @@ class _Run:
 
     def _acceptance_charge(self, c: _Comp) -> int:
         """What accepting c would charge, times L."""
-        units = sum(d * k for d, k in c.degrees.items()) // 2
+        degrees = c.degrees
+        units = sum(map(mul, degrees, degrees.values())) // 2
         return units * self.scaled.unit - c.debt - (self.scaled.tau if c.tau else 0)
 
     def dispatch(self) -> bool:
@@ -700,7 +754,7 @@ class _Run:
         if label == PLANAR_ACCEPT:
             self._take(label, comp, accepted=self.table.members(comp))
         elif label == DEG2_CONTRACT:
-            u = g.neighbors(v)[0]
+            u = min(self.adj[v])  # the working graph is simple
             self._take(label, comp, contracted=((v, u, u),))
         else:
             self._take(label, comp, deleted=(v,))

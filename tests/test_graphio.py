@@ -43,6 +43,9 @@ def test_parse_dimacs_bad_edge_label():
         ("p 2 x\n0 1\n", "bad header"),
         ("p edge 2 1\ne 1 7\n", "declares 2 vertices"),
         ("p edge 3 2\ne 1 2\n", "declares 2 edges"),
+        ("p -3 0\n", "bad header"),
+        ("p 3 -1\n", "bad header"),
+        ("p edge -3 0\n", "bad DIMACS header"),
     ],
 )
 def test_parse_rejects_header_mismatch(text, why):

@@ -8,10 +8,13 @@ pins also hold the rows its component table reads and the parent steps
 it walks to keep the components connected.
 """
 
+import random
+
 import pytest
 
 from planarize import generators as gen
 from planarize import planar, pseudoforest as pf, treewidth2 as tw2
+from planarize.multigraph import from_edge_list
 from planarize.planar import ChargeParams
 from planarize.solution import ReductionSolution
 
@@ -57,3 +60,22 @@ def test_work_counters_are_pinned(graph):
     g = GRAPHS[graph]()
     got = {"pseudoforest": _pseudoforest(g), "tw2": _tw2(g), "planar": _planar(g)}
     assert got == PINNED[graph]
+
+
+def _dense(p):
+    """Eight G(n, p) graphs, n = 18 to 25, from one seeded stream."""
+    rng = random.Random(11)
+    return [from_edge_list([(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p], n)
+            for n in range(18, 26)]
+
+
+# Dense graphs, where recounting degrees and re-queueing the touched
+# vertices are most of a planar step: (matched, pushed, table.split_work,
+# table.walked) summed over the eight graphs.
+PINNED_DENSE = {0.5: (186, 1051, 446, 443), 0.9: (216, 1724, 337, 182)}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_DENSE))
+def test_planar_work_counters_are_pinned_on_dense_graphs(p):
+    got = [_planar(g) for g in _dense(p)]
+    assert tuple(map(sum, zip(*got))) == PINNED_DENSE[p]
