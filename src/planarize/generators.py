@@ -1,8 +1,13 @@
 """Deterministic graph constructors for tests, benchmarks, and experiments.
 
-Random regular graphs use the pairing model seeded through the stdlib
-Mersenne Twister, whose state transition is stable across platforms and
-Python releases, so every family here is reproducible from its arguments.
+Random regular graphs use the pairing model.  Their reproducibility rests
+on three things: integer seeding of the stdlib Mersenne Twister, its
+``getrandbits``, and the Fisher-Yates loop written in this module.  They
+do not rest on ``random.shuffle``, whose draws lie outside Python's
+reproducibility note (it promises only ``random()``); the loop here makes
+the draws CPython 3.11's ``random.shuffle`` makes, so the graphs are the
+ones it gave.  Every family here is reproducible from its arguments, and
+``tests/test_generators.py`` pins a digest of a fixed sweep.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import random
 
 from .errors import InvalidSpec
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, from_edge_list, from_rows
 
 
 def _require_sizes(*sizes: int) -> None:
@@ -70,51 +75,91 @@ def empty(n: int) -> MultiGraph:
 
 
 def disjoint_copies(g: MultiGraph, t: int) -> MultiGraph:
-    """t disjoint copies of g, copy i shifted by i * (max id + 1)."""
+    """t disjoint copies of g, copy i shifted by i * (max id + 1).
+
+    Each copy lists its vertices in id order and each row its neighbours
+    in id order, as adding the copy's sorted edges one by one would.
+    """
     if t < 1:
         raise InvalidSpec("need at least one copy")
     stride = max(g.vertices(), default=-1) + 1
-    out = MultiGraph()
-    for i in range(t):
-        off = i * stride
-        for v in sorted(g.vertices()):
-            out.add_vertex(v + off)
-        for u, v, c in g.iter_edges():
-            out.add_edge(u + off, v + off, c)
-    return out
+    adj = g.adjacency_map()
+    rows = [(v, sorted(adj[v].items())) for v in sorted(adj)]
+    return from_rows({v + off: {u + off: c for u, c in row}
+                      for off in [i * stride for i in range(t)] for v, row in rows})
+
+
+def _shuffle_steps(x: list[int], i: int, getrandbits) -> None:
+    """Steps i, i - 1, ..., 1 of the Fisher-Yates shuffle of x.
+
+    Step s swaps x[s] with x[j], j drawn uniform in 0..s the way
+    ``random.shuffle`` draws it: ``getrandbits`` of the bit length of s + 1,
+    drawn again while above s.  The bit length is fixed on each run of s
+    between powers of two.
+    """
+    while i > 0:
+        k = (i + 1).bit_length()
+        low = max((1 << (k - 1)) - 1, 1)  # the least s with this bit length
+        for i in range(i, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        i = low - 1
+
+
+def _pairing(stubs: list[int], n: int, getrandbits) -> set[int] | None:
+    """One attempt of the pairing model: shuffle ``stubs`` in place, exactly
+    as ``_shuffle_steps`` does, and pair positions 2i and 2i + 1.
+
+    Returns the pairs as keys u * n + v with u < v, or None when a pair is
+    a loop or repeats an earlier one.  The steps run two at a time, odd s
+    then s - 1, after which pair (s - 1, s) is final and is checked; after
+    a bad pair the rest of the shuffle runs unchecked, since the next
+    attempt starts from this order.
+    """
+    seen: set[int] = set()
+    add = seen.add
+    for i in range(len(stubs) - 1, 0, -2):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        stubs[i], stubs[j] = stubs[j], stubs[i]
+        h = i - 1
+        k = i.bit_length() if h else 0  # no step 0: getrandbits(0) draws nothing
+        j = getrandbits(k)
+        while j > h:
+            j = getrandbits(k)
+        u = stubs[j]
+        stubs[j] = stubs[h]
+        stubs[h] = u
+        v = stubs[i]
+        key = u * n + v if u < v else v * n + u
+        if u == v or key in seen:
+            _shuffle_steps(stubs, h - 1, getrandbits)
+            return None
+        add(key)
+    return seen
 
 
 def random_regular(n: int, d: int, seed: int) -> MultiGraph:
     """Random d-regular simple graph via the pairing model with rejection.
 
     Deterministic for a given (n, d, seed): rejected pairings re-draw from
-    the same seeded stream.
+    the same seeded stream, each attempt shuffling the order the last one
+    left, with the draws ``random.shuffle`` makes.
     """
     if d < 0 or d >= n:
         raise InvalidSpec(f"need 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise InvalidSpec("n * d must be even")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     stubs = [v for v in range(n) for _ in range(d)]
     for _attempt in range(10_000):
-        rng.shuffle(stubs)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                ok = False
-                break
-            edges.add(key)
-        if ok:
-            g = empty(n)
-            for u, v in sorted(edges):
-                g.add_edge(u, v)
-            return g
+        keys = _pairing(stubs, n, getrandbits)
+        if keys is not None:
+            return from_edge_list(sorted(divmod(key, n) for key in keys), n)
     raise InvalidSpec(f"pairing model failed for n={n}, d={d}, seed={seed}")
 
 

@@ -112,13 +112,10 @@ def read_graph(path: str) -> MultiGraph:
 
 
 def write_graph_text(g: MultiGraph) -> str:
-    """Serialize a simple graph deterministically (header + sorted pairs)."""
-    buf = io.StringIO()
-    pairs = sorted((u, v) for u, v, _ in g.iter_edges())
-    buf.write(f"p {g.n} {len(pairs)}\n")
-    for u, v in pairs:
-        buf.write(f"{u} {v}\n")
-    return buf.getvalue()
+    """Serialize a simple graph deterministically (header + sorted pairs);
+    ``iter_edges`` already yields the pairs sorted."""
+    lines = [f"{u} {v}\n" for u, v, _ in g.iter_edges()]
+    return f"p {g.n} {len(lines)}\n" + "".join(lines)
 
 
 def read_vertex_set(path: str) -> set[int]:

@@ -131,6 +131,16 @@ class ChargeParams:
         return ScaledParams(unit, 5 * unit + up(self.epsilon), up(self.tau),
                             (unit, unit, unit, up(self.c3), up(self.c4)))
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.epsilon, self.c3, self.c4, self.tau))
+
+    def __hash__(self) -> int:
+        """The fields' hash, computed once per instance: every run looks its
+        parameters up in ``_violation``'s cache, and hashing four
+        ``Fraction``s each time cost most of that lookup."""
+        return self._hash
+
     def as_assignment(self) -> dict[str, Fraction]:
         return {"epsilon": self.epsilon, "c3": self.c3, "c4": self.c4, "tau": self.tau}
 

@@ -163,6 +163,16 @@ def test_params_checked_once_per_value(monkeypatch):
     assert len(calls) == 2
 
 
+def test_params_hash_by_value():
+    # The hash is cached per instance; equal values must still hash alike,
+    # so a parsed copy of the paper point shares its validation.
+    paper = ChargeParams.paper()
+    parsed = ChargeParams.parse(",".join(str(x) for x in paper.as_assignment().values()))
+    assert parsed is not paper and parsed == paper
+    assert hash(parsed) == hash(paper) == hash((paper.epsilon, paper.c3, paper.c4, paper.tau))
+    assert {paper: 1}[parsed] == 1
+
+
 def test_params_scale_by_the_lcm_of_their_denominators():
     paper = ChargeParams.paper().scaled
     assert paper.unit == 46
