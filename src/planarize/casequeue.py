@@ -1,4 +1,4 @@
-"""The case queue every reducer dispatches from.
+"""The case queue every reducer takes its next case from.
 
 Each reducer applies, step after step, the case of least rank that fits
 anywhere in the working graph, and among those the one at the least

@@ -25,53 +25,32 @@ def _require_sizes(*sizes: int) -> None:
 
 def complete(k: int) -> MultiGraph:
     _require_sizes(k)
-    g = MultiGraph()
-    for v in range(k):
-        g.add_vertex(v)
-    for u in range(k):
-        for v in range(u + 1, k):
-            g.add_edge(u, v)
-    return g
+    return from_edge_list([(u, v) for u in range(k) for v in range(u + 1, k)], k)
 
 
 def complete_bipartite(a: int, b: int) -> MultiGraph:
     _require_sizes(a, b)
-    g = MultiGraph()
-    for v in range(a + b):
-        g.add_vertex(v)
-    for u in range(a):
-        for v in range(a, a + b):
-            g.add_edge(u, v)
-    return g
+    return from_edge_list([(u, v) for u in range(a) for v in range(a, a + b)], a + b)
+
+
+def _cycle_edges(n: int) -> list[tuple[int, int]]:
+    return [(v, (v + 1) % n) for v in range(n)]
 
 
 def cycle(n: int) -> MultiGraph:
     if n < 3:
         raise InvalidSpec("cycle needs at least 3 vertices")
-    g = MultiGraph()
-    for v in range(n):
-        g.add_vertex(v)
-    for v in range(n):
-        g.add_edge(v, (v + 1) % n)
-    return g
+    return from_edge_list(_cycle_edges(n), n)
 
 
 def path(n: int) -> MultiGraph:
     _require_sizes(n)
-    g = MultiGraph()
-    for v in range(n):
-        g.add_vertex(v)
-    for v in range(n - 1):
-        g.add_edge(v, v + 1)
-    return g
+    return from_edge_list([(v, v + 1) for v in range(n - 1)], n)
 
 
 def empty(n: int) -> MultiGraph:
     _require_sizes(n)
-    g = MultiGraph()
-    for v in range(n):
-        g.add_vertex(v)
-    return g
+    return from_edge_list((), n)
 
 
 def disjoint_copies(g: MultiGraph, t: int) -> MultiGraph:
@@ -188,22 +167,17 @@ def _lcf(n: int, pattern: list[int]) -> MultiGraph:
     """Hamiltonian cycle on n vertices plus chords given in LCF notation."""
     if n % len(pattern) != 0:
         raise InvalidSpec("LCF pattern length must divide n")
-    g = cycle(n)
     jumps = pattern * (n // len(pattern))
-    for v, jump in enumerate(jumps):
-        u = (v + jump) % n
-        if g.multiplicity(v, u) == 0:
-            g.add_edge(v, u)
-    return g
+    chords = [(v, (v + jump) % n) for v, jump in enumerate(jumps)]
+    # A chord that repeats an edge collapses into it.
+    return from_edge_list(_cycle_edges(n) + chords, n)
 
 
 def petersen() -> MultiGraph:
-    g = empty(10)
+    edges = []
     for v in range(5):
-        g.add_edge(v, (v + 1) % 5)
-        g.add_edge(v, v + 5)
-        g.add_edge(5 + v, 5 + (v + 2) % 5)
-    return g
+        edges += [(v, (v + 1) % 5), (v, v + 5), (5 + v, 5 + (v + 2) % 5)]
+    return from_edge_list(edges, 10)
 
 
 def heawood() -> MultiGraph:

@@ -3,9 +3,10 @@
 Native format: optional header ``p <n> <m>``, then one ``u v`` pair per
 line (0-based labels), ``#`` comments ignored.  DIMACS-style files
 (``c`` comments, ``p edge <n> <m>``, ``e u v`` with 1-based labels) are
-detected automatically.  A header must agree with the body: the number
-of edge lines must equal its m (a duplicated line counts, then collapses)
-and the vertex count may not exceed its n.  The writer always emits the
+detected automatically.  A file has at most one header, which holds
+exactly its two counts and must agree with the body: the number of edge
+lines must equal its m (a duplicated line counts, then collapses) and
+the vertex count may not exceed its n.  The writer always emits the
 native format with a header and sorted pairs so output is deterministic
 and round-trips bit for bit.
 """
@@ -37,6 +38,8 @@ def _parse_native(lines: list[tuple[str, list[str]]]) -> MultiGraph:
     edges: list[tuple[int, int]] = []
     for line, parts in lines:
         if parts[0] == "p":
+            if header is not None:
+                raise ParseError(f"second header: {line!r}")
             header = _header_counts(parts[1:], f"bad header: {line!r}")
             continue
         if len(parts) != 2:
@@ -56,6 +59,8 @@ def _parse_dimacs(lines: list[tuple[str, list[str]]]) -> MultiGraph:
         if tag == "c":
             continue
         if tag == "p":
+            if header is not None:
+                raise ParseError(f"second DIMACS header: {line!r}")
             header = _header_counts(parts[2:], f"bad DIMACS header: {line!r}")
             continue
         if tag == "e":
@@ -74,11 +79,11 @@ def _parse_dimacs(lines: list[tuple[str, list[str]]]) -> MultiGraph:
 
 
 def _header_counts(fields: list[str], error: str) -> tuple[int, int]:
-    """The header's n and m, the first two of ``fields``; neither may be
+    """The header's n and m, its only two ``fields``; neither may be
     negative."""
     try:
-        n, m = int(fields[0]), int(fields[1])
-    except (IndexError, ValueError) as exc:
+        n, m = map(int, fields)
+    except ValueError as exc:
         raise ParseError(error) from exc
     if n < 0 or m < 0:
         raise ParseError(error)

@@ -30,24 +30,26 @@ and 2, and tau is 30.  A value becomes a ``Fraction`` only where it
 leaves the run: each ``LedgerEntry.charge``, made once with its entry,
 and the numbers in the NegativeCharge and DebtCapExceeded messages.
 
-Dispatch is incremental rather than a rescan of the graph.  A component
-table keeps, per component, its members, degree counts, vertices of
-degree <= 2, debt total, tau flag and residue verdict, and one
+The next case is found incrementally, not by a rescan of the graph.
+A component table keeps, per component, its members, degree counts,
+vertices of degree <= 2, debt total, tau flag and residue verdict, and one
 ``CaseQueue`` holds each vertex and each component that has a case, at
 the rank of that case (``_Run._match`` and the two rank functions it
 calls are where the case conditions are written); a step updates only
 the vertices it touched.  A spanning tree per component
-keeps its connectivity: a deletion costs the rows of the deleted
+keeps its connectivity: a deletion reads the rows of the deleted
 vertex's children when nothing is cut, and when something is, each
-part whose search ends pays at most its own rows times the number of
-parts (``_Table``).
+part whose search ends reads at most its own rows times the number of
+parts (``_Table``).  The walks up the tree that test each edge a search
+meets are not bounded that way: on the wheel W_n they take about n^2/2
+parent steps.
 A component's verdict is inherited across a contraction, read off its
 degree counts when it has no vertex of degree <= 2, and otherwise
 recomputed by ``certify._reduce`` seeded at those vertices; the engine
 reads the working graph's rows and writes none, so the check costs what
 it rewrites.
-``tests/test_planar_dispatch.py`` keeps the whole-graph scan this
-replaced and checks that the two agree step by step.
+The lockstep tests keep the whole-graph scan this replaced
+(``ReferenceRun``) and check that the two agree step by step.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ from typing import Iterable
 
 from . import certify, lp as lpmod
 from .casequeue import CaseQueue
-from .errors import CaseAnalysisIncomplete, DebtCapExceeded, InfeasibleParams, NegativeCharge
+from .errors import DebtCapExceeded, InfeasibleParams, NegativeCharge
 from .multigraph import MultiGraph
-from .solution import ReductionSolution, check_result, require_simple, take
+from .solution import ReductionSolution, drive, take
 
 PREPROCESS = "Preprocess"
 DEG2_CONTRACT = "Deg2Contract"
@@ -201,29 +203,30 @@ _set_index, _set_label, _set_charge = (getattr(LedgerEntry, name).__set__ for na
 @dataclass
 class LedgerState:
     """Per-vertex debts and recorded charges; the tau flags live on the
-    dispatcher's components.
+    run's components.
 
     ``debt`` holds integers times L (``params.scaled.unit``).  Each entry
-    holds its charge as the exact ``Fraction``, so ``entries``,
-    ``negative_steps`` and ``min_charge`` read in the paper's units.
+    holds its charge as the exact ``Fraction``, so ``entries`` and
+    ``min_charge`` read in the paper's units.  A negative charge raises
+    NegativeCharge once its entry is made, so only the last entry can be
+    negative.
     """
 
     params: ChargeParams
     debt: dict[int, int] = field(default_factory=dict)
     entries: list[LedgerEntry] = field(default_factory=list)
-    negative_steps: list[LedgerEntry] = field(default_factory=list)
 
     def min_charge(self) -> Fraction | None:
         if not self.entries:
             return None
         return min(e.charge for e in self.entries)
 
-    def audit_caps(self, g: MultiGraph, vertices: Iterable[int] | None = None) -> None:
-        """Every debt lies in [0, cap of its vertex's degree]; with
-        ``vertices``, only theirs are checked."""
+    def audit_caps(self, g: MultiGraph, vertices: Iterable[int]) -> None:
+        """The debt of each of the vertices that holds one lies in
+        [0, cap of its degree]; pass ``debt`` itself to check them all."""
         debt = self.debt
         scaled = self.params.scaled
-        for v in debt if vertices is None else vertices:
+        for v in vertices:
             d = debt.get(v)
             if d is None:
                 continue
@@ -274,9 +277,12 @@ class _Table:
     the first one found (``_hunt``).  A part whose search runs dry is a
     component cut off.  The searches take one row each per round, the
     children's first and the root's last, and stop when one is left, so
-    most deletions cost the rows of the children, and a part that is cut
-    off or settles, the root's included, pays at most its own rows times
-    the number of parts (Even and Shiloach).
+    most deletions read the rows of the children, and a part that is cut
+    off or settles, the root's included, reads at most its own rows times
+    the number of parts (Even and Shiloach).  That bounds the rows, not
+    the ``_top`` walks, which climb the parts hung so far: on the wheel
+    W_n, whose tree hangs nearly every rim vertex from the hub, deleting
+    the hub takes about n^2/2 parent steps.
 
     ``split_work`` counts rows read: by the searches and by planting a
     tree.  ``walked`` counts the parent steps ``_top`` takes.  Both are
@@ -296,8 +302,9 @@ class _Table:
         self.walked = 0
         self._ids = itertools.count()  # never reused, so stale heap entries stay stale
         # In decreasing order, the first vertex met of each component is
-        # its largest member, the root ``_plant`` takes, and one search
-        # both finds the component and plants its tree.
+        # its largest member, and one search both finds the component and
+        # plants its tree there: the reducer takes its anchors least first,
+        # so the largest member makes a root that is seldom deleted.
         for root in sorted(self.adj, reverse=True):
             if root not in self.comp_of:
                 c = self._new(sorted(self._tree(root)))
@@ -311,14 +318,6 @@ class _Table:
         for v in members:
             self._join(c, v, self.degree[v] if source is None else self._leave(source, v))
         return c
-
-    def _plant(self, c: _Comp, root: int) -> None:
-        """A breadth-first spanning tree of c from root.  The reducer takes
-        its anchors least first, so the largest member makes a root that
-        is seldom deleted."""
-        c.root = root
-        self.split_work += c.size
-        self._tree(root)
 
     def _tree(self, root: int) -> list[int]:
         """Set the parents of a breadth-first tree from root over its
@@ -531,12 +530,11 @@ class _Run:
     components connected costs.
     """
 
-    def __init__(self, g: MultiGraph, params: ChargeParams, strict: bool) -> None:
+    def __init__(self, g: MultiGraph, params: ChargeParams) -> None:
         self.g = g
         self.degree = g.degree_map()  # live, read-only; bound once per run
         self.adj = g.adjacency_map()
         self.params = params
-        self.strict = strict
         self.scaled = params.scaled
         self.ledger = LedgerState(params)
         self.sol = ReductionSolution("planar", g.n, g.m, set(), bound_num=23, bound_den=120)
@@ -663,8 +661,8 @@ class _Run:
         degree 0 is accepted with it.  Then split or keep ``comp``, charge
         the step, issue debt (and on the 4-regular case tau) if it runs
         short, all times L, and enter the charge in the ledger as a
-        ``Fraction``.  With ``strict``, a negative charge raises
-        NegativeCharge, after the step is in the trace.
+        ``Fraction``.  A negative charge raises NegativeCharge, after the
+        step is in the trace.
 
         The watched vertices are x's neighbours (the working graph is
         simple, so x is not among them): the only vertices whose degree
@@ -728,16 +726,14 @@ class _Run:
         entry = LedgerEntry(len(self.sol.trace) - 1, label, Fraction(charge, scaled.unit))
         self.ledger.entries.append(entry)
         if charge < 0:
-            self.ledger.negative_steps.append(entry)
-            if self.strict:
-                raise NegativeCharge(f"step {entry.index} ({label}) charged {entry.charge}")
+            raise NegativeCharge(f"step {entry.index} ({label}) charged {entry.charge}")
         # Only the vertices whose degree or debt changed can break a cap;
         # of those that left, none holds a debt now.
         self.ledger.audit_caps(g, pre_deg)
         for c in children:
             self._assess(c, inherit=not deleted)
 
-    # -- dispatch -------------------------------------------------------
+    # -- the next case --------------------------------------------------
 
     def _acceptance_charge(self, c: _Comp) -> int:
         """What accepting c would charge, times L."""
@@ -745,19 +741,16 @@ class _Run:
         units = sum(map(mul, degrees, degrees.values())) // 2
         return units * self.scaled.unit - c.debt - (self.scaled.tau if c.tau else 0)
 
-    def dispatch(self) -> bool:
+    def step(self) -> bool:
         """Perform the least (rank, anchor) case; False when the graph is
-        empty.  Keeping a whole component is always at least as large as
-        reducing it further, so acceptance comes first."""
-        g = self.g
-        if g.n == 0:
+        empty, before the queue is read, or when no case is left.  Keeping
+        a whole component is always at least as large as reducing it
+        further, so acceptance comes first."""
+        if self.g.n == 0:
             return False
         found = self.queue.pop(self._match)
         if found is None:
-            raise CaseAnalysisIncomplete(
-                f"planar reducer stalled with n={g.n}, m={g.m}, "
-                f"degrees={sorted(g.degree(v) for v in g.vertices())}"
-            )
+            return False
         rank, (v, _), comp = found
         label = _LABELS[rank]
         comp = comp or self.table.of(v)  # the component of a vertex case
@@ -774,13 +767,15 @@ class _Run:
 def reduce_planar(g_in: MultiGraph, params: ChargeParams | None = None) -> tuple[ReductionSolution, LedgerState]:
     """Compute S with 120 |S| >= 120 n - 23 m, G_in[S] planar with
     treewidth <= 3, and a per-step charge ledger.  A negative step charge
-    raises NegativeCharge.
+    raises NegativeCharge.  The parameters are validated after the input
+    check, so a graph that is not simple fails first.
     """
-    require_simple(g_in)
     if params is None:
         params = ChargeParams.paper()
-    params.validate()
-    run = _Run(g_in.copy(), params, strict=True)
-    while run.dispatch():
-        pass
-    return check_result(run.sol), run.ledger
+
+    def start(g: MultiGraph) -> _Run:
+        params.validate()
+        return _Run(g, params)
+
+    run = drive(g_in, start)
+    return run.sol, run.ledger

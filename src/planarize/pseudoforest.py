@@ -14,7 +14,7 @@ contraction makes a loop or a parallel edge.
 
 The case that fires is the minimum (rank, anchor) over the graph; the
 reference scan in ``tests/test_pseudoforest.py`` matches every vertex
-to find it.  ``reduce_pseudoforest`` dispatches from a ``CaseQueue``
+to find it.  ``reduce_pseudoforest`` takes its cases from a ``CaseQueue``
 instead: each vertex is keyed by a lower bound on its rank and is
 matched only when it reaches the top, where it either fires (its rank
 equals its key) or goes back at its exact rank.  The key is the bound
@@ -54,7 +54,7 @@ from itertools import combinations
 from .casequeue import CaseQueue
 from .errors import CaseAnalysisIncomplete, GraphError, StaleDescriptor
 from .multigraph import MultiGraph
-from .solution import ReductionSolution, TraceStep, check_result, require_simple, take
+from .solution import ReductionSolution, TraceStep, drive, take
 
 PREPROCESS = "Preprocess"
 HARVEST = "HarvestIsolated"
@@ -423,9 +423,9 @@ class _Run:
     from ``_RANKS``.
     """
 
-    def __init__(self, g: MultiGraph, sol: ReductionSolution) -> None:
+    def __init__(self, g: MultiGraph) -> None:
         self.g = g
-        self.sol = sol
+        self.sol = ReductionSolution("pseudoforest", g.n, g.m, set(), bound_num=2, bound_den=9)
         self.degree = g.degree_map()
         self.adj = g.adjacency_map()
         self.queue = CaseQueue()
@@ -529,11 +529,4 @@ class _Run:
 
 def reduce_pseudoforest(g_in: MultiGraph) -> ReductionSolution:
     """Compute S with 9 |S| >= 9 n - 2 m and G_in[S] a pseudoforest."""
-    require_simple(g_in)
-    sol = ReductionSolution("pseudoforest", g_in.n, g_in.m, set(), bound_num=2, bound_den=9)
-    run = _Run(g_in.copy(), sol)
-    while run.step():
-        pass
-    if run.g.n != 0 or run.g.m != 0:
-        raise CaseAnalysisIncomplete(f"reducer stalled with n={run.g.n}, m={run.g.m}")
-    return check_result(sol)
+    return drive(g_in, _Run).sol

@@ -1,9 +1,12 @@
 """Shared result types and the reducer contract, plus trace replay.
 
-Every reducer takes a simple graph (``require_simple``) and returns a
-``ReductionSolution`` whose set S satisfies den * |S| >= den * n - num * m;
-``check_result`` asserts that bound and the edge accounting before the
-solution leaves the reducer.
+``drive`` is the contract, written once for every reducer: it takes a
+simple graph (``require_simple``), steps the reducer's run on a copy of
+it until no case is left, raises CaseAnalysisIncomplete if the graph is
+not empty by then, and asserts with ``check_result`` that the run's
+``ReductionSolution`` satisfies den * |S| >= den * n - num * m and the
+edge accounting.  Each reducer's run names its algorithm and bound ratio
+once, in the solution it builds.
 
 A trace records every mutation a reducer performed, each step taken
 by ``take``.  ``replay`` re-executes a trace on a copy of the input with
@@ -16,7 +19,7 @@ counts are the input's, whatever state the reducer kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import (
     BoundViolation,
@@ -28,6 +31,7 @@ from .errors import (
 )
 from .multigraph import MultiGraph
 
+_R = TypeVar("_R")
 
 @dataclass(frozen=True, slots=True, init=False)
 class TraceStep:
@@ -223,13 +227,13 @@ def aggregate_charge_ok(sol: ReductionSolution) -> bool:
 
 
 def require_simple(g: MultiGraph) -> None:
-    """The input check every reducer makes before copying its input."""
+    """The input check ``drive`` makes before copying its input."""
     if not g.is_simple():
         raise GraphError("reducer inputs must be simple graphs")
 
 
 def check_result(sol: ReductionSolution) -> ReductionSolution:
-    """The post-conditions every reducer asserts on its finished run.
+    """The post-conditions ``drive`` asserts on every finished run.
 
     The integer bound, every input edge unit consumed exactly once, and
     the aggregate charge.  Each vertex leaves either deleted or into S
@@ -249,3 +253,25 @@ def check_result(sol: ReductionSolution) -> ReductionSolution:
     if not aggregate_charge_ok(sol):
         raise BoundViolation(f"{sol.algorithm}: aggregate charge went negative")
     return sol
+
+
+def drive(g_in: MultiGraph, start: Callable[[MultiGraph], _R]) -> _R:
+    """Run a reducer under the contract and return the finished run.
+
+    ``start(g)`` builds the run on g, a copy of g_in made once g_in is
+    known to be simple: an object holding the working graph ``g``, its
+    ``ReductionSolution`` ``sol``, and ``step()``, which takes the next
+    case and returns False once there is none.  A graph left non-empty
+    then means the case analysis missed a case; otherwise the solution
+    must pass ``check_result``.
+    """
+    require_simple(g_in)
+    run = start(g_in.copy())
+    step = run.step
+    while step():
+        pass
+    g = run.g
+    if g.n or g.m:
+        raise CaseAnalysisIncomplete(f"{run.sol.algorithm} reducer stalled with n={g.n}, m={g.m}")
+    check_result(run.sol)
+    return run

@@ -11,7 +11,7 @@ The amortized accounting charges -5 per deleted vertex and +1 per edge
 unit consumed (contracted, removed by simplification, or deleted with a
 vertex); ``check_result`` sums it over the trace, which replay checks.
 
-Dispatch runs through a ``CaseQueue``: each vertex is queued at a lower
+Cases are found through a ``CaseQueue``: each vertex is queued at a lower
 bound on its rank read from its degree, ``_match`` (the one place the
 case conditions are written) runs only when it reaches the top, and
 after a step the removed vertex is discarded and its neighbours are
@@ -23,9 +23,8 @@ that the two agree step by step.
 from __future__ import annotations
 
 from .casequeue import CaseQueue
-from .errors import CaseAnalysisIncomplete
 from .multigraph import MultiGraph
-from .solution import ReductionSolution, check_result, require_simple, take
+from .solution import ReductionSolution, drive, take
 
 PREPROCESS = "Preprocess"
 CONTRACT_DEG12 = "ContractDeg12"
@@ -61,9 +60,9 @@ class _Run:
     pops: work counters, independent of the host.
     """
 
-    def __init__(self, g: MultiGraph, sol: ReductionSolution) -> None:
+    def __init__(self, g: MultiGraph) -> None:
         self.g = g
-        self.sol = sol
+        self.sol = ReductionSolution("tw2", g.n, g.m, set(), bound_num=1, bound_den=5)
         self.degree = g.degree_map()
         self.adj = g.adjacency_map()
         self.queue = CaseQueue()
@@ -123,11 +122,4 @@ class _Run:
 
 def reduce_treewidth2(g_in: MultiGraph) -> ReductionSolution:
     """Compute S with 5 |S| >= 5 n - m and G_in[S] of treewidth <= 2."""
-    require_simple(g_in)
-    sol = ReductionSolution("tw2", g_in.n, g_in.m, set(), bound_num=1, bound_den=5)
-    run = _Run(g_in.copy(), sol)
-    while run.step():
-        pass
-    if run.g.n:
-        raise CaseAnalysisIncomplete(f"no case matched with n={run.g.n}, m={run.g.m}")
-    return check_result(sol)
+    return drive(g_in, _Run).sol

@@ -3,20 +3,22 @@ PASS line (run with -s to see them).  Tolerances are exact integer or
 exact rational checks unless a criterion is an explicit smoke test.
 """
 
+import functools
 import random
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from planarize import certify, generators as gen, lp, oracle, planar, treewidth2 as tw2
+from planarize import certify, generators as gen, lp, oracle, planar, pseudoforest as pf
+from planarize import treewidth2 as tw2
 from planarize.minors import level_contract
 from planarize.multigraph import from_edge_list
 from planarize.planar import ChargeParams, reduce_planar
 from planarize.pseudoforest import reduce_pseudoforest
 from planarize.reducers import REDUCERS, checked_run
 from planarize.treewidth2 import reduce_treewidth2
-from planarize.solution import ReductionSolution, aggregate_charge_ok
-from test_pseudoforest import _new_run, _tetra_ring
+from planarize.solution import aggregate_charge_ok, drive
+from test_pseudoforest import _tetra_ring
 
 
 def _ok(num, msg):
@@ -97,8 +99,8 @@ PAPER_SPEC = {
 def _checked_runs(g, tag):
     """Every reducer on g through ``reducers.checked_run``, yielding
     (solution, ledger or None) once the paper's bound, recomputed here,
-    holds, the trace replays and every certificate on G[S] holds; the
-    planar ledger is strict, so a negative charge raises."""
+    holds, the trace replays and every certificate on G[S] holds; a
+    negative planar charge raises."""
     assert set(REDUCERS) == set(PAPER_SPEC)
     for alg in REDUCERS:
         run = checked_run(g, alg)
@@ -120,8 +122,8 @@ def test_criterion_4_and_7_bounds_certificates_ledger():
         for _, ledger in _checked_runs(g, tag):
             if ledger is None:
                 continue
-            assert not ledger.negative_steps, tag
             low = ledger.min_charge()
+            assert low is None or low >= 0, tag
             if low is not None and (min_charge is None or low < min_charge):
                 min_charge = low
     wall = time.perf_counter() - t0
@@ -224,9 +226,7 @@ def test_criterion_9_scaling_smoke():
         # this gate cannot flake.
         work = []
         for size in sizes:
-            run = _new_run(make(size))
-            while run.step():
-                pass
+            run = drive(make(size), pf._Run)
             work.append(run.keyed + run.matched + run.registered)
         return ratios(work)
 
@@ -237,9 +237,7 @@ def test_criterion_9_scaling_smoke():
         # steps of its tree walks are recorded, not gated.
         work, split, walked = [], [], []
         for size in sizes:
-            run = planar._Run(make(size), ChargeParams.paper(), True)
-            while run.dispatch():
-                pass
+            run = drive(make(size), functools.partial(planar._Run, params=ChargeParams.paper()))
             work.append(run.matched + run.pushed)
             split.append(run.table.split_work)
             walked.append(run.table.walked)
@@ -249,10 +247,7 @@ def test_criterion_9_scaling_smoke():
         # The tw2 work counters: heap pops plus matcher calls.
         work = []
         for size in sizes:
-            g = make(size)
-            run = tw2._Run(g, ReductionSolution("tw2", g.n, g.m, set(), 1, 5))
-            while run.step():
-                pass
+            run = drive(make(size), tw2._Run)
             work.append(run.queue.popped + run.matched)
         return ratios(work)
 
@@ -348,7 +343,7 @@ def test_trace_replays_for_all_three():
 
 def test_exhaustive_all_graphs_up_to_five_vertices():
     # Every labeled graph on at most 5 vertices, all three reducers,
-    # exact bounds, trace replay, certificates, and the strict ledger.
+    # exact bounds, trace replay, certificates, and a non-negative ledger.
     # (The same sweep passes for n = 6 as well; kept at 5 to stay fast.)
     from itertools import combinations
 

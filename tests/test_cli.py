@@ -193,7 +193,9 @@ def test_malformed_file_exit_one(tmp_path, capsys):
 
 
 def test_malformed_dimacs_exit_one_without_traceback(tmp_path, capsys):
-    for text in ("p edge x 3\ne 1 2\n", "p edge 3 1\ne 1 b\n"):
+    # The last two: a second header, and a header with a field too many.
+    for text in ("p edge x 3\ne 1 2\n", "p edge 3 1\ne 1 b\n", "p 3 2\np 4 2\n0 1\n1 2\n",
+                 "p edge 3 2 9\ne 1 2\ne 2 3\n"):
         path = tmp_path / "bad.dimacs"
         path.write_text(text)
         code, _, err = run_cli(capsys, "reduce", "--alg", "tw2", "-i", str(path))

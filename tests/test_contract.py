@@ -1,16 +1,18 @@
 """The reducer contract shared by all three reducers.
 
-``solution.require_simple`` is the one input check,
-``solution.check_result`` the one post-condition block and
-``solution.take`` the one step executor; each reducer calls all three,
-so a tampered solution fails the same way for every one.
+``solution.drive`` runs every reducer: ``solution.require_simple`` is
+its one input check, one stall check follows the step loop, and
+``solution.check_result`` is its one post-condition block;
+``solution.take`` is the one step executor.  So a tampered solution, or
+a run that stops early, fails the same way for every reducer.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
-from planarize import generators as gen, pseudoforest as pf
+from planarize import generators as gen, planar, pseudoforest as pf, treewidth2 as tw2
 from planarize.errors import (
     BoundViolation,
     CaseAnalysisIncomplete,
@@ -18,9 +20,14 @@ from planarize.errors import (
     ReducerFault,
     TraceMismatch,
 )
+from planarize.graphio import write_graph_text
 from planarize.multigraph import MultiGraph, from_edge_list
+from planarize.planar import ChargeParams, reduce_planar
 from planarize.reducers import REDUCERS, checked_run
 from planarize.solution import ReductionSolution, TraceStep, check_result, replay, take
+from test_cli import run_cli
+
+RUNS = {"pseudoforest": pf._Run, "tw2": tw2._Run, "planar": planar._Run}
 
 
 def _empty_output(sol):
@@ -53,6 +60,34 @@ def test_require_simple_rejects_multigraphs(algorithm):
     with pytest.raises(GraphError, match="must be simple") as info:
         checked_run(g, algorithm)
     assert not isinstance(info.value, ReducerFault)
+
+
+def test_input_check_comes_before_planar_params():
+    g = MultiGraph()
+    g.add_edge(0, 1, 2)
+    harsh = ChargeParams(Fraction(2), Fraction(1, 4), Fraction(0), Fraction(1))
+    with pytest.raises(GraphError, match="must be simple"):
+        reduce_planar(g, harsh)
+
+
+@pytest.mark.parametrize("algorithm", sorted(REDUCERS))
+def test_a_run_that_stops_early_stalls(algorithm, monkeypatch, tmp_path, capsys):
+    # The run takes its first step and then reports no case left, with
+    # K5 only partly reduced.
+    assert set(RUNS) == set(REDUCERS)
+    take_step = RUNS[algorithm].step
+    monkeypatch.setattr(RUNS[algorithm], "step", lambda run: not run.sol.trace and take_step(run))
+    g = gen.complete(5)
+    stalled = f"^{algorithm} reducer stalled with n="
+    with pytest.raises(CaseAnalysisIncomplete, match=stalled):
+        REDUCERS[algorithm][0](g)
+    with pytest.raises(CaseAnalysisIncomplete, match=stalled):
+        checked_run(g, algorithm)
+    path = tmp_path / "k5.txt"
+    path.write_text(write_graph_text(g))
+    code, out, err = run_cli(capsys, "reduce", "--alg", algorithm, "-i", str(path))
+    assert (code, out) == (2, "")
+    assert f"{algorithm} reducer stalled" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("tamper, error, message", TAMPERS)

@@ -46,6 +46,10 @@ def test_parse_dimacs_bad_edge_label():
         ("p -3 0\n", "bad header"),
         ("p 3 -1\n", "bad header"),
         ("p edge -3 0\n", "bad DIMACS header"),
+        ("p 3 2\np 4 2\n0 1\n1 2\n", "second header: 'p 4 2'"),
+        ("p edge 3 2\np edge 4 2\ne 1 2\ne 2 3\n", "second DIMACS header: 'p edge 4 2'"),
+        ("p 3 2 9\n0 1\n1 2\n", "bad header: 'p 3 2 9'"),
+        ("p edge 3 2 9\ne 1 2\ne 2 3\n", "bad DIMACS header: 'p edge 3 2 9'"),
     ],
 )
 def test_parse_rejects_header_mismatch(text, why):

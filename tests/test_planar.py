@@ -19,8 +19,8 @@ def _check_run(g, sol, ledger):
     assert certify.is_planar(sub)
     assert certify.accepts_planar_residue(sub)
     assert sol.edge_events == sol.m
-    assert all(e.charge >= 0 for e in ledger.entries)
-    assert not ledger.negative_steps
+    low = ledger.min_charge()
+    assert low is None or low >= 0
     replay(g, sol)
 
 
@@ -210,7 +210,7 @@ def test_debt_cap_message_reads_in_the_papers_units():
     ledger.debt[0] = 10  # 10/46 = 5/23 at degree 3, over its cap of 9/46
     message = "debt 5/23 on vertex 0 outside [0, 9/46] at degree 3"
     with pytest.raises(DebtCapExceeded, match=re.escape(message)):
-        ledger.audit_caps(g)
+        ledger.audit_caps(g, ledger.debt)
 
 
 def test_alternate_feasible_params_work():

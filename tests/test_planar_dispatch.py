@@ -59,10 +59,9 @@ def _acceptable_component(g: MultiGraph, comp: list[int]) -> bool:
 
 
 class ReferenceRun:
-    def __init__(self, g: MultiGraph, params: ChargeParams, strict: bool) -> None:
+    def __init__(self, g: MultiGraph, params: ChargeParams) -> None:
         self.g = g
         self.params = params
-        self.strict = strict
         self.ledger = LedgerState(params)
         self.sol = ReductionSolution("planar", g.n, g.m, set(), bound_num=23, bound_den=120)
         self.flagged: list[set[int]] = []
@@ -142,13 +141,11 @@ class ReferenceRun:
         entry = LedgerEntry(len(self.sol.trace), label, charge)
         self.ledger.entries.append(entry)
         if charge < 0:
-            self.ledger.negative_steps.append(entry)
-            if self.strict:
-                raise NegativeCharge(f"step {entry.index} ({label}) charged {charge}")
+            raise NegativeCharge(f"step {entry.index} ({label}) charged {charge}")
         self.sol.trace.append(step)
         for orig in step.s_added:
             self.sol.s.add(orig)
-        self.ledger.audit_caps(self.g)
+        self.ledger.audit_caps(self.g, self.ledger.debt)
 
     # -- step kinds ----------------------------------------------------
 
@@ -312,12 +309,15 @@ class ReferenceRun:
 
 
 
-def _lockstep(g: MultiGraph, params: ChargeParams | None = None, strict: bool = True,
+def _lockstep(g: MultiGraph, params: ChargeParams | None = None,
               check_table: bool = False) -> planar._Run:
-    """Run both dispatchers step by step on copies of g and compare them."""
+    """Run both dispatchers step by step on copies of g and compare them.
+    When the reference raises NegativeCharge, the run must raise the same
+    message at the same step; it is returned then, its last ledger entry
+    the negative one."""
     params = params or ChargeParams.paper()
-    ref = ReferenceRun(g.copy(), params, strict)
-    new = planar._Run(g.copy(), params, strict)
+    ref = ReferenceRun(g.copy(), params)
+    new = planar._Run(g.copy(), params)
     if check_table:
         _check_table(new)
     while True:
@@ -325,9 +325,9 @@ def _lockstep(g: MultiGraph, params: ChargeParams | None = None, strict: bool = 
             more = ref.dispatch()
         except NegativeCharge as exc:
             with pytest.raises(NegativeCharge, match=re.escape(str(exc))):
-                new.dispatch()
+                new.step()
             return new
-        assert new.dispatch() == more
+        assert new.step() == more
         if not more:
             break
         assert new.sol.trace == ref.sol.trace
@@ -336,11 +336,10 @@ def _lockstep(g: MultiGraph, params: ChargeParams | None = None, strict: bool = 
         assert {v: Fraction(d, unit) for v, d in new.ledger.debt.items()} == ref.ledger.debt
         flags = {frozenset(new.table.members(c)) for c in new.table.comps.values() if c.tau}
         assert flags == {frozenset(f) for f in ref.flagged}
-        new.ledger.audit_caps(new.g)
+        new.ledger.audit_caps(new.g, new.ledger.debt)
         if check_table:
             _check_table(new)
     assert new.sol.s == ref.sol.s
-    assert new.ledger.negative_steps == ref.ledger.negative_steps
     return new
 
 
@@ -442,16 +441,14 @@ def test_matches_reference_on_disjoint_copies():
 
 def test_negative_steps_collected_alike():
     # Parameters outside the feasible region drive charges negative; the
-    # two dispatchers must record the same negative steps when not
-    # strict, and fail at the same step when strict.
+    # two dispatchers must raise the same NegativeCharge at the same step.
     harsh = ChargeParams(Fraction(2), Fraction(1, 4), Fraction(0), Fraction(1))
-    seen = 0
+    raised = 0
     for seed in range(30):
         g = _from_nx(nx.gnp_random_graph(12, 0.4, seed=seed))
-        run = _lockstep(g, harsh, strict=False)
-        seen += len(run.ledger.negative_steps)
-        _lockstep(g, harsh, strict=True)
-    assert seen > 0
+        low = _lockstep(g, harsh).ledger.min_charge()
+        raised += low is not None and low < 0
+    assert raised > 0
 
 
 def _random_connected(rng: random.Random) -> MultiGraph:
@@ -491,7 +488,7 @@ def test_seeded_reduce_matches_full_verdict_on_graph_atlas():
             full = certify.accepts_planar_residue(certify.induced_subgraph(g, set(comp)))
             assert (len(comp) - removed in (0, 4)) == full
             assert list(g.iter_edges()) == edges  # the engine left g alone
-        run = planar._Run(g.copy(), ChargeParams.paper(), True)
+        run = planar._Run(g.copy(), ChargeParams.paper())
         _check_table(run)
 
 
@@ -523,7 +520,8 @@ def test_split_searches_every_part_and_keeps_the_last(root, kept_root, rows):
     g = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9), (9, 7)])
     table = planar._Table(g, {})
     (c,) = table.comps.values()
-    table._plant(c, root)
+    c.root = root
+    table._tree(root)
     orphans = table.children(0)
     g.delete_vertex(0)
     table.remove(0)

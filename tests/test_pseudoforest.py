@@ -252,7 +252,7 @@ def _check_keys(run):
 
 
 def _new_run(g):
-    return pf._Run(g.copy(), ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9))
+    return pf._Run(g.copy())
 
 
 def _lockstep(g):

@@ -319,7 +319,7 @@ def _lockstep(g):
     """Step the case-queue loop and the bucket loop on copies of g and
     compare every step; return the queue run's solution."""
     ref = ReferenceRun(g)
-    run = tw2._Run(g.copy(), ReductionSolution("tw2", g.n, g.m, set(), 1, 5))
+    run = tw2._Run(g.copy())
     _check_keys(run)
     while True:
         more = ref.step()
@@ -360,7 +360,7 @@ def test_lockstep_on_disjoint_copies():
 
 
 def _work_per_step(g):
-    run = tw2._Run(g.copy(), ReductionSolution("tw2", g.n, g.m, set(), 1, 5))
+    run = tw2._Run(g.copy())
     while run.step():
         pass
     steps = len(run.sol.trace)

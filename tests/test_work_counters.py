@@ -8,6 +8,7 @@ pins also hold the rows its component table reads and the parent steps
 it walks to keep the components connected.
 """
 
+import functools
 import random
 
 import pytest
@@ -16,27 +17,21 @@ from planarize import generators as gen
 from planarize import planar, pseudoforest as pf, treewidth2 as tw2
 from planarize.multigraph import from_edge_list
 from planarize.planar import ChargeParams
-from planarize.solution import ReductionSolution
+from planarize.solution import drive
 
 
 def _pseudoforest(g):
-    run = pf._Run(g.copy(), ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9))
-    while run.step():
-        pass
+    run = drive(g, pf._Run)
     return run.keyed, run.matched, run.registered, run.queue.popped
 
 
 def _tw2(g):
-    run = tw2._Run(g.copy(), ReductionSolution("tw2", g.n, g.m, set(), 1, 5))
-    while run.step():
-        pass
+    run = drive(g, tw2._Run)
     return run.matched, run.queue.popped
 
 
 def _planar(g):
-    run = planar._Run(g.copy(), ChargeParams.paper(), True)
-    while run.dispatch():
-        pass
+    run = drive(g, functools.partial(planar._Run, params=ChargeParams.paper()))
     return run.matched, run.pushed, run.table.split_work, run.table.walked
 
 
