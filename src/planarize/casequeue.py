@@ -8,6 +8,11 @@ place its case conditions appear.  The queue finds the least (rank,
 anchor) without rescanning the graph: an anchor is queued under a key
 that is a lower bound on its rank, and matched only when it reaches the
 top.  Which anchors to push again after a step is the reducer's choice.
+
+Every key is a small non-negative integer, a rank from the reducer's
+case table, so the queue keeps one lazy min-heap of anchors per key, a
+bucket queue (Dial, "Algorithm 360", CACM 1969): a push or a pop
+compares anchors only, never (key, anchor) pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from .errors import CaseAnalysisIncomplete
 
 
 class CaseQueue:
-    """A lazy min-heap of (key, anchor) entries.
+    """Lazy min-heaps of anchors, one per key, and the lowest key whose
+    heap may hold an entry.
 
     ``queued[a]`` is the key of a's one live entry; any other entry for a
     is stale and skipped.  The reducer keeps the invariant that every
@@ -27,30 +33,51 @@ class CaseQueue:
     of its case, by pushing again, after each step, every anchor whose
     rank the step may have lowered.  Then an anchor that pops with a case
     of rank equal to its key holds the least (rank, anchor) of all.
-    ``popped`` counts the entries ``pop`` takes off the heap, stale ones
-    included: a work counter.
+
+    ``pop`` walks the heaps up from the lowest one that may be non-empty
+    (``push`` lowers that mark), and in each heap takes anchors in order,
+    so it takes the entries, stale ones too, in exactly the (key, anchor)
+    order of one heap of pairs.  ``popped`` counts the entries it takes
+    off, stale ones included: a work counter.  The heaps grow to the
+    largest key pushed.
     """
 
+    __slots__ = ("queued", "popped", "_heaps", "_low")
+
     def __init__(self) -> None:
-        self.heap: list = []
         self.queued: dict = {}
         self.popped = 0
+        self._heaps: list[list] = []
+        self._low = 0  # every heap below this key is empty
 
-    def push(self, anchor, key) -> None:
+    def entries(self) -> list[tuple[int, object]]:
+        """Every (key, anchor) entry held, stale ones included, in pop
+        order: a copy, for checks."""
+        return [(key, a) for key, heap in enumerate(self._heaps) for a in sorted(heap)]
+
+    def _grow(self, key: int) -> None:
+        self._heaps.extend([] for _ in range(key + 1 - len(self._heaps)))
+
+    def push(self, anchor, key: int) -> None:
         """Queue anchor at key, unless its live entry is at or below it."""
-        if key < self.queued.get(anchor, inf):
-            self.queued[anchor] = key
-            heappush(self.heap, (key, anchor))
+        self.push_all(((key, anchor),))
 
     def push_all(self, entries) -> None:
         """``push(anchor, key)`` for each ``(key, anchor)`` entry, in one
-        call; an entry that lowers a key goes on the heap as it is."""
-        heap, queued = self.heap, self.queued
-        for entry in entries:
-            key, a = entry
+        call."""
+        heaps, queued = self._heaps, self.queued
+        low = self._low
+        for key, a in entries:
             if key < queued.get(a, inf):
                 queued[a] = key
-                heappush(heap, entry)
+                try:
+                    heappush(heaps[key], a)
+                except IndexError:
+                    self._grow(key)
+                    heappush(heaps[key], a)
+                if key < low:
+                    low = key
+        self._low = low
 
     def discard(self, anchor) -> None:
         """Forget an anchor that is gone: its entries become stale."""
@@ -61,26 +88,39 @@ class CaseQueue:
         no queued anchor has a case.  An anchor whose case ranks above its
         key goes back at its rank; one ranked below its key means the
         invariant broke, and raises."""
-        heap, queued = self.heap, self.queued
+        heaps, queued = self._heaps, self.queued
         popped = 0
-        while heap:
-            key, anchor = heappop(heap)
-            popped += 1
-            if queued.get(anchor) != key:
-                continue
-            del queued[anchor]
-            found = match(anchor)
-            if found is None:
-                continue
-            rank, case = found
-            if rank == key:
-                self.popped += popped
-                return rank, anchor, case
-            if rank < key:
-                raise CaseAnalysisIncomplete(
-                    f"case at {anchor} has rank {rank} below its key {key}"
-                )
-            queued[anchor] = rank
-            heappush(heap, (rank, anchor))
+        key = self._low
+        top = len(heaps)
+        while key < top:
+            heap = heaps[key]
+            while heap:
+                anchor = heappop(heap)
+                popped += 1
+                if queued.get(anchor) != key:
+                    continue
+                del queued[anchor]
+                found = match(anchor)
+                if found is None:
+                    continue
+                rank, case = found
+                if rank == key:
+                    self._low = key
+                    self.popped += popped
+                    return rank, anchor, case
+                if rank < key:
+                    self._low = key
+                    raise CaseAnalysisIncomplete(
+                        f"case at {anchor} has rank {rank} below its key {key}"
+                    )
+                queued[anchor] = rank
+                try:
+                    heappush(heaps[rank], anchor)
+                except IndexError:
+                    self._grow(rank)
+                    top = len(heaps)
+                    heappush(heaps[rank], anchor)
+            key += 1
+        self._low = key
         self.popped += popped
         return None

@@ -17,6 +17,10 @@ class LoopInInput(GraphError):
     """An input edge list contains a self loop; inputs must be simple graphs."""
 
 
+class NotSimple(GraphError):
+    """A reducer input has a loop or a parallel edge; reducers take simple graphs."""
+
+
 class ParseError(GraphError):
     """A graph file could not be parsed."""
 

@@ -20,61 +20,76 @@ from .multigraph import MultiGraph, from_edge_list
 
 
 def parse_graph(text: str) -> MultiGraph:
-    lines: list[tuple[str, list[str]]] = []
-    dimacs = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            parts = line.split()
-            tag = parts[0]
-            if tag == "e" or (tag == "p" and line.startswith(("p edge", "p col"))):
-                dimacs = True
-            lines.append((line, parts))
-    return _parse_dimacs(lines) if dimacs else _parse_native(lines)
+    """The graph in an edge-list text, native or DIMACS.
+
+    Each line is split into fields once; ``#`` comments are cut off only
+    when the text holds a ``#``, and a line's own text is read again only
+    for an error message.  A DIMACS line needs an ``e`` or a ``p col`` in
+    the text, so a native file whose comments hold neither is told apart
+    without a scan."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = [line.split() for line in lines]
+    if ("e" in text or "p col" in text) and _is_dimacs(lines, rows):
+        return _parse_dimacs(lines, rows)
+    return _parse_native(lines, rows)
 
 
-def _parse_native(lines: list[tuple[str, list[str]]]) -> MultiGraph:
+def _is_dimacs(lines: list[str], rows: list[list[str]]) -> bool:
+    """Whether a line is a DIMACS edge, or a ``p edge`` or ``p col`` header."""
+    for line, parts in zip(lines, rows):
+        if parts and (parts[0] == "e"
+                      or (parts[0] == "p" and line.strip().startswith(("p edge", "p col")))):
+            return True
+    return False
+
+
+def _parse_native(lines: list[str], rows: list[list[str]]) -> MultiGraph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    for line, parts in lines:
-        if parts[0] == "p":
+    append = edges.append
+    for line, parts in zip(lines, rows):
+        if len(parts) == 2 and parts[0] != "p":
+            try:
+                append((int(parts[0]), int(parts[1])))
+            except ValueError as exc:
+                raise ParseError(f"non-integer labels in {line.strip()!r}") from exc
+        elif parts:
+            if parts[0] != "p":
+                raise ParseError(f"expected 'u v', got {line.strip()!r}")
             if header is not None:
-                raise ParseError(f"second header: {line!r}")
-            header = _header_counts(parts[1:], f"bad header: {line!r}")
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"expected 'u v', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"non-integer labels in {line!r}") from exc
+                raise ParseError(f"second header: {line.strip()!r}")
+            header = _header_counts(parts[1:], f"bad header: {line.strip()!r}")
     return _build(edges, header)
 
 
-def _parse_dimacs(lines: list[tuple[str, list[str]]]) -> MultiGraph:
+def _parse_dimacs(lines: list[str], rows: list[list[str]]) -> MultiGraph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    for line, parts in lines:
+    for line, parts in zip(lines, rows):
+        if not parts:
+            continue
         tag = parts[0]
         if tag == "c":
             continue
         if tag == "p":
             if header is not None:
-                raise ParseError(f"second DIMACS header: {line!r}")
-            header = _header_counts(parts[2:], f"bad DIMACS header: {line!r}")
+                raise ParseError(f"second DIMACS header: {line.strip()!r}")
+            header = _header_counts(parts[2:], f"bad DIMACS header: {line.strip()!r}")
             continue
         if tag == "e":
             if len(parts) != 3:
-                raise ParseError(f"bad DIMACS edge line: {line!r}")
+                raise ParseError(f"bad DIMACS edge line: {line.strip()!r}")
             try:
                 u, v = int(parts[1]) - 1, int(parts[2]) - 1
             except ValueError as exc:
-                raise ParseError(f"non-integer labels in {line!r}") from exc
+                raise ParseError(f"non-integer labels in {line.strip()!r}") from exc
             if u < 0 or v < 0:
-                raise ParseError(f"DIMACS labels are 1-based: {line!r}")
+                raise ParseError(f"DIMACS labels are 1-based: {line.strip()!r}")
             edges.append((u, v))
             continue
-        raise ParseError(f"unrecognized DIMACS line: {line!r}")
+        raise ParseError(f"unrecognized DIMACS line: {line.strip()!r}")
     return _build(edges, header)
 
 

@@ -10,7 +10,9 @@ working graph by contraction or acceptance; the result satisfies
 returns is the step itself (``CaseDescriptor``): the vertices to delete,
 the edges to contract and the vertices to accept.  ``apply_case`` takes
 any such step with ``solution.take``, ``simplify`` off: no pseudoforest
-contraction makes a loop or a parallel edge.
+contraction makes a loop or a parallel edge.  A run calls both through
+``_case_at`` and ``_apply``, on the live degree and adjacency maps it
+holds, not views made per call.
 
 The case that fires is the minimum (rank, anchor) over the graph; the
 reference scan in ``tests/test_pseudoforest.py`` matches every vertex
@@ -211,8 +213,12 @@ def _match_at(g: MultiGraph, v: int) -> CaseDescriptor | None:
     no step; ``_c4_payload`` finds its step on v's component when it
     actually fires.
     """
-    degree = g.degree_map()
-    adj = g.adjacency_map()
+    return _case_at(g, g.degree_map(), g.adjacency_map(), v)
+
+
+def _case_at(g: MultiGraph, degree, adj, v: int) -> CaseDescriptor | None:
+    """``_match_at`` on g's live degree and adjacency maps, which a run
+    reads once, not once per match."""
     row = adj[v]
     deg = degree[v]
     if deg >= 5:
@@ -359,7 +365,12 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
     the live ones among the closed neighbourhoods of the vertices the
     step names, which hold every vertex whose incident edges changed.
     """
-    adj = g.adjacency_map()
+    return _apply(g, g.adjacency_map(), desc, sol)
+
+
+def _apply(g: MultiGraph, adj, desc: CaseDescriptor, sol: ReductionSolution) -> tuple[TraceStep, set[int]]:
+    """``apply_case`` on g's live adjacency map, as ``_case_at`` is to
+    ``_match_at``."""
     touched: set[int] = set()
     for v in desc.deleted:
         if v not in adj:
@@ -413,14 +424,14 @@ class _Run:
     it, and ``watch[x]`` holds the (vertex, step) registrations under x;
     an entry whose step is not its vertex's in ``raised`` is stale.
     ``keyed`` counts the vertices keyed again after steps, ``matched``
-    the ``_match_at`` calls and ``registered`` the watch entries made:
-    work counters, independent of the host.
+    the matches made and ``registered`` the watch entries made: work
+    counters, independent of the host.
 
     A step costs its graph change and a few dictionary reads per vertex
     it touched.  Keys are computed in one loop per step over the live
     degree and adjacency maps and handed to ``CaseQueue.push_all`` as
-    heap entries; a match calls ``_match_at`` once and reads its rank
-    from ``_RANKS``.
+    (key, vertex) entries; a match calls ``_case_at`` once on the same
+    maps and reads its rank from ``_RANKS``.
     """
 
     def __init__(self, g: MultiGraph) -> None:
@@ -459,7 +470,7 @@ class _Run:
     def _match(self, v: int) -> tuple[int, CaseDescriptor] | None:
         self.matched += 1
         self.fresh.append(v)
-        desc = _match_at(self.g, v)
+        desc = _case_at(self.g, self.degree, self.adj, v)
         return None if desc is None else (_RANKS[desc.label], desc)
 
     def _reads(self, y: int) -> set[int]:
@@ -483,12 +494,17 @@ class _Run:
         _, v, desc = found
         if desc.label == FOUR_REG_C4:
             desc = _c4_payload(g, v)
-        step, touched = apply_case(g, desc, self.sol)
+        step, touched = _apply(g, adj, desc, self.sol)
         # The vertices that left: those deleted, and those that joined S.
-        for x in step.deleted + step.s_added:
+        gone = step.deleted + step.s_added
+        for x in gone:
             queue.discard(x)
-            raised.pop(x, None)
-            watch.pop(x, None)
+        if raised:
+            for x in gone:
+                raised.pop(x, None)
+        if watch:
+            for x in gone:
+                watch.pop(x, None)
         # A vertex whose live key is at or below its ``_keyed`` key keeps it
         # valid until a step touches it (module docstring), and once pushed
         # it holds such a key, so it leaves ``raised``.  The others are the

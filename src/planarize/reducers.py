@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import certify
-from .errors import (ASSERTION_ERRORS, GraphError, InfeasibleParams, ParseError, ReducerFault,
-                     TraceMismatch)
+from .errors import (ASSERTION_ERRORS, GraphError, InfeasibleParams, NotSimple, ParseError,
+                     ReducerFault, TraceMismatch)
 from .multigraph import MultiGraph
 from .planar import ChargeParams, LedgerState, reduce_planar
 from .pseudoforest import reduce_pseudoforest
-from .solution import ReductionSolution, replay, require_simple
+from .solution import ReductionSolution, replay
 from .treewidth2 import reduce_treewidth2
 
 
@@ -84,17 +84,17 @@ def checked_run(g: MultiGraph, algorithm: str, params: str | None = None) -> Che
     with it: replay its trace on g, the bound from g's n and m, and the
     certificates on G_in[S].  A failed check is a verdict, not an error.
 
-    What the input causes raises as it is: a g that is not simple, and
-    params the reducer rejects (ParseError or InfeasibleParams).  Any other
-    toolkit error the reducer raises, or an S that names a vertex not in g,
-    is re-raised as ReducerFault.
+    What the input causes raises as it is: a g that is not simple
+    (NotSimple, from the reducer's one input check, before it does any
+    work), and params the reducer rejects (ParseError or InfeasibleParams).
+    Any other toolkit error the reducer raises, or an S that names a vertex
+    not in g, is re-raised as ReducerFault.
     """
     run, certificates = REDUCERS[algorithm]
-    require_simple(g)
     try:
         sol, ledger = run(g, params)
         sub = certify.induced_subgraph(g, sol.s)
-    except (ParseError, InfeasibleParams, *ASSERTION_ERRORS):
+    except (ParseError, InfeasibleParams, NotSimple, *ASSERTION_ERRORS):
         raise
     except GraphError as exc:
         raise ReducerFault(f"{algorithm}: {type(exc).__name__}: {exc}") from exc

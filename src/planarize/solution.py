@@ -24,8 +24,8 @@ from typing import Callable, Iterable, TypeVar
 from .errors import (
     BoundViolation,
     CaseAnalysisIncomplete,
-    GraphError,
     NoSuchEdge,
+    NotSimple,
     TraceMismatch,
     UnknownVertex,
 )
@@ -229,7 +229,7 @@ def aggregate_charge_ok(sol: ReductionSolution) -> bool:
 def require_simple(g: MultiGraph) -> None:
     """The input check ``drive`` makes before copying its input."""
     if not g.is_simple():
-        raise GraphError("reducer inputs must be simple graphs")
+        raise NotSimple("reducer inputs must be simple graphs")
 
 
 def check_result(sol: ReductionSolution) -> ReductionSolution:

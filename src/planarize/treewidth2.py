@@ -56,8 +56,8 @@ class _Run:
     a row, unsorted.  The working graph stays simple (every contraction
     simplifies), so a row holds exactly the distinct neighbours.
 
-    ``matched`` counts the ``_match`` calls and ``queue.popped`` the heap
-    pops: work counters, independent of the host.
+    ``matched`` counts the ``_match`` calls and ``queue.popped`` the
+    queue's pops: work counters, independent of the host.
     """
 
     def __init__(self, g: MultiGraph) -> None:

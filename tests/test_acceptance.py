@@ -244,7 +244,7 @@ def test_criterion_9_scaling_smoke():
         return ratios(work), ratios(split), (split, walked)
 
     def tw2_work(sizes, make):
-        # The tw2 work counters: heap pops plus matcher calls.
+        # The tw2 work counters: queue pops plus matcher calls.
         work = []
         for size in sizes:
             run = drive(make(size), tw2._Run)

@@ -62,6 +62,24 @@ def test_require_simple_rejects_multigraphs(algorithm):
     assert not isinstance(info.value, ReducerFault)
 
 
+@pytest.mark.parametrize("algorithm", sorted(REDUCERS))
+def test_checked_run_checks_simplicity_once(algorithm, monkeypatch, tmp_path, capsys):
+    calls = []
+    is_simple = MultiGraph.is_simple
+    monkeypatch.setattr(MultiGraph, "is_simple", lambda g: calls.append(g) or is_simple(g))
+    g = gen.complete(5)
+    checked_run(g, algorithm)
+    assert calls == [g]
+    # A file always parses to a simple graph, so hand the CLI a multigraph:
+    # it fails the one check, exit 1 with the message, before any step.
+    multi = MultiGraph()
+    multi.add_edge(0, 1, 2)
+    monkeypatch.setattr("planarize.graphio.read_graph", lambda path: multi)
+    monkeypatch.setattr(RUNS[algorithm], "step", lambda run: pytest.fail("reducer stepped"))
+    code, out, err = run_cli(capsys, "reduce", "--alg", algorithm, "-i", str(tmp_path / "g.txt"))
+    assert (code, out, err) == (1, "", "error: reducer inputs must be simple graphs\n")
+
+
 def test_input_check_comes_before_planar_params():
     g = MultiGraph()
     g.add_edge(0, 1, 2)

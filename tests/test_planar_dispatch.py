@@ -24,7 +24,7 @@ import networkx as nx
 import pytest
 
 from planarize import certify, generators as gen, planar
-from planarize.errors import CaseAnalysisIncomplete, NegativeCharge
+from planarize.errors import CaseAnalysisIncomplete, DebtCapExceeded, NegativeCharge
 from planarize.multigraph import MultiGraph, from_edge_list
 from planarize.planar import (
     DEG2_CONTRACT,
@@ -145,7 +145,18 @@ class ReferenceRun:
         self.sol.trace.append(step)
         for orig in step.s_added:
             self.sol.s.add(orig)
-        self.ledger.audit_caps(self.g, self.ledger.debt)
+        self.audit_caps()
+
+    def audit_caps(self) -> None:
+        """Each debt lies in [0, cap of its vertex's degree], in the
+        paper's units: the reference keeps its debts as fractions, so it
+        reads the caps from ``ChargeParams.cap``, not the run's caps
+        times L."""
+        for v, d in self.ledger.debt.items():
+            degree = self.g.degree(v)
+            cap = self.params.cap(degree)
+            if not 0 <= d <= cap:
+                raise DebtCapExceeded(f"debt {d} on vertex {v} outside [0, {cap}] at degree {degree}")
 
     # -- step kinds ----------------------------------------------------
 
@@ -457,6 +468,21 @@ def _random_connected(rng: random.Random) -> MultiGraph:
     p = rng.choice([0.1, 0.25, 0.4])
     edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
     return from_edge_list(edges, n)
+
+
+def test_reference_audits_caps_in_the_papers_units():
+    # A debt of 2 on a degree-2 vertex is twice its cap of 1.  The run's
+    # audit reads caps times L (46 at the paper point), so the reference,
+    # whose debts are fractions, audits against ChargeParams.cap itself.
+    ref = ReferenceRun(gen.cycle(5), ChargeParams.paper())
+    ref.ledger.debt[0] = Fraction(1)
+    ref.audit_caps()
+    ref.ledger.debt[0] = Fraction(2)
+    with pytest.raises(DebtCapExceeded, match="^debt 2 on vertex 0 outside \\[0, 1\\] at degree 2$"):
+        ref.audit_caps()
+    ref.ledger.debt[0] = Fraction(-1, 46)
+    with pytest.raises(DebtCapExceeded):
+        ref.audit_caps()
 
 
 def test_contraction_at_low_degree_keeps_the_residue_verdict():
