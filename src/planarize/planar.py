@@ -742,12 +742,9 @@ class _Run:
         return units * self.scaled.unit - c.debt - (self.scaled.tau if c.tau else 0)
 
     def step(self) -> bool:
-        """Perform the least (rank, anchor) case; False when the graph is
-        empty, before the queue is read, or when no case is left.  Keeping
-        a whole component is always at least as large as reducing it
-        further, so acceptance comes first."""
-        if self.g.n == 0:
-            return False
+        """Perform the least (rank, anchor) case; False once no case is
+        left.  Keeping a whole component is always at least as large as
+        reducing it further, so acceptance comes first."""
         found = self.queue.pop(self._match)
         if found is None:
             return False

@@ -24,27 +24,34 @@ its degree gives, except at degree 3, where it is the exact rank read
 from the neighbours: Deg3AdjDeg4 when one has degree 4 or more,
 ThreeRegular otherwise.
 
-A key stays a lower bound until a step touches its vertex.  No case
-raises a degree: every deletion and contraction lowers the degrees it
-changes, and Deg2NoTriangle, which contracts a into u and so joins u to
-w, keeps both degrees and touches both.  So a vertex's degree changes,
-or it gains a neighbour, only when a step touches it, and a degree-3
-vertex cannot come next to a vertex of degree 4 or more otherwise.
-After a step only these go back at their key, when that is below their
-live key: the vertices the step touched (the closed neighbourhoods of
-the vertices it names, ``apply_case``), the anchor, and the raised
-vertices (``_Run.raised``: matched, so put back above their key or
-dropped, and not pushed since) within distance 1 of a touched vertex,
-or 2 at degree 4, since FourRegC2 and FourRegC3 read that far.  They
-are found without a search: a vertex that stays raised after the step
-it was matched in is registered on the watch list of every vertex of
-that region, and a step reads the lists of the vertices it touched.
-The region of a raised vertex y cannot change unseen: that takes an
-edge change at a vertex of N[y], which touches that vertex, and the
-step then keys y again.  Every vertex with a case so holds a key at
-most its rank, and the popped minimum is the scan's minimum.  The one
-non-local case, FourRegC4, searches only the anchor's component for a
-cycle of tetrahedra.
+A key stays a lower bound until a step changes its vertex's row.  A key
+reads the vertex's degree and, at degree 3, its neighbours' degrees.
+No case raises a degree: every deletion and contraction lowers the
+degrees it changes, and Deg2NoTriangle, which contracts a into u and so
+joins u to w, keeps both.  So a degree-3 vertex comes next to a vertex
+of degree 4 or more only by gaining a neighbour, which changes its row.
+The rows a step changes are those of the neighbours of each vertex it
+deletes or accepts and of the vertex each contraction removes, the
+survivor among them (``apply_case``).  After a step only these go back
+at their key, when that is below their live key: the changed vertices,
+the anchor, and the raised vertices whose region the step saw
+(``_Run.raised``: matched, so put back above their key or dropped, and
+not pushed since).  The region of y, what its cases read, is N[y], or
+N2[y] at degree 4, since FourRegC2 and FourRegC3 read that far.  The
+raised vertices are found without a search: a vertex that stays raised
+after the step it was matched in is registered on the watch list of
+every vertex of its region, and a step reads the lists of the changed
+vertices and, after a contraction, of the survivor's neighbours.  A
+contraction is the one step that makes two vertices adjacent, and
+FourRegC3 at y reads that adjacency through ``_tetra_of`` at a common
+neighbour of the two, a vertex of N2[y] whose own row may not change.
+So what a raised vertex y reads cannot change unseen: that takes a
+changed row in its region, or a contraction joining two neighbours of
+a vertex of it, which is then a changed vertex or a neighbour of the
+survivor, and the step keys y again.  Every vertex with a case so holds
+a key at most its rank, and the popped minimum is the scan's minimum.
+The one non-local case, FourRegC4, searches only the anchor's component
+for a cycle of tetrahedra.
 """
 
 from __future__ import annotations
@@ -361,9 +368,10 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
     Raises StaleDescriptor, before any change, when a vertex it names or
     an edge it contracts is gone.  The case conditions themselves are not
     checked again: replay, the integer bound and the certificate on G[S]
-    vouch for a run.  Returns the recorded step and the touched vertices:
-    the live ones among the closed neighbourhoods of the vertices the
-    step names, which hold every vertex whose incident edges changed.
+    vouch for a run.  Returns the recorded step and the changed vertices:
+    the live ones among the neighbours of each vertex the step deletes or
+    accepts and of the vertex each contraction removes, which are exactly
+    the vertices whose rows the step changed.
     """
     return _apply(g, g.adjacency_map(), desc, sol)
 
@@ -371,23 +379,21 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
 def _apply(g: MultiGraph, adj, desc: CaseDescriptor, sol: ReductionSolution) -> tuple[TraceStep, set[int]]:
     """``apply_case`` on g's live adjacency map, as ``_case_at`` is to
     ``_match_at``."""
-    touched: set[int] = set()
+    changed: set[int] = set()
     for v in desc.deleted:
         if v not in adj:
             raise StaleDescriptor(f"{desc}: vertex {v} is gone")
-        touched.add(v)
-        touched.update(adj[v])
-    for u, v, _ in desc.contracted:
+        changed.update(adj[v])
+    for u, v, survivor in desc.contracted:
         if u not in adj or v not in adj[u]:
             raise StaleDescriptor(f"{desc}: edge ({u}, {v}) is gone")
-        touched.add(u)
-        touched.update(adj[u])
-        touched.update(adj[v])
+        # Rows read before the step: a vertex that a later contraction
+        # removes (b in DeltaC) gains only neighbours named here already.
+        changed.update(adj[v if survivor == u else u])
     for v in desc.accepted:
         if v not in adj:
             raise StaleDescriptor(f"{desc}: vertex {v} is gone")
-        touched.add(v)
-        touched.update(adj[v])
+        changed.update(adj[v])
     if desc.label == DELTA_B:
         (d,) = desc.deleted
         if g.degree(d) < 3:
@@ -396,8 +402,8 @@ def _apply(g: MultiGraph, adj, desc: CaseDescriptor, sol: ReductionSolution) -> 
             )
 
     step = take(g, sol, desc.label, desc.deleted, desc.contracted, desc.accepted)
-    touched &= adj.keys()
-    return step, touched
+    changed &= adj.keys()
+    return step, changed
 
 
 # -- driver ------------------------------------------------------------
@@ -419,7 +425,9 @@ class _Run:
 
     A vertex is queued at a lower bound on its rank (``_keyed``) and
     matched only when it reaches the top (``CaseQueue.pop``), so the case
-    that fires is the minimum (rank, v) over the graph.  ``raised`` maps
+    that fires is the minimum (rank, v) over the graph.  After a step it
+    keys again the vertices whose rows the step changed, the anchor and
+    the raised vertices the step saw (module docstring).  ``raised`` maps
     each vertex matched and not pushed since to the step that registered
     it, and ``watch[x]`` holds the (vertex, step) registrations under x;
     an entry whose step is not its vertex's in ``raised`` is stale.
@@ -428,10 +436,12 @@ class _Run:
     counters, independent of the host.
 
     A step costs its graph change and a few dictionary reads per vertex
-    it touched.  Keys are computed in one loop per step over the live
-    degree and adjacency maps and handed to ``CaseQueue.push_all`` as
-    (key, vertex) entries; a match calls ``_case_at`` once on the same
-    maps and reads its rank from ``_RANKS``.
+    whose row it changed; the survivor's neighbours are read only while
+    a vertex is raised or just matched.  Keys are computed in one loop
+    per step over the live degree and adjacency maps and handed to
+    ``CaseQueue.push_all`` as (key, vertex) entries; a match calls
+    ``_case_at`` once on the same maps and reads its rank from
+    ``_RANKS``.
     """
 
     def __init__(self, g: MultiGraph) -> None:
@@ -474,9 +484,13 @@ class _Run:
         return None if desc is None else (_RANKS[desc.label], desc)
 
     def _reads(self, y: int) -> set[int]:
-        """What the cases at y read: N[y], or N2[y] at degree 4 (FourRegC2
-        and FourRegC3 read the neighbourhoods of neighbours; every other
-        case reads only the anchor's own neighbourhood)."""
+        """The region of y, the vertices it is registered under while it
+        stays raised: N[y], or N2[y] at degree 4, where FourRegC2 and
+        FourRegC3 read the neighbourhoods of neighbours; every other case
+        reads only the anchor's own neighbourhood.  FourRegC3 also reads
+        whether two neighbours of a vertex of N2[y] are adjacent, which a
+        step changes only by a contraction that it sees at that vertex
+        (``_seen``)."""
         adj = self.adj
         row = adj[y]
         if self.degree[y] == 4:
@@ -484,6 +498,17 @@ class _Run:
         near = set(row)
         near.add(y)
         return near
+
+    def _seen(self, changed: set[int], desc: CaseDescriptor) -> set[int]:
+        """The vertices whose watch lists a step reads: the changed ones
+        and, after a contraction, the survivor's neighbours.  A contraction
+        is the one step that makes two vertices adjacent, and FourRegC3 at
+        a degree-4 vertex reads that adjacency two steps away, through
+        ``_tetra_of`` at a vertex of N2[y] next to the survivor."""
+        if not desc.contracted:
+            return changed
+        adj = self.adj
+        return changed.union(*[adj[s] for _, _, s in desc.contracted if s in adj])
 
     def step(self) -> bool:
         """Apply the next case; False once no vertex has one."""
@@ -494,7 +519,7 @@ class _Run:
         _, v, desc = found
         if desc.label == FOUR_REG_C4:
             desc = _c4_payload(g, v)
-        step, touched = _apply(g, adj, desc, self.sol)
+        step, changed = _apply(g, adj, desc, self.sol)
         # The vertices that left: those deleted, and those that joined S.
         gone = step.deleted + step.s_added
         for x in gone:
@@ -506,27 +531,34 @@ class _Run:
             for x in gone:
                 watch.pop(x, None)
         # A vertex whose live key is at or below its ``_keyed`` key keeps it
-        # valid until a step touches it (module docstring), and once pushed
-        # it holds such a key, so it leaves ``raised``.  The others are the
-        # anchor, whose entry was just popped and which may lie far from
-        # touched (FourRegC4 deletes from the smallest tetrahedron on a
-        # cycle, which need not be the anchor's), and the raised vertices
-        # whose region holds a touched vertex: those registered under one,
-        # and those matched in this step, which are not registered yet.
+        # valid until a step changes its row (module docstring), and once
+        # pushed it holds such a key, so it leaves ``raised``.  The others
+        # are the anchor, whose entry was just popped and which may lie far
+        # from the changed rows (FourRegC4 deletes from the smallest
+        # tetrahedron on a cycle, which need not be the anchor's), and the
+        # raised vertices whose region holds a vertex the step saw: those
+        # registered under one, and those matched in this step, which are
+        # not registered yet.  The step saw the changed rows and, after a
+        # contraction, the survivor's neighbours, read only when a raised
+        # or just-matched vertex needs them.
         if v in adj:
-            touched.add(v)
+            changed.add(v)
         near = set()
+        seen = None
         if raised:
-            for x in touched:
+            seen = self._seen(changed, desc)
+            for x in seen:
                 for y, at in watch.pop(x, ()):
                     if raised.get(y) == at:
                         near.add(y)
         index = len(self.sol.trace)
         for y in self.fresh:
-            if y in touched or y in raised or y not in adj:
+            if y in changed or y in raised or y not in adj:
                 continue
+            if seen is None:
+                seen = self._seen(changed, desc)
             region = self._reads(y)
-            if touched.isdisjoint(region):
+            if seen.isdisjoint(region):
                 raised[y] = index
                 self.registered += len(region)
                 entry = (y, index)
@@ -535,9 +567,9 @@ class _Run:
             else:
                 near.add(y)
         self.fresh.clear()
-        touched |= near
-        self.keyed += len(touched)
-        queue.push_all(self._keyed(touched))
+        changed |= near
+        self.keyed += len(changed)
+        queue.push_all(self._keyed(changed))
         for y in near:
             raised.pop(y, None)
         return True

@@ -2,11 +2,11 @@
 
 ``drive`` is the contract, written once for every reducer: it takes a
 simple graph (``require_simple``), steps the reducer's run on a copy of
-it until no case is left, raises CaseAnalysisIncomplete if the graph is
-not empty by then, and asserts with ``check_result`` that the run's
-``ReductionSolution`` satisfies den * |S| >= den * n - num * m and the
-edge accounting.  Each reducer's run names its algorithm and bound ratio
-once, in the solution it builds.
+it until the graph is empty or no case is left, raises
+CaseAnalysisIncomplete if the graph is not empty by then, and asserts
+with ``check_result`` that the run's ``ReductionSolution`` satisfies
+den * |S| >= den * n - num * m and the edge accounting.  Each reducer's
+run names its algorithm and bound ratio once, in the solution it builds.
 
 A trace records every mutation a reducer performed, each step taken
 by ``take``.  ``replay`` re-executes a trace on a copy of the input with
@@ -261,16 +261,17 @@ def drive(g_in: MultiGraph, start: Callable[[MultiGraph], _R]) -> _R:
     ``start(g)`` builds the run on g, a copy of g_in made once g_in is
     known to be simple: an object holding the working graph ``g``, its
     ``ReductionSolution`` ``sol``, and ``step()``, which takes the next
-    case and returns False once there is none.  A graph left non-empty
-    then means the case analysis missed a case; otherwise the solution
-    must pass ``check_result``.
+    case and returns False once there is none.  The loop stops at an
+    empty graph without calling ``step``, so no run pops its queue's
+    stale entries only to learn that nothing is left.  A graph left
+    non-empty means the case analysis missed a case; otherwise the
+    solution must pass ``check_result``.
     """
     require_simple(g_in)
     run = start(g_in.copy())
-    step = run.step
-    while step():
+    g, step = run.g, run.step
+    while g.n and step():
         pass
-    g = run.g
     if g.n or g.m:
         raise CaseAnalysisIncomplete(f"{run.sol.algorithm} reducer stalled with n={g.n}, m={g.m}")
     check_result(run.sol)

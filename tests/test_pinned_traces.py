@@ -11,6 +11,7 @@ its defaults is pinned as well, by running the script end to end.
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,8 @@ from planarize import generators as gen
 from planarize.reducers import REDUCERS
 from test_cli import moving_an_edge_unit
 from test_planar_dispatch import _corpus_recipe, _run_corpus_script
-from test_pseudoforest import _shared_triangle_pair, _tetra_ring, _two_k4s_matched
+from test_pseudoforest import (_far_double_link, _k4_blowup, _shared_triangle_pair,
+                               _shuffled_union, _tetra_ring, _two_k4s_matched)
 
 PINNED = {
     "pseudoforest": "5bf93a5c553366210384f958bb5713487e0bc80f58e89fa9b9d31204fa24869f",
@@ -33,6 +35,13 @@ PINNED = {
 # C4 subcases of the 4-regular case fire; none of them occurs on the
 # inputs above.  Recorded before the lazy pseudoforest dispatcher.
 PINNED_TETRA = "1a260a66016d99165a69ef0f2bcb511c756f81a588c9a097e4ebd795bdd6fd5e"
+
+# The pseudoforest reducer where raised vertices and their watch lists do
+# the work: random 4-regular graphs at the sizes of the ``reduce``
+# benchmark ladder, the contraction that gives a raised vertex a
+# FourRegC3 case two steps away, and K4 blow-ups of random 4-regular
+# graphs.  Recorded before a step keyed only the rows it changed.
+PINNED_RAISED = "9fe4b45bd9fe09882e90ebcc1ea473742ef3e56414d59d48e98b4f096fb05942"
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +66,17 @@ def tetra_inputs():
     out = [(f"tetra_ring x{t}", gen.disjoint_copies(_tetra_ring(), t)) for t in (1, 3, 10)]
     out.append(("two_k4s_matched", _two_k4s_matched()))
     out.append(("shared_triangle_pair", _shared_triangle_pair()))
+    return out
+
+
+def raised_inputs():
+    """``random_regular(n, 4, 11)`` for n = 1000, 2000, 4000, the far
+    double link, and two K4 blow-ups with shuffled ids."""
+    out = [(f"rr4 n={n}", gen.random_regular(n, 4, 11)) for n in (1000, 2000, 4000)]
+    out.append(("far_double_link", _far_double_link()))
+    for n, seed in ((30, 3), (200, 7)):
+        blowup = _k4_blowup(gen.random_regular(n, 4, seed))
+        out.append((f"k4_blowup n={n}", _shuffled_union([blowup], random.Random(seed))))
     return out
 
 
@@ -89,6 +109,10 @@ def test_trace_digest_is_pinned(algorithm, inputs):
 
 def test_tetra_digest_is_pinned():
     assert trace_digest("pseudoforest", tetra_inputs()) == PINNED_TETRA
+
+
+def test_raised_digest_is_pinned():
+    assert trace_digest("pseudoforest", raised_inputs()) == PINNED_RAISED
 
 
 CORPUS_SUMMARY = """\
@@ -126,3 +150,4 @@ if __name__ == "__main__":
     for alg in REDUCERS:
         print(f'    "{alg}": "{trace_digest(alg, graphs)}",')
     print(f'PINNED_TETRA = "{trace_digest("pseudoforest", tetra_inputs())}"')
+    print(f'PINNED_RAISED = "{trace_digest("pseudoforest", raised_inputs())}"')
