@@ -303,9 +303,6 @@ class MultiGraph:
                     queue.append(y)
         return sorted(seen)
 
-    def is_d_regular(self, d: int) -> bool:
-        return all(deg == d for deg in self._deg.values())
-
     def girth(self) -> int | None:
         """Length of the shortest cycle, or None if the graph is acyclic.
 

@@ -62,7 +62,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import certify, lp as lpmod
 from .casequeue import CaseQueue
@@ -181,23 +181,13 @@ def _violation(params: ChargeParams) -> str | None:
     return None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LedgerEntry:
-    """One step's recorded charge, in the paper's units.  Immutable, and
-    built like ``solution.TraceStep``: ``__init__`` fills the slots
-    through their descriptors."""
+class LedgerEntry(NamedTuple):
+    """One step's recorded charge, in the paper's units: the step's index
+    in the trace, its label and its charge.  Immutable, as the step is."""
 
     index: int
     label: str
     charge: Fraction
-
-    def __init__(self, index: int, label: str, charge: Fraction) -> None:
-        _set_index(self, index)
-        _set_label(self, label)
-        _set_charge(self, charge)
-
-
-_set_index, _set_label, _set_charge = (getattr(LedgerEntry, name).__set__ for name in LedgerEntry.__slots__)
 
 
 @dataclass
@@ -290,7 +280,6 @@ class _Table:
     """
 
     def __init__(self, g: MultiGraph, debt: dict[int, int]) -> None:
-        self.g = g
         self.degree = g.degree_map()  # live: the graph's degrees now
         self.adj = g.adjacency_map()
         self.debt = debt

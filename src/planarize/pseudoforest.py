@@ -6,13 +6,12 @@ has maximum degree 4.  Vertices moved to the output set S leave the
 working graph by contraction or acceptance; the result satisfies
 9 |S| >= 9 n - 2 m and the input induced on S is a pseudoforest.
 
-``_match_at`` is the one place a case condition is written, and what it
+``_case_at`` is the one place a case condition is written, and what it
 returns is the step itself (``CaseDescriptor``): the vertices to delete,
-the edges to contract and the vertices to accept.  ``apply_case`` takes
-any such step with ``solution.take``, ``simplify`` off: no pseudoforest
-contraction makes a loop or a parallel edge.  A run calls both through
-``_case_at`` and ``_apply``, on the live degree and adjacency maps it
-holds, not views made per call.
+the edges to contract and the vertices to accept.  ``_apply`` takes any
+such step with ``solution.take``, ``simplify`` off: no pseudoforest
+contraction makes a loop or a parallel edge.  Both read the live degree
+and adjacency maps a run holds, not views made per call.
 
 The case that fires is the minimum (rank, anchor) over the graph; the
 reference scan in ``tests/test_pseudoforest.py`` matches every vertex
@@ -32,7 +31,7 @@ joins u to w, keeps both.  So a degree-3 vertex comes next to a vertex
 of degree 4 or more only by gaining a neighbour, which changes its row.
 The rows a step changes are those of the neighbours of each vertex it
 deletes or accepts and of the vertex each contraction removes, the
-survivor among them (``apply_case``).  After a step only these go back
+survivor among them (``_apply``).  After a step only these go back
 at their key, when that is below their live key: the changed vertices,
 the anchor, and the raised vertices whose region the step saw
 (``_Run.raised``: matched, so put back above their key or dropped, and
@@ -57,8 +56,8 @@ for a cycle of tetrahedra.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .casequeue import CaseQueue
 from .errors import CaseAnalysisIncomplete, GraphError, StaleDescriptor
@@ -100,46 +99,28 @@ _RANKS = {
 }
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CaseDescriptor:
+class CaseDescriptor(NamedTuple):
     """A matched case as the step it takes, in the order ``solution.replay``
     runs a step: delete, then contract each ``(u, v, survivor)``, then
-    accept.
-
-    Immutable, and built like ``solution.TraceStep``: ``__init__`` fills
-    the slots through their descriptors, at about half the cost of a
-    frozen dataclass's generated ``__init__``."""
+    accept."""
 
     label: str
     deleted: tuple[int, ...] = ()
     contracted: tuple[tuple[int, int, int], ...] = ()
     accepted: tuple[int, ...] = ()
 
-    def __init__(self, label: str, deleted: tuple[int, ...] = (),
-                 contracted: tuple[tuple[int, int, int], ...] = (),
-                 accepted: tuple[int, ...] = ()) -> None:
-        _set_label(self, label)
-        _set_deleted(self, deleted)
-        _set_contracted(self, contracted)
-        _set_accepted(self, accepted)
-
     @property
     def rank(self) -> int:
         return _RANKS[self.label]
 
 
-_set_label, _set_deleted, _set_contracted, _set_accepted = (
-    getattr(CaseDescriptor, name).__set__ for name in CaseDescriptor.__slots__)
-
-
 # -- local structure helpers -----------------------------------------
 
 
-def _dropped_pair(g: MultiGraph, a: int) -> tuple[int, int] | None:
+def _dropped_pair(adj, a: int) -> tuple[int, int] | None:
     """Of two disjoint non-adjacent pairs covering N(a), the second, which
     FourRegA deletes; the first is kept."""
-    nbrs = g.neighbors(a)
-    adj = g.adjacency_map()
+    nbrs = sorted(adj[a])
     for p, q in combinations(nbrs, 2):
         if q in adj[p]:
             continue
@@ -149,57 +130,53 @@ def _dropped_pair(g: MultiGraph, a: int) -> tuple[int, int] | None:
     return None
 
 
-def _tetra_of(g: MultiGraph, v: int) -> tuple[int, ...] | None:
+def _tetra_of(adj, v: int) -> tuple[int, ...] | None:
     """The K4 through v, as a sorted 4-tuple, if one exists."""
-    nbrs = g.neighbors(v)
-    adj = g.adjacency_map()
-    for triple in combinations(nbrs, 3):
+    for triple in combinations(sorted(adj[v]), 3):
         b, c, d = triple
         if c in adj[b] and d in adj[b] and d in adj[c]:
             return tuple(sorted((v,) + triple))
     return None
 
 
-def _k5_component(g: MultiGraph, a: int) -> tuple[int, ...] | None:
-    nbrs = g.neighbors(a)
-    if any(g.degree(u) != 4 for u in nbrs):
+def _k5_component(degree, adj, a: int) -> tuple[int, ...] | None:
+    row = adj[a]
+    if any(degree[u] != 4 for u in row):
         return None
-    adj = g.adjacency_map()
-    if all(v in adj[u] for u, v in combinations(nbrs, 2)):
-        return tuple(sorted([a] + nbrs))
+    if all(v in adj[u] for u, v in combinations(row, 2)):
+        return tuple(sorted([a, *row]))
     return None
 
 
-def _shared_apex(g: MultiGraph, a: int) -> int | None:
+def _shared_apex(adj, a: int) -> int | None:
     """e with tetrahedra a,b,c,d and e,b,c,d sharing triangle bcd."""
-    nbrs = g.neighbors(a)
-    adj = g.adjacency_map()
-    for triple in combinations(nbrs, 3):
+    row = adj[a]
+    for triple in combinations(sorted(row), 3):
         b, c, d = triple
         if not (c in adj[b] and d in adj[b] and d in adj[c]):
             continue
-        common = set(g.neighbors(b)) & set(g.neighbors(c)) & set(g.neighbors(d))
+        common = adj[b].keys() & adj[c].keys() & adj[d].keys()
         common.discard(a)
         for e in sorted(common):
-            if e not in adj[a]:
+            if e not in row:
                 return e
     return None
 
 
-def _double_link(g: MultiGraph, a: int) -> tuple[int, int] | None:
+def _double_link(adj, a: int) -> tuple[int, int] | None:
     """Two inter-tetrahedron edges (b, e) < (d, g2) joining a's tetrahedron
     to one other; returns (d, e), the first tetrahedron's endpoint of the
     second edge and the second's endpoint of the first."""
-    t1 = _tetra_of(g, a)
+    t1 = _tetra_of(adj, a)
     if t1 is None:
         return None
     t1set = set(t1)
     links: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for x in t1:
-        for y in g.neighbors(x):
+        for y in adj[x]:
             if y in t1set:
                 continue
-            t2 = _tetra_of(g, y)
+            t2 = _tetra_of(adj, y)
             if t2 is None:
                 return None
             links.setdefault(t2, []).append((x, y))
@@ -213,19 +190,14 @@ def _double_link(g: MultiGraph, a: int) -> tuple[int, int] | None:
 # -- case matching ----------------------------------------------------
 
 
-def _match_at(g: MultiGraph, v: int) -> CaseDescriptor | None:
-    """Best-priority case anchored at v, from vertex-local structure only.
+def _case_at(degree, adj, v: int) -> CaseDescriptor | None:
+    """Best-priority case anchored at v, from vertex-local structure only,
+    read from the working graph's live degree and adjacency maps.
 
     FourRegC4 is returned only as a marker (v lies in a tetrahedron), with
     no step; ``_c4_payload`` finds its step on v's component when it
     actually fires.
     """
-    return _case_at(g, g.degree_map(), g.adjacency_map(), v)
-
-
-def _case_at(g: MultiGraph, degree, adj, v: int) -> CaseDescriptor | None:
-    """``_match_at`` on g's live degree and adjacency maps, which a run
-    reads once, not once per match."""
     row = adj[v]
     deg = degree[v]
     if deg >= 5:
@@ -269,19 +241,19 @@ def _case_at(g: MultiGraph, degree, adj, v: int) -> CaseDescriptor | None:
         if b is not None:
             return CaseDescriptor(DEG3_ADJ_DEG4, deleted=(b,))
         return CaseDescriptor(THREE_REGULAR, deleted=(v,))
-    drop = _dropped_pair(g, v)
+    drop = _dropped_pair(adj, v)
     if drop is not None:
         return CaseDescriptor(FOUR_REG_A, deleted=drop)
-    comp5 = _k5_component(g, v)
+    comp5 = _k5_component(degree, adj, v)
     if comp5 is not None:
         return CaseDescriptor(FOUR_REG_C1, deleted=comp5[:2])
-    e = _shared_apex(g, v)
+    e = _shared_apex(adj, v)
     if e is not None:
         return CaseDescriptor(FOUR_REG_C2, deleted=(v, e))
-    link = _double_link(g, v)
+    link = _double_link(adj, v)
     if link is not None:
         return CaseDescriptor(FOUR_REG_C3, deleted=link)
-    if _tetra_of(g, v) is not None:
+    if _tetra_of(adj, v) is not None:
         return CaseDescriptor(FOUR_REG_C4)
     return None
 
@@ -296,10 +268,11 @@ def _c4_payload(g: MultiGraph, anchor: int) -> CaseDescriptor:
     graph, and its component is where a search over the whole graph
     would have found its cycle first."""
     comp = g.component_of(anchor)
+    rows = g.adjacency_map()
     tetra: dict[int, tuple[int, ...]] = {}
     rep: dict[int, int] = {}
     for v in comp:
-        t = _tetra_of(g, v)
+        t = _tetra_of(rows, v)
         if t is None:
             raise CaseAnalysisIncomplete(f"vertex {v} lost its tetrahedron")
         tetra[min(t)] = t
@@ -362,8 +335,9 @@ def _find_cycle(adj: dict[int, set[int]]) -> list[int] | None:
 # -- case application --------------------------------------------------
 
 
-def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> tuple[TraceStep, set[int]]:
-    """Take the step ``desc`` names with ``solution.take``.
+def _apply(g: MultiGraph, adj, desc: CaseDescriptor, sol: ReductionSolution) -> tuple[TraceStep, set[int]]:
+    """Take the step ``desc`` names with ``solution.take``; ``adj`` is g's
+    live adjacency map.
 
     Raises StaleDescriptor, before any change, when a vertex it names or
     an edge it contracts is gone.  The case conditions themselves are not
@@ -373,12 +347,6 @@ def apply_case(g: MultiGraph, desc: CaseDescriptor, sol: ReductionSolution) -> t
     accepts and of the vertex each contraction removes, which are exactly
     the vertices whose rows the step changed.
     """
-    return _apply(g, g.adjacency_map(), desc, sol)
-
-
-def _apply(g: MultiGraph, adj, desc: CaseDescriptor, sol: ReductionSolution) -> tuple[TraceStep, set[int]]:
-    """``apply_case`` on g's live adjacency map, as ``_case_at`` is to
-    ``_match_at``."""
     changed: set[int] = set()
     for v in desc.deleted:
         if v not in adj:
@@ -480,7 +448,7 @@ class _Run:
     def _match(self, v: int) -> tuple[int, CaseDescriptor] | None:
         self.matched += 1
         self.fresh.append(v)
-        desc = _case_at(self.g, self.degree, self.adj, v)
+        desc = _case_at(self.degree, self.adj, v)
         return None if desc is None else (_RANKS[desc.label], desc)
 
     def _reads(self, y: int) -> set[int]:

@@ -19,7 +19,7 @@ counts are the input's, whatever state the reducer kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import (
     BoundViolation,
@@ -33,8 +33,8 @@ from .multigraph import MultiGraph
 
 _R = TypeVar("_R")
 
-@dataclass(frozen=True, slots=True, init=False)
-class TraceStep:
+
+class TraceStep(NamedTuple):
     """One reduction step.
 
     Every id is an input vertex id: the working graph keeps the input's
@@ -52,11 +52,7 @@ class TraceStep:
         on, merging loops and parallel copies at each survivor (tw2, planar).
 
     A step is immutable, because a trace is evidence: ``replay`` and the
-    ledger read it after the reducer is done.  ``__init__`` fills the
-    slots through their descriptors, once per field.  The generated
-    ``__init__`` of a frozen dataclass goes through ``object.__setattr__``
-    for every field and costs about twice as much; assignment after
-    construction still raises ``FrozenInstanceError``.
+    ledger read it after the reducer is done.
     """
 
     label: str
@@ -66,22 +62,6 @@ class TraceStep:
     removed_edges: int = 0
     s_added: tuple[int, ...] = ()
     simplified: bool = False
-
-    def __init__(self, label: str, deleted: tuple[int, ...] = (),
-                 contracted: tuple[tuple[int, int, int], ...] = (), accepted: tuple[int, ...] = (),
-                 removed_edges: int = 0, s_added: tuple[int, ...] = (),
-                 simplified: bool = False) -> None:
-        _set_label(self, label)
-        _set_deleted(self, deleted)
-        _set_contracted(self, contracted)
-        _set_accepted(self, accepted)
-        _set_removed_edges(self, removed_edges)
-        _set_s_added(self, s_added)
-        _set_simplified(self, simplified)
-
-
-(_set_label, _set_deleted, _set_contracted, _set_accepted, _set_removed_edges, _set_s_added,
- _set_simplified) = (getattr(TraceStep, name).__set__ for name in TraceStep.__slots__)
 
 
 @dataclass
@@ -126,7 +106,7 @@ def take(g: MultiGraph, sol: ReductionSolution, label: str, deleted: tuple[int, 
     Beyond the graph changes a step makes one list, at most one tuple
     for ``s_added`` (none when nothing is contracted, since ``s_added``
     is then ``accepted`` itself) and one ``TraceStep``, which stays
-    frozen because the trace is what ``replay`` and the ledger check."""
+    immutable because the trace is what ``replay`` and the ledger check."""
     units = 0
     delete = g.delete_vertex
     for v in deleted:

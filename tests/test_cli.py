@@ -84,8 +84,8 @@ def moving_an_edge_unit(run):
         i = next((i for i, step in enumerate(sol.trace[:-1]) if step.removed_edges), None)
         if i is not None:
             a, b = sol.trace[i], sol.trace[i + 1]
-            sol.trace[i] = dataclasses.replace(a, removed_edges=a.removed_edges - 1)
-            sol.trace[i + 1] = dataclasses.replace(b, removed_edges=b.removed_edges + 1)
+            sol.trace[i] = a._replace(removed_edges=a.removed_edges - 1)
+            sol.trace[i + 1] = b._replace(removed_edges=b.removed_edges + 1)
             assert check_result(sol) is sol
         return sol, ledger
 

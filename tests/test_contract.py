@@ -7,7 +7,6 @@ its one input check, one stall check follows the step loop, and
 a run that stops early, fails the same way for every reducer.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -35,7 +34,7 @@ def _empty_output(sol):
 
 
 def _extra_edge_unit(sol):
-    sol.trace[0] = dataclasses.replace(sol.trace[0], removed_edges=sol.trace[0].removed_edges + 1)
+    sol.trace[0] = sol.trace[0]._replace(removed_edges=sol.trace[0].removed_edges + 1)
 
 
 def _extra_deletion(sol):
@@ -161,7 +160,7 @@ def test_replay_rejects_a_step_whose_s_added_omits_a_vertex(algorithm, ends, wha
     sol, _ = REDUCERS[algorithm][0](g)
     idx, v = next((i, ends(step)[0]) for i, step in enumerate(sol.trace) if ends(step))
     step = sol.trace[idx]
-    sol.trace[idx] = dataclasses.replace(step, s_added=tuple(x for x in step.s_added if x != v))
+    sol.trace[idx] = step._replace(s_added=tuple(x for x in step.s_added if x != v))
     message = rf"^step {idx}: {what} original {v} missing from s_added$"
     with pytest.raises(TraceMismatch, match=message):
         replay(g, sol)
@@ -184,23 +183,22 @@ def test_replay_rejects_a_trace_that_leaves_a_vertex_behind(algorithm):
         replay(g, sol)
 
 
-def test_steps_and_case_descriptors_stay_frozen_dataclasses():
-    # Both are built through their slot descriptors; assignment afterwards
-    # must still raise, and ``replace`` and ``==`` must still work field by
-    # field.
+def test_steps_and_case_descriptors_stay_immutable():
+    # Assignment after construction must raise, and ``_replace`` and ``==``
+    # must work field by field.
     g = gen.path(4)
     sol = ReductionSolution("handbuilt", g.n, g.m, set(), 1, 5)
     step = take(g.copy(), sol, "HandBuilt", deleted=(3,), contracted=((0, 1, 1),), accepted=(2,))
-    desc = pf._match_at(g, 0)
+    desc = pf._case_at(g.degree_map(), g.adjacency_map(), 0)
     assert desc == pf.CaseDescriptor(pf.LEAF, contracted=((0, 1, 1),))
     for made, field in ((step, "removed_edges"), (desc, "label"), (step, "s_added")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(made, field, getattr(made, field))
     assert step == TraceStep("HandBuilt", (3,), ((0, 1, 1),), (2,), 3, (0, 2), False)
-    assert step != dataclasses.replace(step, simplified=True)
-    moved = dataclasses.replace(step, s_added=(2, 0))
+    assert step != step._replace(simplified=True)
+    moved = step._replace(s_added=(2, 0))
     assert (moved.s_added, moved.removed_edges) == ((2, 0), 3) and step.s_added == (0, 2)
-    assert hash(step) == hash(dataclasses.replace(moved, s_added=(0, 2)))
-    other = dataclasses.replace(desc, deleted=(0,))
+    assert hash(step) == hash(moved._replace(s_added=(0, 2)))
+    other = desc._replace(deleted=(0,))
     assert (other.label, other.deleted, other.contracted) == (pf.LEAF, (0,), ((0, 1, 1),))
-    assert other != desc and dataclasses.replace(other, deleted=()) == desc
+    assert other != desc and other._replace(deleted=()) == desc

@@ -115,6 +115,16 @@ def test_raised_digest_is_pinned():
     assert trace_digest("pseudoforest", raised_inputs()) == PINNED_RAISED
 
 
+def test_ledger_entries_line_up_with_the_trace(inputs):
+    # One ledger entry per step, in trace order, under the step's index
+    # and label: the charge of a trace line is the entry at its index.
+    run, _ = REDUCERS["planar"]
+    for tag, g in inputs:
+        sol, ledger = run(g)
+        got = [(e.index, e.label) for e in ledger.entries]
+        assert got == [(i, s.label) for i, s in enumerate(sol.trace)], tag
+
+
 CORPUS_SUMMARY = """\
 graphs checked: 400
 pseudoforest  worst bound slack: 0

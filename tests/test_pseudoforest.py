@@ -64,13 +64,23 @@ def test_k5_keeps_three():
     _check_run(g, sol)
 
 
+def match_at(g: MultiGraph, v: int) -> pf.CaseDescriptor | None:
+    """The case a run matches at v, read from g's live maps."""
+    return pf._case_at(g.degree_map(), g.adjacency_map(), v)
+
+
+def apply_case(g: MultiGraph, desc: pf.CaseDescriptor, sol: ReductionSolution):
+    """Take desc on g as a run does; return the step and the changed rows."""
+    return pf._apply(g, g.adjacency_map(), desc, sol)
+
+
 def first_applicable_case(g: MultiGraph) -> pf.CaseDescriptor | None:
     """Reference dispatcher: scan every vertex, return the minimum-rank
     case with ties by anchor id; None when the graph is fully reduced."""
     best: pf.CaseDescriptor | None = None
     best_key = (len(pf._RANKS), -1)
     for v in g.sorted_vertices():
-        d = pf._match_at(g, v)
+        d = match_at(g, v)
         if d is None:
             continue
         key = (d.rank, v)
@@ -130,7 +140,7 @@ def _tetra_ring():
 
 def test_tetra_ring_hits_c4():
     g = _tetra_ring()
-    assert g.is_d_regular(4)
+    assert set(g.degree_map().values()) == {4}
     desc = first_applicable_case(g)
     assert desc.label == pf.FOUR_REG_C4
     assert len(desc.deleted) == 2  # two off-cycle vertices to delete
@@ -153,7 +163,7 @@ def test_star_neighborhood_is_subsumed_by_case_a():
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
     edges += [(2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
     g = from_edge_list(edges)
-    assert g.is_d_regular(4)
+    assert set(g.degree_map().values()) == {4}
     assert _is_star(g, 0) and not _is_star(g, 2)
     desc = first_applicable_case(g)
     assert desc.label == pf.FOUR_REG_A
@@ -174,7 +184,7 @@ def _shared_triangle_pair():
 
 def test_shared_triangle_tetrahedra_hit_c2():
     g = _shared_triangle_pair()
-    assert g.is_d_regular(4)
+    assert set(g.degree_map().values()) == {4}
     desc = first_applicable_case(g)
     assert desc.label == pf.FOUR_REG_C2
     assert set(desc.deleted) == {0, 1}  # the two apexes get deleted
@@ -204,7 +214,7 @@ def _c4_payload_whole_graph(g):
     the reference for the search on the anchor's component only."""
     tetra, rep = {}, {}
     for v in g.sorted_vertices():
-        t = pf._tetra_of(g, v)
+        t = pf._tetra_of(g.adjacency_map(), v)
         assert t is not None, f"vertex {v} lost its tetrahedron"
         tetra[min(t)] = t
         rep[v] = min(t)
@@ -234,7 +244,7 @@ def _check_keys(run):
     it, on the watch list of every vertex its cases read: N[y], or N2[y]
     at degree 4, taken here from scratch."""
     def ranked(v):
-        desc = pf._match_at(run.g, v)
+        desc = match_at(run.g, v)
         return None if desc is None else (desc.rank, desc)
 
     check_invariant(run.queue, run.g.vertices(), ranked)
@@ -269,7 +279,7 @@ def _lockstep(g):
         assert run.step() == (desc is not None)
         if desc is None:
             break
-        pf.apply_case(work, desc, ref)
+        apply_case(work, desc, ref)
         assert len(run.sol.trace) == len(ref.trace)
         assert run.sol.trace[-1] == ref.trace[-1]
         _check_keys(run)
@@ -339,7 +349,7 @@ def test_lockstep_on_tetrahedra():
     for n, seed in ((6, 0), (10, 1), (20, 2)):
         h = _from_nx(nx.random_regular_graph(4, n, seed=seed))
         blowup = _k4_blowup(h)
-        assert blowup.is_d_regular(4)
+        assert set(blowup.degree_map().values()) == {4}
         labels.update(step.label for step in _lockstep(_shuffled_union([blowup], rng)).trace)
     for case in (pf.FOUR_REG_C1, pf.FOUR_REG_C2, pf.FOUR_REG_C3, pf.FOUR_REG_C4):
         assert labels[case], case
@@ -387,7 +397,7 @@ def _far_double_link():
 
 def test_raised_vertex_two_steps_from_a_contraction_goes_back():
     g = _far_double_link()
-    assert g.is_d_regular(4)
+    assert set(g.degree_map().values()) == {4}
     run = _new_run(g)
     run.step()
     assert run.queue.queued[0] == pf._RANKS[pf.FOUR_REG_C4] and 0 in run.raised
@@ -395,7 +405,7 @@ def test_raised_vertex_two_steps_from_a_contraction_goes_back():
     run.step()
     assert [step.label for step in run.sol.trace] == [
         pf.FOUR_REG_A, pf.DEG2_NO_TRIANGLE, pf.DEG2_NO_TRIANGLE]
-    assert pf._match_at(run.g, 0).label == pf.FOUR_REG_C3
+    assert match_at(run.g, 0).label == pf.FOUR_REG_C3
     assert run.queue.queued[0] == pf._RANKS[pf.FOUR_REG_A]
     _lockstep(g)
 
@@ -440,10 +450,10 @@ def test_stale_descriptor_rejected():
     g = gen.path(4)
     desc = first_applicable_case(g)
     sol = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
-    pf.apply_case(g, desc, sol)
+    apply_case(g, desc, sol)
     before = _state(g, sol)
     with pytest.raises(StaleDescriptor):
-        pf.apply_case(g, desc, sol)
+        apply_case(g, desc, sol)
     assert _state(g, sol) == before
 
 
@@ -456,7 +466,7 @@ def test_stale_contracted_edge_rejected():
     sol = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
     before = _state(g, sol)
     with pytest.raises(StaleDescriptor):
-        pf.apply_case(g, desc, sol)
+        apply_case(g, desc, sol)
     assert _state(g, sol) == before
 
 
@@ -476,7 +486,7 @@ def test_apply_case_returns_the_rows_it_changed():
         sol = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
         while (desc := first_applicable_case(g)) is not None:
             before = {v: dict(row) for v, row in g.adjacency_map().items()}
-            _, changed = pf.apply_case(g, desc, sol)
+            _, changed = apply_case(g, desc, sol)
             rows = g.adjacency_map()
             assert changed == {v for v in rows if rows[v] != before[v]}, desc
             labels[desc.label] += 1
@@ -489,7 +499,7 @@ def test_executor_takes_a_step_in_replay_order():
     g = gen.path(4)
     desc = pf.CaseDescriptor("HandBuilt", deleted=(3,), contracted=((0, 1, 1),), accepted=(1, 2))
     sol = ReductionSolution("pseudoforest", g.n, g.m, set(), 2, 9)
-    step, changed = pf.apply_case(g.copy(), desc, sol)
+    step, changed = apply_case(g.copy(), desc, sol)
     assert (step.removed_edges, step.s_added, changed) == (3, (0, 1, 2), set())
     assert sol.s == {0, 1, 2} and sol.trace == [step]
     replay(g, sol)

@@ -84,3 +84,21 @@ PINNED_DENSE = {0.5: (186, 1051, 446, 443), 0.9: (216, 1724, 337, 182)}
 def test_planar_work_counters_are_pinned_on_dense_graphs(p):
     got = [_planar(g) for g in _dense(p)]
     assert tuple(map(sum, zip(*got))) == PINNED_DENSE[p]
+
+
+def _wheel(n):
+    """W_n as ``networkx.wheel_graph(n)`` builds it: hub 0, rim 1..n-1."""
+    rim = range(1, n)
+    return from_edge_list([(0, v) for v in rim] + [(v, v % (n - 1) + 1) for v in rim], n)
+
+
+# The wheel is where the component table's parent walks are worst: its
+# spanning tree hangs nearly every rim vertex from the hub, and deleting
+# the hub walks about n^2/2 parent steps (``walked``).  Making that walk
+# near-linear re-pins ``walked`` here; the other three counts stay.
+PINNED_WHEEL = {1000: (2, 1001, 1996, 496506), 2000: (2, 2001, 3996, 1993006)}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_WHEEL))
+def test_planar_work_counters_are_pinned_on_the_wheel(n):
+    assert _planar(_wheel(n)) == PINNED_WHEEL[n]
